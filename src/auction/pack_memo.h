@@ -13,13 +13,13 @@
 #ifndef AUCTIONRIDE_AUCTION_PACK_MEMO_H_
 #define AUCTIONRIDE_AUCTION_PACK_MEMO_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/striped_counter.h"
 #include "common/units.h"
 #include "common/thread_annotations.h"
 
@@ -51,10 +51,10 @@ class PackMemo {
     MutexLock lock(shard.mu);
     auto it = shard.map.find(Key{vehicle, members});
     if (it == shard.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
+      misses_.Add();
       return false;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    hits_.Add();
     *out = it->second;
     return true;
   }
@@ -69,8 +69,12 @@ class PackMemo {
     shard.map.emplace(Key{vehicle, members}, eval);
   }
 
-  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  int64_t hits() const {
+    return hits_.value();  // NOLINT-ARIDE(unsafe-unit-cast): event count
+  }
+  int64_t misses() const {
+    return misses_.value();  // NOLINT-ARIDE(unsafe-unit-cast): event count
+  }
 
   std::size_t size() const {
     std::size_t total = 0;
@@ -119,8 +123,9 @@ class PackMemo {
   };
 
   std::unique_ptr<Shard[]> shards_;
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
+  // Striped: every pack-generation task bumps one of them per lookup.
+  mutable StripedCounter hits_;
+  mutable StripedCounter misses_;
 };
 
 }  // namespace auctionride

@@ -95,14 +95,6 @@ class SampleSet {
   double p95() const { return Quantile(0.95); }
   double p99() const { return Quantile(0.99); }
 
-  /// Sorted copy of the samples: extract many quantiles for one O(n log n)
-  /// sort via QuantileOfSorted.
-  std::vector<double> SortedCopy() const {
-    std::vector<double> copy = samples_;
-    std::sort(copy.begin(), copy.end());
-    return copy;
-  }
-
   /// Nearest-rank quantile of an already-sorted sample vector.
   static double QuantileOfSorted(const std::vector<double>& sorted, double q) {
     ARIDE_CHECK(!sorted.empty());

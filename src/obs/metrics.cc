@@ -19,17 +19,6 @@ uint64_t NextRandom(uint64_t* state) {
 
 }  // namespace
 
-namespace internal {
-
-std::size_t StripeIndex() {
-  static std::atomic<std::size_t> next_stripe{0};
-  thread_local const std::size_t stripe =
-      next_stripe.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return stripe;
-}
-
-}  // namespace internal
-
 Histogram::Options Histogram::TimerOptions() {
   Options opts;
   opts.bucket_bounds = ExponentialBounds(1e-6, 64.0, 4.0);
@@ -74,22 +63,27 @@ void Histogram::Observe(double x) {
 }
 
 HistogramSummary Histogram::Summary() const {
-  MutexLock lock(mu_);
   HistogramSummary out;
-  out.count = stats_.count();
-  out.sum = stats_.sum();
-  out.mean = stats_.mean();
-  out.min = stats_.min();
-  out.max = stats_.max();
-  out.stddev = stats_.stddev();
-  if (samples_.count() > 0) {
-    const std::vector<double> sorted = samples_.SortedCopy();
+  std::vector<double> sorted;
+  {
+    MutexLock lock(mu_);
+    out.count = stats_.count();
+    out.sum = stats_.sum();
+    out.mean = stats_.mean();
+    out.min = stats_.min();
+    out.max = stats_.max();
+    out.stddev = stats_.stddev();
+    sorted = samples_.samples();
+    out.bucket_counts = bucket_counts_;
+  }
+  // Sorted outside the lock so Observe() callers wait only for the copy.
+  if (!sorted.empty()) {
+    std::sort(sorted.begin(), sorted.end());
     out.p50 = SampleSet::QuantileOfSorted(sorted, 0.50);
     out.p95 = SampleSet::QuantileOfSorted(sorted, 0.95);
     out.p99 = SampleSet::QuantileOfSorted(sorted, 0.99);
   }
   out.bucket_bounds = opts_.bucket_bounds;
-  out.bucket_counts = bucket_counts_;
   return out;
 }
 
@@ -129,12 +123,32 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
 }
 
 MetricsSnapshot MetricRegistry::Snapshot() const {
-  MutexLock lock(mu_);
+  // Only the name -> metric maps are read under the registry lock; values
+  // (Histogram::Summary sorts a reservoir) are read after releasing it, so
+  // a snapshot never stalls GetCounter/GetHistogram callers. Safe because
+  // metrics are never erased: the pointers stay valid for the registry's
+  // lifetime.
+  std::vector<std::pair<const std::string*, const Counter*>> counters;
+  std::vector<std::pair<const std::string*, const Gauge*>> gauges;
+  std::vector<std::pair<const std::string*, const Histogram*>> histograms;
+  {
+    MutexLock lock(mu_);
+    counters.reserve(counters_.size());
+    gauges.reserve(gauges_.size());
+    histograms.reserve(histograms_.size());
+    for (const auto& [name, c] : counters_) {
+      counters.emplace_back(&name, c.get());
+    }
+    for (const auto& [name, g] : gauges_) gauges.emplace_back(&name, g.get());
+    for (const auto& [name, h] : histograms_) {
+      histograms.emplace_back(&name, h.get());
+    }
+  }
   MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms[name] = h->Summary();
+  for (const auto& [name, c] : counters) snap.counters[*name] = c->value();
+  for (const auto& [name, g] : gauges) snap.gauges[*name] = g->value();
+  for (const auto& [name, h] : histograms) {
+    snap.histograms[*name] = h->Summary();
   }
   return snap;
 }

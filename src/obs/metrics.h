@@ -29,19 +29,13 @@
 
 #include "common/mutex.h"
 #include "common/stats.h"
+#include "common/striped_counter.h"
 #include "common/thread_annotations.h"
 
 namespace auctionride {
 namespace obs {
 
 namespace internal {
-
-// Hot metrics are striped across cache-line-padded cells so concurrent
-// bumps from a thread pool don't ping-pong one line — the oracle counters
-// take hundreds of millions of hits per bench run. Threads are assigned
-// stripes round-robin; the index is cached per thread.
-inline constexpr std::size_t kStripes = 16;
-std::size_t StripeIndex();
 
 // Swallows macro arguments in ARIDE_OBS_DISABLED builds: called under
 // `if (false)` so arguments are type-checked but never evaluated, without
@@ -51,32 +45,10 @@ inline void IgnoreUnused(const Args&...) {}
 
 }  // namespace internal
 
-/// Monotonically increasing event count (striped, see internal::kStripes).
-class Counter {
- public:
-  void Add(int64_t n = 1) {
-    cells_[internal::StripeIndex()].v.fetch_add(n,
-                                                std::memory_order_relaxed);
-  }
-  int64_t value() const {
-    int64_t total = 0;
-    for (const Cell& c : cells_) {
-      total += c.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  void Reset() {
-    for (Cell& c : cells_) {
-      c.v.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  struct alignas(64) Cell {
-    std::atomic<int64_t> v{0};
-  };
-  Cell cells_[internal::kStripes];
-};
+/// Monotonically increasing event count. Hot metrics are striped across
+/// cache-line-padded cells so concurrent bumps from a thread pool don't
+/// ping-pong one line (see common/striped_counter.h).
+using Counter = StripedCounter;
 
 /// Last-written (or max-tracked) instantaneous value.
 class Gauge {
@@ -153,7 +125,7 @@ class Histogram {
   /// quantiles stay representative while the common case pays ~one atomic.
   bool Tick(uint32_t period) {
     if (period <= 1) return true;
-    return ticks_[internal::StripeIndex()].v.fetch_add(
+    return ticks_[ThreadStripe()].v.fetch_add(
                1, std::memory_order_relaxed) %
                period ==
            0;
@@ -173,7 +145,7 @@ class Histogram {
   struct alignas(64) TickCell {
     std::atomic<uint64_t> v{0};
   };
-  TickCell ticks_[internal::kStripes];
+  TickCell ticks_[kCounterStripes];
 };
 
 /// Snapshot of the whole registry at one instant (each metric is read

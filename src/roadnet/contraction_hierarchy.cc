@@ -273,18 +273,34 @@ double ContractionHierarchy::Query::ShortestDistance(NodeId source,
   // query, not per settled node.
   int64_t settled = 0;
 
+  // Stall-on-demand: `u` is stalled when some higher-ranked node w already
+  // reached by this search offers a strictly shorter path into u over a
+  // downward arc w -> u (forward search; w <- u for the backward one). Those
+  // arcs are exactly the opposite side's upward arcs of u. A stalled u's
+  // tentative distance is not its true one, so no shortest up-down path
+  // passes through it and its arcs need not be relaxed. It is still checked
+  // as a meeting point, which is harmless: its two distances belong to real
+  // paths, so their sum never undercuts the shortest one.
   auto relax_side = [&](MinQueue& queue, std::vector<double>& my_dist,
                         std::vector<uint32_t>& my_gen,
                         std::vector<double>& other_dist,
                         std::vector<uint32_t>& other_gen,
                         const std::vector<int64_t>& begin,
-                        const std::vector<DynArc>& arcs) {
+                        const std::vector<DynArc>& arcs,
+                        const std::vector<int64_t>& stall_begin,
+                        const std::vector<DynArc>& stall_arcs) {
     const auto [d, u] = queue.top();
     queue.pop();
     if (d > dist(my_dist, my_gen, u)) return;
     ++settled;
     if (other_gen[u] == generation_ && other_dist[u] != kInfDistance) {
       best = std::min(best, d + other_dist[u]);
+    }
+    for (int64_t i = stall_begin[u]; i < stall_begin[u + 1]; ++i) {
+      const DynArc& a = stall_arcs[static_cast<std::size_t>(i)];
+      if (my_gen[a.head] == generation_ && my_dist[a.head] + a.weight < d) {
+        return;
+      }
     }
     for (int64_t i = begin[u]; i < begin[u + 1]; ++i) {
       const DynArc& a = arcs[static_cast<std::size_t>(i)];
@@ -302,10 +318,12 @@ double ContractionHierarchy::Query::ShortestDistance(NodeId source,
     if (std::min(f_top, b_top) >= best) break;
     if (f_top <= b_top) {
       relax_side(fwd, dist_fwd_, gen_fwd_, dist_bwd_, gen_bwd_,
-                 ch_->up_out_begin_, ch_->up_out_arcs_);
+                 ch_->up_out_begin_, ch_->up_out_arcs_, ch_->up_in_begin_,
+                 ch_->up_in_arcs_);
     } else {
       relax_side(bwd, dist_bwd_, gen_bwd_, dist_fwd_, gen_fwd_,
-                 ch_->up_in_begin_, ch_->up_in_arcs_);
+                 ch_->up_in_begin_, ch_->up_in_arcs_, ch_->up_out_begin_,
+                 ch_->up_out_arcs_);
     }
   }
   OBS_COUNTER_ADD("roadnet.ch.settled_nodes", settled);

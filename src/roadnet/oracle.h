@@ -3,16 +3,25 @@
 //
 // The paper (§III-A) treats the inter-location distances purely as inputs
 // with per-query cost O(q); this oracle makes q small via contraction
-// hierarchies plus a sharded memo cache. A plain Dijkstra backend is kept as
-// the reference implementation for correctness tests and ablations.
+// hierarchies plus a two-level memo cache. A plain Dijkstra backend is kept
+// as the reference implementation for correctness tests and ablations.
+//
+// Cache levels: every lookup first probes a small direct-mapped front cache
+// owned by the calling thread (no locks, no shared writes; entries are
+// tagged with the oracle's never-reused id, so one thread can serve several
+// oracles, and an oracle recreated at the same address never sees its
+// predecessor's entries). Only front misses go to the shared back cache,
+// a map striped over mutex-guarded shards that never evicts; every value the
+// front holds is also in the back, so a front hit is exactly a back hit.
 //
 // Thread-safety: Distance()/TravelTime() may be called concurrently; query
-// contexts are pooled internally and the cache uses sharded locks.
+// contexts are pooled internally, the back cache uses sharded locks and the
+// statistics are striped counters.
 
 #ifndef AUCTIONRIDE_ROADNET_ORACLE_H_
 #define AUCTIONRIDE_ROADNET_ORACLE_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -20,6 +29,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/striped_counter.h"
 #include "common/units.h"
 #include "common/thread_annotations.h"
 #include "roadnet/contraction_hierarchy.h"
@@ -93,16 +103,15 @@ class DistanceOracle {
   /// Cumulative query statistics (for the ablation bench). num_queries()
   /// counts only non-trivial queries (source != target) — the ones that
   /// reach the cache — so hit rate is hits/queries without bias from
-  /// trivial zero-distance answers, which are counted separately.
-  int64_t num_queries() const {
-    return num_queries_.load(std::memory_order_relaxed);
-  }
-  int64_t num_cache_hits() const {
-    return num_cache_hits_.load(std::memory_order_relaxed);
-  }
-  int64_t num_trivial_queries() const {
-    return num_trivial_queries_.load(std::memory_order_relaxed);
-  }
+  /// trivial zero-distance answers, which are counted separately. Hits in
+  /// either cache level count as cache hits.
+  int64_t num_queries() const { return num_queries_.value(); }
+  int64_t num_cache_hits() const { return num_cache_hits_.value(); }
+  int64_t num_trivial_queries() const { return num_trivial_queries_.value(); }
+
+  /// Entries in each thread's front cache (48 KiB per thread, allocated on
+  /// the thread's first non-trivial query).
+  static constexpr std::size_t kFrontCacheSlots = 2048;
 
   /// Monotone count of Distance() calls made by the *calling thread* across
   /// all oracles (trivial and cached queries included). Dispatchers meter
@@ -123,6 +132,9 @@ class DistanceOracle {
 
   double ComputeUncached(NodeId source, NodeId target) const;
 
+  // Tags this oracle's front-cache entries; drawn from a process-wide
+  // counter, never reused.
+  const uint64_t id_;
   const RoadNetwork* network_;
   Backend backend_;
   double speed_mps_;
@@ -137,9 +149,9 @@ class DistanceOracle {
       ARIDE_GUARDED_BY(pool_mu_);
 
   mutable std::unique_ptr<CacheShard[]> shards_;
-  mutable std::atomic<int64_t> num_queries_{0};
-  mutable std::atomic<int64_t> num_cache_hits_{0};
-  mutable std::atomic<int64_t> num_trivial_queries_{0};
+  mutable StripedCounter num_queries_;
+  mutable StripedCounter num_cache_hits_;
+  mutable StripedCounter num_trivial_queries_;
 };
 
 }  // namespace auctionride

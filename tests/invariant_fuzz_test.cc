@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "auction/rank.h"
 #include "auction/verifier.h"
 #include "common/rng.h"
+#include "dnw_reference.h"
 #include "exec/thread_pool.h"
 #include "roadnet/builder.h"
 #include "testutil.h"
@@ -118,6 +121,31 @@ TEST_P(InvariantFuzzTest, PricingPathsAgreeAndVerify) {
     EXPECT_EQ(dnw_serial[i].order, dnw_parallel[i].order);
     EXPECT_DOUBLE_EQ(dnw_serial[i].payment.value(),
                      dnw_parallel[i].payment.value());
+  }
+}
+
+// DnW's shared-ranking merge walk prices every requester bit for bit like
+// the direct interval-by-interval simulation (tests/dnw_reference.h), with
+// and without a pricing pool.
+TEST_P(InvariantFuzzTest, DnWMatchesIntervalSimulationReference) {
+  const FuzzScenario sc = BuildFuzzScenario(GetParam());
+  const AuctionInstance in = sc.Instance();
+  const RankRunResult rank = RankDispatch(in);
+  const std::vector<Payment> reference = dnw_reference::ReferenceDnWPriceAll(
+      in, rank.artifacts, rank.result);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::vector<Payment> got =
+        DnWPriceAll(in, rank.artifacts, rank.result, p);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].order, reference[i].order);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].payment.value()),
+                std::bit_cast<uint64_t>(reference[i].payment.value()))
+          << "seed " << GetParam() << " order " << got[i].order << " pool "
+          << (p != nullptr) << ": " << got[i].payment.value() << " vs "
+          << reference[i].payment.value();
+    }
   }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -264,14 +268,87 @@ TEST(OracleTest, ConcurrentQueriesMatchSerial) {
     expected[i] = reference.ShortestDistance(queries[i].first,
                                              queries[i].second);
   }
-  std::vector<double> got(queries.size(), -1);
-  ThreadPool pool(4);
-  pool.ParallelFor(queries.size(), [&](std::size_t i) {
-    got[i] = oracle.Distance(queries[i].first, queries[i].second);
+  // Three passes: later ones are served by the threads' front caches or
+  // the shared back cache, whichever thread computed the pair first.
+  constexpr std::size_t kPasses = 3;
+  std::vector<double> got(kPasses * queries.size(), -1);
+  ThreadPool pool(8);
+  pool.ParallelFor(got.size(), [&](std::size_t i) {
+    const auto& q = queries[i % queries.size()];
+    got[i] = oracle.Distance(q.first, q.second);
   });
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_NEAR(got[i], expected[i], 1e-6) << "query " << i;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_NEAR(got[i], expected[i % queries.size()], 1e-6) << "query " << i;
   }
+  EXPECT_EQ(oracle.num_queries() + oracle.num_trivial_queries(),
+            static_cast<int64_t>(got.size()));
+}
+
+// Stall-on-demand must not change a single bit of any CH distance: FNV-1a
+// over the IEEE bits of 200k seeded queries on the Beijing-like network,
+// pinned from the query without stalling.
+TEST(ContractionHierarchyTest, BeijingDistancesMatchPinnedDigest) {
+  const RoadNetwork net = BuildBeijingLikeNetwork(7);
+  ContractionHierarchy ch(&net);
+  ContractionHierarchy::Query query(&ch);
+  Rng rng(20190408);
+  const auto num_nodes = static_cast<uint64_t>(net.num_nodes());
+  uint64_t digest = 1469598103934665603ull;
+  for (int i = 0; i < 200000; ++i) {
+    const auto s = static_cast<NodeId>(rng.UniformInt(num_nodes));
+    const auto t = static_cast<NodeId>(rng.UniformInt(num_nodes));
+    const auto bits = std::bit_cast<uint64_t>(query.ShortestDistance(s, t));
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (bits >> (8 * byte)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(net.num_nodes(), 6400);
+  EXPECT_EQ(digest, 0x464eedb84c0acaa1ull);
+}
+
+// Front-cache entries are tagged per oracle: two oracles over different
+// networks, queried alternately on one thread, each answer from their own.
+TEST(OracleTest, FrontCacheKeepsOraclesApart) {
+  const RoadNetwork short_net = testutil::LineNetwork(20, 100);
+  const RoadNetwork long_net = testutil::LineNetwork(20, 250);
+  const DistanceOracle short_oracle(&short_net,
+                                    DistanceOracle::Backend::kDijkstra);
+  const DistanceOracle long_oracle(&long_net,
+                                   DistanceOracle::Backend::kDijkstra);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (NodeId s = 0; s < 20; ++s) {
+      for (NodeId t = 0; t < 20; ++t) {
+        const double hops = std::abs(s - t);
+        ASSERT_DOUBLE_EQ(short_oracle.Distance(s, t), 100 * hops)
+            << "pass " << pass << " s=" << s << " t=" << t;
+        ASSERT_DOUBLE_EQ(long_oracle.Distance(s, t), 250 * hops)
+            << "pass " << pass << " s=" << s << " t=" << t;
+      }
+    }
+  }
+  // Passes 2 and 3 are pure cache hits for both.
+  EXPECT_EQ(short_oracle.num_cache_hits(), 2 * 20 * 19);
+  EXPECT_EQ(long_oracle.num_cache_hits(), 2 * 20 * 19);
+}
+
+// An oracle destroyed and recreated (typically at the same address) over a
+// different network never reads its predecessor's front-cache entries.
+TEST(OracleTest, RecreatedOracleReturnsFreshValues) {
+  const RoadNetwork first_net = testutil::LineNetwork(12, 100);
+  const RoadNetwork second_net = testutil::LineNetwork(12, 300);
+  auto oracle = std::make_unique<DistanceOracle>(
+      &first_net, DistanceOracle::Backend::kDijkstra);
+  for (NodeId t = 0; t < 12; ++t) {
+    ASSERT_DOUBLE_EQ(oracle->Distance(0, t), 100.0 * t);
+  }
+  oracle.reset();
+  oracle = std::make_unique<DistanceOracle>(
+      &second_net, DistanceOracle::Backend::kDijkstra);
+  for (NodeId t = 0; t < 12; ++t) {
+    EXPECT_DOUBLE_EQ(oracle->Distance(0, t), 300.0 * t) << "t=" << t;
+  }
+  EXPECT_EQ(oracle->num_cache_hits(), 0);
 }
 
 TEST(ContractionHierarchyTest, HandlesLineGraph) {
@@ -516,19 +593,20 @@ TEST(OracleTest, LowerBoundAdmissibleOnGridNetworks) {
 class OracleBatchTest
     : public ::testing::TestWithParam<DistanceOracle::Backend> {};
 
-TEST_P(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {
+void ExpectBatchMatchesSequential(DistanceOracle::Backend backend,
+                                  int grid_side, int num_random_pairs) {
   GridNetworkOptions options;
-  options.columns = 6;
-  options.rows = 6;
+  options.columns = grid_side;
+  options.rows = grid_side;
   options.seed = 4242;
   RoadNetwork net = BuildGridNetwork(options);
-  const DistanceOracle batched(&net, GetParam());
-  const DistanceOracle sequential(&net, GetParam());
+  const DistanceOracle batched(&net, backend);
+  const DistanceOracle sequential(&net, backend);
 
   std::vector<DistanceOracle::NodePair> pairs;
   Rng rng(7);
   const auto num_nodes = static_cast<uint64_t>(net.num_nodes());
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < num_random_pairs; ++i) {
     pairs.push_back({static_cast<NodeId>(rng.UniformInt(num_nodes)),
                      static_cast<NodeId>(rng.UniformInt(num_nodes))});
   }
@@ -563,6 +641,18 @@ TEST_P(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {
   EXPECT_EQ(batched.num_queries(), sequential.num_queries());
   EXPECT_EQ(batched.num_cache_hits(), sequential.num_cache_hits());
   EXPECT_EQ(batched.num_trivial_queries(), sequential.num_trivial_queries());
+}
+
+TEST_P(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {
+  ExpectBatchMatchesSequential(GetParam(), /*grid_side=*/6,
+                               /*num_random_pairs=*/40);
+}
+
+// More distinct pairs than a thread's front cache has slots: entries evict
+// each other, so the two passes mix front hits, back hits and computes.
+TEST_P(OracleBatchTest, BatchMatchesSequentialBeyondFrontCache) {
+  constexpr int kPairs = 3 * DistanceOracle::kFrontCacheSlots;
+  ExpectBatchMatchesSequential(GetParam(), /*grid_side=*/14, kPairs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, OracleBatchTest,
