@@ -120,15 +120,15 @@ inline AuctionConfig PaperAuction() {
 /// Fault injection follows AR_FAULT_PROFILE (default "none", which is
 /// bit-identical to running without fault support at all).
 inline SimResult RunSim(MechanismKind mechanism, const WorkloadOptions& wl,
-                        const SimOptions& sim_options) {
+                        const EngineOptions& sim_options) {
   World& world = SharedWorld();
-  Workload workload = GenerateWorkload(wl, *world.oracle, *world.nearest);
-  SimOptions options = sim_options;
+  const Workload workload =
+      GenerateWorkload(wl, *world.oracle, *world.nearest);
+  EngineOptions options = sim_options;
   options.mechanism = mechanism;
   options.dispatch_threads = DispatchThreadsEnv();
   options.faults = FaultOptionsFromEnv(options.seed);
-  Simulator simulator(world.oracle.get(), std::move(workload), options);
-  return simulator.Run();
+  return RunSimulation(world.oracle.get(), workload, options);
 }
 
 inline void ReportSim(benchmark::State& state, const SimResult& result) {

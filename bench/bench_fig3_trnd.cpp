@@ -16,7 +16,7 @@ void BM_Fig3(benchmark::State& state) {
   const double trnd = static_cast<double>(state.range(1));
   SimResult result;
   for (auto _ : state) {
-    SimOptions options;
+    EngineOptions options;
     options.round_duration_s = Seconds(trnd);
     options.auction = PaperAuction();
     result = RunSim(mechanism, PaperWorkload(), options);

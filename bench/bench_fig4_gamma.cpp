@@ -19,7 +19,7 @@ void BM_Fig4(benchmark::State& state) {
   for (auto _ : state) {
     WorkloadOptions wl = PaperWorkload();
     wl.gamma = gamma;
-    SimOptions options;
+    EngineOptions options;
     options.auction = PaperAuction();
     result = RunSim(mechanism, wl, options);
   }

@@ -17,7 +17,7 @@ void BM_Fig5(benchmark::State& state) {
   const double alpha = static_cast<double>(state.range(1)) / 10.0;
   SimResult result;
   for (auto _ : state) {
-    SimOptions options;
+    EngineOptions options;
     options.auction = PaperAuction();
     options.auction.alpha_d_per_km = alpha;
     options.auction.beta_d_per_km = alpha;

@@ -22,7 +22,7 @@ void BM_Fig6(benchmark::State& state) {
     WorkloadOptions wl = PaperWorkload();
     wl.num_orders = std::max(50, wl.num_orders / 2);
     wl.num_vehicles = std::max(50, wl.num_vehicles / 2);
-    SimOptions options;
+    EngineOptions options;
     options.auction = PaperAuction();
     options.auction.charge_ratio = cr;
     options.run_pricing = true;

@@ -25,12 +25,12 @@ void BM_Scenarios(benchmark::State& state) {
   ARIDE_ACHECK(wl.ok());
   SimResult result;
   for (auto _ : state) {
-    SimOptions options;
+    EngineOptions options;
     options.auction = PaperAuction();
     options.mechanism = mechanism;
-    Workload workload = GenerateWorkload(*wl, *world.oracle, *world.nearest);
-    Simulator simulator(world.oracle.get(), std::move(workload), options);
-    result = simulator.Run();
+    const Workload workload =
+        GenerateWorkload(*wl, *world.oracle, *world.nearest);
+    result = RunSimulation(world.oracle.get(), workload, options);
   }
   state.SetLabel(std::string(name));
   ReportSim(state, result);

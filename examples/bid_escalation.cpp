@@ -29,14 +29,13 @@ int main() {
 
   for (double increment : {0.0, 1.0}) {
     Workload workload = GenerateWorkload(wl, oracle, nearest);
-    SimOptions options;
+    EngineOptions options;
     options.mechanism = MechanismKind::kRank;
     options.auction.alpha_d_per_km = 3.2;  // tight margins: many pend
     options.auction.beta_d_per_km = 3.2;   // β_d >= α_d (Definition 7)
     options.pending_bid_increment = Money(increment);
 
-    Simulator simulator(&oracle, std::move(workload), options);
-    const SimResult result = simulator.Run();
+    const SimResult result = RunSimulation(&oracle, workload, options);
     std::printf("\n=== pending bid increment = %.1f yuan/round ===\n",
                 increment);
     std::printf("%s", FormatSummary(result).c_str());

@@ -5,7 +5,7 @@
 // orders concurrently with the round loop — producers pace themselves
 // against the engine's virtual clock (now_s), so the run is a faithful
 // replay at any producer count and its results are bit-identical to the
-// single-threaded adapter in sim/engine_client.h for one shard.
+// single-threaded RunSimulation (sim/simulator.h) for one shard.
 //
 // Emits BENCH_engine_load.json (schema-validated, with the additive
 // "engine" object: per-shard round latency quantiles, queue depths,

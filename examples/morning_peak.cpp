@@ -6,11 +6,11 @@
 // Pass `--orders N --vehicles N --trnd S --mechanism greedy|rank` to vary.
 //
 // When AR_BENCH_OUT_DIR is set, also emits a schema-validated
-// BENCH_morning_peak.json there. Unlike engine_load (whose producer pacing
-// races the round clock), this is a plain Simulator run: for a fixed seed
-// and AR_FAULT_PROFILE the report's counters are bit-reproducible, which is
-// what the anytime-vs-cliff CI ablation gate keys on
-// (tools/check_anytime_ablation.py).
+// BENCH_morning_peak.json there. Unlike engine_load (whose producers race
+// the round clock), one thread submits every order before its round: for a
+// fixed seed and AR_FAULT_PROFILE the report's counters are
+// bit-reproducible, which is what the CI anytime gate keys on
+// (tools/check_anytime_dispatch.py).
 
 #include <cstdint>
 #include <cstdio>
@@ -61,9 +61,9 @@ int main(int argc, char** argv) {
   wl.gamma = 1.5;
   std::printf("generating %d orders / %d vehicles over %.0f s...\n",
               wl.num_orders, wl.num_vehicles, wl.duration_s.value());
-  Workload workload = GenerateWorkload(wl, oracle, nearest);
+  const Workload workload = GenerateWorkload(wl, oracle, nearest);
 
-  SimOptions sim_options;
+  EngineOptions sim_options;
   sim_options.mechanism = mechanism;
   sim_options.round_duration_s = Seconds(trnd);
   sim_options.run_pricing = true;
@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
               sim_options.auction.charge_ratio,
               std::string(FaultProfileName(sim_options.faults.profile))
                   .c_str());
-  Simulator simulator(&oracle, std::move(workload), sim_options);
-  const SimResult result = simulator.Run();
+  const SimResult result = RunSimulation(&oracle, workload, sim_options);
 
   std::printf("\n--- results ---\n%s", FormatSummary(result).c_str());
   const Status rounds_csv = WriteRoundsCsv(result, "/tmp/morning_peak_rounds.csv");

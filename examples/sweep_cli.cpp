@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       wl.num_vehicles = num_vehicles;
       wl.gamma = var == "gamma" ? value : 1.5;
 
-      SimOptions options;
+      EngineOptions options;
       options.mechanism = kind;
       options.auction.alpha_d_per_km = var == "alpha" ? value : 3.0;
       options.auction.beta_d_per_km = options.auction.alpha_d_per_km;
@@ -104,9 +104,8 @@ int main(int argc, char** argv) {
         options.run_pricing = true;
       }
 
-      Workload workload = GenerateWorkload(wl, oracle, nearest);
-      Simulator simulator(&oracle, std::move(workload), options);
-      const SimResult result = simulator.Run();
+      const Workload workload = GenerateWorkload(wl, oracle, nearest);
+      const SimResult result = RunSimulation(&oracle, workload, options);
       std::printf("%s=%.2f %-12s U_auc=%9.2f U_plf=%9.2f rate=%.3f\n",
                   var.c_str(), value,
                   std::string(MechanismName(kind)).c_str(),

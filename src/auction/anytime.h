@@ -1,11 +1,10 @@
 // Anytime sweep primitive for budgeted dispatch (docs/ROBUSTNESS.md).
 //
-// The cliff-mode dispatchers run one budgeted parallel sweep and discard
-// everything when the deadline expires mid-flight. Anytime mode instead
-// walks the same slots in fixed-size batches: the deadline is polled
-// serially *between* batches (including before the first), each batch runs
-// unbudgeted — in parallel when a pool is available — and its synthetic
-// query charges are applied serially after it completes. The cut point is
+// A budgeted dispatcher walks its sweep's slots in fixed-size batches
+// instead of one parallel sweep: the deadline is polled serially *between*
+// batches (including before the first), each batch runs unbudgeted — in
+// parallel when a pool is available — and its synthetic query charges are
+// applied serially after it completes. The cut point is
 // therefore a whole-batch boundary decided purely by charges accumulated so
 // far: a pure function of work done, bit-identical at any thread count.
 // Completed slots are finalized results; slots past the cut are simply

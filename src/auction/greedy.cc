@@ -91,8 +91,7 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
   const bool meter = dl != nullptr && dl->charges_queries();
   // Anytime contract (docs/ROBUSTNESS.md): budgeted sweeps run in
   // deterministic batches and expiry finalizes the partial dispatch built so
-  // far instead of abandoning the attempt.
-  const bool anytime = in.anytime && dl != nullptr;
+  // far.
 
   // Vehicle spatial index for pair pruning.
   std::vector<GridIndex::Item> items;
@@ -140,11 +139,10 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
   };
   std::vector<std::vector<SeedPair>> seeds(orders.size());
   std::vector<int64_t> seed_queries(meter ? orders.size() : 0, 0);
-  // Anytime mode marks completed slots explicitly: under a cut the merge
+  // A budgeted sweep marks completed slots explicitly: under a cut the merge
   // walks only the seeded prefix of the batch order.
-  std::vector<char> seeded(orders.size(), anytime ? 0 : 1);
+  std::vector<char> seeded(orders.size(), dl != nullptr ? 0 : 1);
   int64_t seed_pairs = 0;
-  bool sweep_complete = true;
   AnytimeSweep sweep;
   std::vector<std::pair<OrderId, VehicleId>> survivors;
   auto eval_order = [&](std::size_t j) {
@@ -162,7 +160,7 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
   };
   auto seed_sweep = [&] {
     OBS_SCOPED_TIMER("auction.dispatch.seed_sweep_s");
-    if (anytime) {
+    if (dl != nullptr) {
       // Warm-hinted orders first: under a cut, the budget goes to orders
       // that had surviving candidates a round ago (identity order when
       // cold, so uncut runs match the unbatched sweep bit for bit).
@@ -185,14 +183,7 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
             dl->ChargeQueries(total);
           });
     } else {
-      sweep_complete = ParallelForOrSerial(pool, orders.size(), eval_order,
-                                           dl);
-      if (!sweep_complete) return;
-      if (meter) {
-        int64_t total = 0;
-        for (int64_t q : seed_queries) total += q;
-        dl->ChargeQueries(total);
-      }
+      ParallelForOrSerial(pool, orders.size(), eval_order);
     }
     for (std::size_t j = 0; j < orders.size(); ++j) {
       if (!seeded[j]) continue;
@@ -235,11 +226,6 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
 
   // One-by-one dispatch (Algorithm 1 lines 7-16).
   DispatchResult result;
-  if (!anytime && (!sweep_complete || (dl != nullptr && dl->expired()))) {
-    result.completed = false;
-    result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
-    return result;
-  }
 
   // Excluded requester's insertion-cost tracking (for GPri).
   std::vector<int32_t> excluded_candidates;
@@ -282,7 +268,7 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
     // seeds computed so far IS the finalization (mirroring Rank, whose
     // ranking phase runs to completion over the generated packs), so the
     // poll is skipped and the truncation is attributed to the sweep.
-    if (anytime && !sweep.truncated && dl->expired()) {
+    if (dl != nullptr && !sweep.truncated && dl->expired()) {
       loop_truncated = true;
       break;
     }
@@ -340,30 +326,22 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
         veh_candidates[static_cast<std::size_t>(top.veh_idx)];
     refresh_utility.assign(cands.size(), Money(-kInf));
     if (meter) refresh_queries.assign(cands.size(), 0);
-    // Anytime mode runs the refresh unbudgeted (it is part of the committed
-    // dispatch step); its charges still land below, and the next loop
-    // iteration is the cut point.
-    const bool refresh_complete = ParallelForOrSerial(
-        pool, cands.size(),
-        [&](std::size_t k) {
-          const int other = cands[k];
-          if (dispatched[static_cast<std::size_t>(other)]) return;
-          const int64_t before =
-              meter ? DistanceOracle::ThreadQueryCount() : 0;
-          refresh_utility[k] = pair_utility(other, top.veh_idx);
-          if (meter) {
-            refresh_queries[k] = DistanceOracle::ThreadQueryCount() - before;
-          }
-        },
-        anytime ? nullptr : dl);
+    // The refresh runs unbudgeted (it is part of the committed dispatch
+    // step); its charges still land below, and the next loop iteration is
+    // the cut point.
+    ParallelForOrSerial(pool, cands.size(), [&](std::size_t k) {
+      const int other = cands[k];
+      if (dispatched[static_cast<std::size_t>(other)]) return;
+      const int64_t before = meter ? DistanceOracle::ThreadQueryCount() : 0;
+      refresh_utility[k] = pair_utility(other, top.veh_idx);
+      if (meter) {
+        refresh_queries[k] = DistanceOracle::ThreadQueryCount() - before;
+      }
+    });
     if (meter) {
       int64_t total = 0;
       for (int64_t q : refresh_queries) total += q;
       dl->ChargeQueries(total);
-    }
-    if (!refresh_complete) {
-      result.completed = false;
-      break;
     }
     std::vector<int> alive;
     alive.reserve(cands.size());
@@ -386,34 +364,19 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
         }
       }
     }
-
-    // Cliff-mode safe point: one dispatch step is fully applied, so
-    // aborting here leaves no half-mutated vehicle state in the (discarded)
-    // result. Anytime mode polls at the top of the loop instead and keeps
-    // the result.
-    if (!anytime && dl != nullptr && dl->expired()) {
-      result.completed = false;
-      break;
-    }
   }
 
   OBS_COUNTER_ADD("auction.greedy.heap_pops", heap_pops);
   OBS_COUNTER_ADD("auction.greedy.stale_pops", stale_pops);
   OBS_COUNTER_ADD("auction.dispatch.refresh_pairs", refresh_pairs);
-  if (anytime) {
-    // Expiry truncates instead of aborting: the assignments emitted so far
-    // are finalized and the cut point is recorded. cut_slot counts seed
-    // slots when the sweep itself was cut, finalized assignments otherwise.
-    result.anytime.complete = !(sweep.truncated || loop_truncated);
-    if (!result.anytime.complete) {
-      result.anytime.cut_slot =
-          sweep.truncated ? static_cast<int>(sweep.processed)
-                          : static_cast<int>(result.assignments.size());
-    }
-  } else if (!result.completed || (dl != nullptr && dl->expired())) {
-    result.completed = false;
-    result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
-    return result;
+  // Expiry truncates: the assignments emitted so far are finalized and the
+  // cut point is recorded. cut_slot counts seed slots when the sweep itself
+  // was cut, finalized assignments otherwise.
+  result.anytime.complete = !(sweep.truncated || loop_truncated);
+  if (!result.anytime.complete) {
+    result.anytime.cut_slot =
+        sweep.truncated ? static_cast<int>(sweep.processed)
+                        : static_cast<int>(result.assignments.size());
   }
 
   for (std::size_t i = 0; i < vehicles.size(); ++i) {

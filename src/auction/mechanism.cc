@@ -1,6 +1,6 @@
 #include "auction/mechanism.h"
 
-#include <map>
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -8,6 +8,7 @@
 #include "auction/dnw.h"
 #include "auction/gpri.h"
 #include "auction/greedy.h"
+#include "auction/verifier.h"
 #include "common/check.h"
 #include "common/timer.h"
 #include "exec/deadline.h"
@@ -29,7 +30,7 @@ std::string_view MechanismName(MechanismKind kind) {
 
 namespace {
 
-// Tier sequence of the ladder / quality curve for a primary mechanism.
+// Tier sequence of the quality curve for a primary mechanism.
 std::vector<DispatchTier> LadderTiers(MechanismKind kind) {
   std::vector<DispatchTier> tiers = {DispatchTier::kPrimary};
   if (kind == MechanismKind::kRank) {
@@ -39,6 +40,40 @@ std::vector<DispatchTier> LadderTiers(MechanismKind kind) {
   return tiers;
 }
 
+// The §V-C dispatch fee: the algorithms auction every bid net of CR·bid.
+std::vector<Order> DeductCharge(const AuctionInstance& instance) {
+  ARIDE_ACHECK(instance.orders != nullptr);
+  const double cr = instance.config.charge_ratio;
+  ARIDE_ACHECK(cr >= 0 && cr < 1) << "charge ratio must be in [0, 1)";
+  std::vector<Order> deducted = *instance.orders;
+  for (Order& o : deducted) o.bid *= (1.0 - cr);
+  return deducted;
+}
+
+// Appends one tier's dispatch to the round's. A vehicle that won in an
+// earlier tier and again in this one carries this tier's plan, which was
+// built on top of the earlier one.
+void MergeTier(DispatchResult&& tier, DispatchResult* round) {
+  round->assignments.insert(round->assignments.end(),
+                            tier.assignments.begin(), tier.assignments.end());
+  round->total_utility += tier.total_utility;
+  round->total_delta_delivery_m += tier.total_delta_delivery_m;
+  round->elapsed_seconds += tier.elapsed_seconds;
+  for (auto& [idx, plan] : tier.updated_plans) {
+    const auto it = std::find_if(
+        round->updated_plans.begin(), round->updated_plans.end(),
+        [idx = idx](const auto& entry) { return entry.first == idx; });
+    if (it != round->updated_plans.end()) {
+      it->second = std::move(plan);
+    } else {
+      round->updated_plans.push_back({idx, std::move(plan)});
+    }
+  }
+  round->surviving_pairs.insert(round->surviving_pairs.end(),
+                                tier.surviving_pairs.begin(),
+                                tier.surviving_pairs.end());
+}
+
 }  // namespace
 
 MechanismOutcome RunMechanism(MechanismKind kind,
@@ -46,13 +81,7 @@ MechanismOutcome RunMechanism(MechanismKind kind,
                               const MechanismOptions& options,
                               ThreadPool* pricing_pool,
                               ThreadPool* dispatch_pool) {
-  ARIDE_ACHECK(instance.orders != nullptr);
-  const double cr = instance.config.charge_ratio;
-  ARIDE_ACHECK(cr >= 0 && cr < 1) << "charge ratio must be in [0, 1)";
-
-  // Deduct the dispatch fee from every bid (§V-C).
-  std::vector<Order> deducted = *instance.orders;
-  for (Order& o : deducted) o.bid *= (1.0 - cr);
+  const std::vector<Order> deducted = DeductCharge(instance);
   AuctionInstance charged = instance;
   charged.orders = &deducted;
   if (dispatch_pool != nullptr) charged.dispatch_pool = dispatch_pool;
@@ -62,182 +91,119 @@ MechanismOutcome RunMechanism(MechanismKind kind,
                     : 0.0);
 
   MechanismOutcome outcome;
-  const bool anytime_mode = options.budget.active() && options.budget.anytime;
   WallTimer dispatch_timer;
-  Seconds pricing_elapsed;  // accumulated across anytime tiers
+  Seconds pricing_elapsed;  // accumulated across tiers
   {
     OBS_TRACE_SPAN("auction.dispatch");
-    if (anytime_mode) {
-      // Anytime quality curve (docs/ROBUSTNESS.md): every tier shares one
-      // deadline; a truncated tier keeps its finalized winners and only the
-      // unassigned remainder falls through with the residual budget. Each
-      // priced tier is priced immediately — GPri/DnW must see exactly the
-      // orders and vehicle plans that tier's dispatch saw, before the next
-      // tier's plans land.
-      Deadline dl = options.budget.wall_clock
-                        ? Deadline::WallClock(options.budget.budget_s)
-                        : Deadline::Synthetic(options.budget.budget_s,
-                                              options.budget.query_penalty_s);
-      std::vector<Order> residual = deducted;
-      std::vector<Vehicle> patched = *instance.vehicles;
-      // std::map: updated_plans are emitted in vehicle-index order.
-      std::map<std::size_t, std::vector<PlanStop>> merged_plans;
-      DispatchResult merged;
-      DispatchTier deepest_ran = DispatchTier::kPrimary;
-      for (const DispatchTier tier : LadderTiers(kind)) {
-        if (residual.empty()) break;
-        const bool budgeted = tier != DispatchTier::kFcfsFallback;
-        AuctionInstance sub = charged;
-        sub.orders = &residual;
-        sub.vehicles = &patched;
-        sub.deadline = budgeted ? &dl : nullptr;
-        sub.anytime = budgeted;
-        deepest_ran = tier;
-        DispatchResult tier_result;
-        RankArtifacts artifacts;
-        if (tier == DispatchTier::kFcfsFallback) {
-          // serve_all=false keeps FCFS inside the mechanism's individual-
-          // rationality envelope (only nonnegative-utility pairs dispatch).
-          tier_result = FcfsDispatch(sub, /*serve_all=*/false);
-        } else if (kind == MechanismKind::kGreedy ||
-                   tier == DispatchTier::kGreedyFallback) {
-          tier_result = GreedyDispatch(sub);
+    // Quality curve (docs/ROBUSTNESS.md): every budgeted tier shares one
+    // deadline; a truncated tier keeps its finalized winners and only the
+    // unassigned remainder falls through with the residual budget. Without
+    // a budget there is no deadline, so the primary tier completes and the
+    // loop ends there. Each priced tier is priced immediately — GPri/DnW
+    // must see exactly the orders and vehicle plans that tier's dispatch
+    // saw, before the next tier's plans land.
+    Deadline budget_dl =
+        options.budget.wall_clock
+            ? Deadline::WallClock(options.budget.budget_s)
+            : Deadline::Synthetic(options.budget.budget_s,
+                                  options.budget.query_penalty_s);
+    Deadline* const dl = options.budget.active() ? &budget_dl : nullptr;
+    // The next tier's input after a cut: the unassigned remainder, on the
+    // vehicles with every earlier tier's plans patched in.
+    std::vector<Order> residual;
+    std::vector<Vehicle> patched;
+    AuctionInstance sub = charged;
+    DispatchTier deepest_ran = DispatchTier::kPrimary;
+    for (const DispatchTier tier : LadderTiers(kind)) {
+      // The terminal FCFS tier is unbudgeted: it always completes.
+      sub.deadline = tier != DispatchTier::kFcfsFallback ? dl : nullptr;
+      deepest_ran = tier;
+      DispatchResult tier_result;
+      RankArtifacts artifacts;
+      if (tier == DispatchTier::kFcfsFallback) {
+        // serve_all=false keeps FCFS inside the mechanism's individual-
+        // rationality envelope (only nonnegative-utility pairs dispatch).
+        tier_result = FcfsDispatch(sub, /*serve_all=*/false);
+      } else if (kind == MechanismKind::kGreedy ||
+                 tier == DispatchTier::kGreedyFallback) {
+        tier_result = GreedyDispatch(sub);
+      } else {
+        RankRunResult run = RankDispatch(sub);
+        tier_result = std::move(run.result);
+        artifacts = std::move(run.artifacts);
+      }
+      // FCFS-tier winners skip pricing: neither GPri nor DnW is defined for
+      // an FCFS dispatch, and a degraded round's goal is just to keep
+      // serving.
+      if (options.run_pricing && tier != DispatchTier::kFcfsFallback &&
+          !tier_result.assignments.empty()) {
+        OBS_TRACE_SPAN("auction.pricing");
+        WallTimer pricing_timer;
+        AuctionInstance price_in = sub;
+        price_in.deadline = nullptr;  // pricing is unbudgeted
+        price_in.warm_start = nullptr;
+        std::vector<Payment> tier_payments;
+        if (kind == MechanismKind::kGreedy ||
+            tier == DispatchTier::kGreedyFallback) {
+          // Greedy-tier winners price with GPri: DnW needs Rank
+          // artifacts that a fallback dispatch does not have.
+          tier_payments = GPriPriceAll(price_in, tier_result, pricing_pool);
         } else {
-          RankRunResult run = RankDispatch(sub);
-          tier_result = std::move(run.result);
-          artifacts = std::move(run.artifacts);
+          tier_payments =
+              DnWPriceAll(price_in, artifacts, tier_result, pricing_pool);
         }
-        // Anytime dispatches truncate instead of aborting.
-        ARIDE_ACHECK(tier_result.completed);
-        if (options.run_pricing && tier != DispatchTier::kFcfsFallback &&
-            !tier_result.assignments.empty()) {
-          OBS_TRACE_SPAN("auction.pricing");
-          WallTimer pricing_timer;
-          AuctionInstance price_in = sub;
-          price_in.deadline = nullptr;  // pricing is unbudgeted
-          price_in.anytime = false;
-          price_in.warm_start = nullptr;
-          std::vector<Payment> tier_payments;
-          if (kind == MechanismKind::kGreedy ||
-              tier == DispatchTier::kGreedyFallback) {
-            // Greedy-tier winners price with GPri: DnW needs Rank
-            // artifacts that a fallback dispatch does not have.
-            tier_payments = GPriPriceAll(price_in, tier_result, pricing_pool);
-          } else {
-            tier_payments =
-                DnWPriceAll(price_in, artifacts, tier_result, pricing_pool);
-          }
-          outcome.payments.insert(outcome.payments.end(),
-                                  tier_payments.begin(), tier_payments.end());
-          pricing_elapsed += Seconds(pricing_timer.ElapsedSeconds());
-        }
-        if (tier == DispatchTier::kPrimary) {
-          outcome.rank_artifacts = std::move(artifacts);
-        }
-        outcome.dispatched_by_tier[static_cast<int>(tier)] +=
-            static_cast<int>(tier_result.assignments.size());
-        for (Assignment a : tier_result.assignments) {
-          a.tier = tier;
-          merged.assignments.push_back(a);
-        }
-        merged.total_utility += tier_result.total_utility;
-        merged.total_delta_delivery_m += tier_result.total_delta_delivery_m;
-        for (auto& [idx, plan] : tier_result.updated_plans) {
-          patched[idx].plan.stops = plan;
-          merged_plans[idx] = std::move(plan);
-        }
-        merged.surviving_pairs.insert(merged.surviving_pairs.end(),
-                                      tier_result.surviving_pairs.begin(),
-                                      tier_result.surviving_pairs.end());
-        if (tier_result.anytime.complete) break;  // budget survived the tier
+        outcome.payments.insert(outcome.payments.end(),
+                                tier_payments.begin(), tier_payments.end());
+        pricing_elapsed += Seconds(pricing_timer.ElapsedSeconds());
+      }
+      if (tier == DispatchTier::kPrimary) {
+        outcome.rank_artifacts = std::move(artifacts);
+      }
+      outcome.dispatched_by_tier[static_cast<int>(tier)] +=
+          static_cast<int>(tier_result.assignments.size());
+      for (Assignment& a : tier_result.assignments) a.tier = tier;
+      const bool complete = tier_result.anytime.complete;
+      if (!complete) {
         outcome.truncated = true;
         OBS_COUNTER_ADD(
             "auction.dispatch.anytime.partial_winners",
             static_cast<int64_t>(tier_result.assignments.size()));
         std::vector<Order> next;
-        next.reserve(residual.size());
-        for (const Order& o : residual) {
+        for (const Order& o : *sub.orders) {
           if (!tier_result.IsDispatched(o.id)) next.push_back(o);
         }
         residual = std::move(next);
         OBS_COUNTER_ADD("auction.dispatch.anytime.residual_orders",
                         static_cast<int64_t>(residual.size()));
-      }
-      for (auto& [idx, plan] : merged_plans) {
-        merged.updated_plans.push_back({idx, std::move(plan)});
-      }
-      merged.anytime.complete = !outcome.truncated;
-      outcome.dispatch = std::move(merged);
-      // Deepest tier that contributed winners — or, when nothing dispatched
-      // at all, the deepest tier that ran.
-      outcome.tier = deepest_ran;
-      for (int t = kDispatchTierCount - 1; t >= 0; --t) {
-        if (outcome.dispatched_by_tier[t] > 0) {
-          outcome.tier = static_cast<DispatchTier>(t);
-          break;
+        if (patched.empty()) patched = *instance.vehicles;
+        for (const auto& [idx, plan] : tier_result.updated_plans) {
+          patched[idx].plan.stops = plan;
         }
+        sub.orders = &residual;
+        sub.vehicles = &patched;
       }
-      if (outcome.truncated) {
-        OBS_COUNTER_INC("auction.dispatch.anytime.truncated_rounds");
-      }
-    } else {
-      // Cliff ladder (AR_ANYTIME=0): each tier runs under a fresh deadline;
-      // an aborted attempt is discarded wholly and the next (cheaper) tier
-      // retries. The terminal FCFS tier is unbudgeted, so every round
-      // dispatches something.
-      std::vector<DispatchTier> tiers =
-          options.budget.active()
-              ? LadderTiers(kind)
-              : std::vector<DispatchTier>{DispatchTier::kPrimary};
-      for (const DispatchTier tier : tiers) {
-        const bool budgeted =
-            options.budget.active() && tier != DispatchTier::kFcfsFallback;
-        Deadline dl = [&] {
-          if (!budgeted) return Deadline::Unlimited();
-          if (options.budget.wall_clock) {
-            return Deadline::WallClock(options.budget.budget_s);
-          }
-          return Deadline::Synthetic(options.budget.budget_s,
-                                     options.budget.query_penalty_s);
-        }();
-        charged.deadline = budgeted ? &dl : nullptr;
-        outcome.rank_artifacts = RankArtifacts{};
-        if (tier == DispatchTier::kFcfsFallback) {
-          // serve_all=false keeps FCFS inside the mechanism's individual-
-          // rationality envelope (only nonnegative-utility pairs dispatch).
-          outcome.dispatch = FcfsDispatch(charged, /*serve_all=*/false);
-        } else if (kind == MechanismKind::kGreedy ||
-                   tier == DispatchTier::kGreedyFallback) {
-          outcome.dispatch = GreedyDispatch(charged);
-        } else {
-          RankRunResult run = RankDispatch(charged);
-          outcome.dispatch = std::move(run.result);
-          outcome.rank_artifacts = std::move(run.artifacts);
-        }
-        if (outcome.dispatch.completed) {
-          outcome.tier = tier;
-          break;
-        }
-        outcome.dispatch = DispatchResult{};
-        outcome.truncated = true;
-        if (tier == DispatchTier::kPrimary) {
-          OBS_COUNTER_INC("auction.dispatch.deadline_aborts.primary");
-        } else {
-          OBS_COUNTER_INC("auction.dispatch.deadline_aborts.greedy_fallback");
-        }
-      }
-      // The last rung is unbudgeted, so the ladder cannot end incomplete.
-      ARIDE_ACHECK(outcome.dispatch.completed);
-      for (Assignment& a : outcome.dispatch.assignments) a.tier = outcome.tier;
-      outcome.dispatched_by_tier[static_cast<int>(outcome.tier)] =
-          static_cast<int>(outcome.dispatch.assignments.size());
+      MergeTier(std::move(tier_result), &outcome.dispatch);
+      if (complete || residual.empty()) break;
     }
-    charged.deadline = nullptr;  // any dl is out of scope; pricing follows
+    outcome.dispatch.anytime.complete = !outcome.truncated;
+    // Deepest tier that contributed winners — or, when nothing dispatched
+    // at all, the deepest tier that ran.
+    outcome.tier = deepest_ran;
+    for (int t = kDispatchTierCount - 1; t >= 0; --t) {
+      if (outcome.dispatched_by_tier[t] > 0) {
+        outcome.tier = static_cast<DispatchTier>(t);
+        break;
+      }
+    }
+    if (outcome.truncated) {
+      OBS_COUNTER_INC("auction.dispatch.anytime.truncated_rounds");
+    }
   }
   if (outcome.tier != DispatchTier::kPrimary) {
     OBS_COUNTER_INC("auction.degraded_rounds");
   }
   outcome.dispatch_seconds = Seconds(dispatch_timer.ElapsedSeconds());
+  if (!options.budget.active()) outcome.dispatch_seconds -= pricing_elapsed;
   // Reuse the mechanism's own wall-clock measurements so the telemetry
   // matches what the paper-facing tables report.
   OBS_HISTOGRAM_OBSERVE(
@@ -248,25 +214,6 @@ MechanismOutcome RunMechanism(MechanismKind kind,
   OBS_COUNTER_ADD("auction.assignments",
                   static_cast<int64_t>(outcome.dispatch.assignments.size()));
 
-  // FCFS-tier winners skip pricing: neither GPri nor DnW is defined for an
-  // FCFS dispatch, and a degraded round's goal is just to keep serving.
-  // Anytime rounds already priced each tier inline above.
-  if (!anytime_mode && options.run_pricing &&
-      outcome.tier != DispatchTier::kFcfsFallback) {
-    OBS_TRACE_SPAN("auction.pricing");
-    WallTimer pricing_timer;
-    if (kind == MechanismKind::kGreedy ||
-        outcome.tier == DispatchTier::kGreedyFallback) {
-      // Greedy-fallback rounds price with GPri: DnW needs Rank artifacts
-      // that a fallback dispatch does not have.
-      outcome.payments =
-          GPriPriceAll(charged, outcome.dispatch, pricing_pool);
-    } else {
-      outcome.payments = DnWPriceAll(charged, outcome.rank_artifacts,
-                                     outcome.dispatch, pricing_pool);
-    }
-    pricing_elapsed += Seconds(pricing_timer.ElapsedSeconds());
-  }
   if (options.run_pricing && !outcome.payments.empty()) {
     outcome.pricing_seconds = pricing_elapsed;
     OBS_HISTOGRAM_OBSERVE(
@@ -281,7 +228,7 @@ MechanismOutcome RunMechanism(MechanismKind kind,
     for (const Payment& p : outcome.payments) {
       const Order* original = by_id.at(p.order);
       pay_sum += p.payment;
-      fee_sum += cr * original->bid;
+      fee_sum += instance.config.charge_ratio * original->bid;
       val_sum += original->valuation;
     }
     const MoneyPerMeter beta_per_m{instance.config.beta_d_per_km / 1000.0};
@@ -291,6 +238,16 @@ MechanismOutcome RunMechanism(MechanismKind kind,
     outcome.requester_utility = val_sum - pay_sum - fee_sum;
   }
   return outcome;
+}
+
+Status VerifyMechanismOutcome(const AuctionInstance& original,
+                              const MechanismOutcome& outcome) {
+  const std::vector<Order> deducted = DeductCharge(original);
+  AuctionInstance charged = original;
+  charged.orders = &deducted;
+  const Status dispatched = VerifyDispatch(charged, outcome.dispatch);
+  if (!dispatched.ok() || outcome.payments.empty()) return dispatched;
+  return VerifyPayments(charged, outcome.dispatch, outcome.payments);
 }
 
 }  // namespace auctionride

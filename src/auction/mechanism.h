@@ -15,6 +15,7 @@
 #include "auction/dispatch_tier.h"
 #include "auction/rank.h"
 #include "auction/types.h"
+#include "common/status.h"
 
 namespace auctionride {
 
@@ -31,9 +32,9 @@ std::string_view MechanismName(MechanismKind kind);
 /// (DispatchTier, docs/ROBUSTNESS.md). Inactive (the default) preserves
 /// unbudgeted behavior exactly.
 struct DispatchBudget {
-  // Budget per dispatch attempt in seconds; <= 0 disables budgeting. A
-  // knob, not a simulated quantity: it feeds Deadline's ns arithmetic and
-  // `<= 0 disables` sentinel, which Seconds deliberately has no idiom for.
+  // Budget per round in seconds; <= 0 disables budgeting. A knob, not a
+  // simulated quantity: it feeds Deadline's ns arithmetic and `<= 0
+  // disables` sentinel, which Seconds deliberately has no idiom for.
   double budget_s = 0;  // NOLINT-ARIDE(raw-unit-double): budget knob
   // True: budget counts real elapsed time plus synthetic charges (production
   // behavior, not bit-reproducible). False: synthetic charges only, so runs
@@ -42,11 +43,6 @@ struct DispatchBudget {
   // Synthetic cost charged per oracle query (latency-spike model); 0 = no
   // per-query charges.
   double query_penalty_s = 0;
-  // True (default): expiry finalizes best-so-far winners and only the
-  // unassigned remainder falls through the ladder, all tiers sharing one
-  // deadline. False: the legacy cliff — expiry discards the whole attempt
-  // and the next tier restarts with a fresh budget (AR_ANYTIME=0).
-  bool anytime = true;
 
   bool active() const { return budget_s > 0; }
 };
@@ -66,6 +62,10 @@ struct MechanismOutcome {
   // truthful bids val_j = bid_j).
   Money requester_utility;
 
+  // Wall time of the tier loop. A budgeted round prices each tier inline,
+  // so its dispatch_seconds includes that pricing (the budget bounds both);
+  // an unbudgeted round reports dispatch alone. pricing_seconds is the
+  // pricing share either way.
   Seconds dispatch_seconds;
   Seconds pricing_seconds;
 
@@ -77,8 +77,7 @@ struct MechanismOutcome {
   DispatchTier tier = DispatchTier::kPrimary;
   // Assignments contributed by each tier, indexed by DispatchTier.
   int dispatched_by_tier[kDispatchTierCount] = {0, 0, 0};
-  // True when the round budget expired and at least one tier was cut
-  // (anytime) or abandoned (cliff).
+  // True when the round budget expired and at least one tier was cut.
   bool truncated = false;
 
   // Rank artifacts (kind == kRank only, primary tier only), for callers
@@ -93,8 +92,11 @@ struct MechanismOptions {
   DispatchBudget budget;
 };
 
-/// Runs one dispatch round end to end. `instance` carries the *original*
-/// bids; the charge ratio from instance.config is applied internally.
+/// Runs one dispatch round end to end: the tier loop of the quality curve
+/// under one shared deadline. Without a budget the primary tier always
+/// completes, so the round is the configured mechanism alone. `instance`
+/// carries the *original* bids; the charge ratio from instance.config is
+/// applied internally.
 /// `pricing_pool` parallelizes per-order pricing (§V-C); `dispatch_pool`
 /// parallelizes dispatch candidate generation (overrides
 /// instance.dispatch_pool when non-null). The two may be the same pool:
@@ -104,6 +106,13 @@ MechanismOutcome RunMechanism(MechanismKind kind,
                               const MechanismOptions& options = {},
                               ThreadPool* pricing_pool = nullptr,
                               ThreadPool* dispatch_pool = nullptr);
+
+/// Re-validates a RunMechanism outcome against the instance it ran on
+/// (original bids): the dispatch with auction::VerifyDispatch and, when
+/// pricing ran, the payments with VerifyPayments — both on the
+/// charge-deducted bids the mechanism actually auctioned.
+Status VerifyMechanismOutcome(const AuctionInstance& original,
+                              const MechanismOutcome& outcome);
 
 }  // namespace auctionride
 

@@ -56,16 +56,13 @@ PackMemo::Eval EvaluatePack(const AuctionInstance& in, int32_t vehicle_idx,
 // is within reach. The k-NN path runs per-order on `pool` (each order only
 // writes its own slot; the oracle is thread-safe); the exact path stays
 // serial because the reverse Dijkstra workspace is shared mutable state.
-// Cliff mode sets *completed to false (result must be discarded) if `dl`
-// expires; anytime mode (in.anytime) instead cuts at a deterministic batch
-// boundary, sets *truncated, and leaves unreached orders unresolved (-1 —
-// they simply generate no packs downstream).
+// When `dl` expires the sweep cuts at a deterministic batch boundary, sets
+// *truncated, and leaves unreached orders unresolved (-1 — they simply
+// generate no packs downstream).
 std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
                                      ThreadPool* pool, Deadline* dl,
-                                     bool* completed, bool* truncated) {
-  *completed = true;
+                                     bool* truncated) {
   *truncated = false;
-  const bool anytime = in.anytime && dl != nullptr;
   const bool meter = dl != nullptr && dl->charges_queries();
   const std::vector<Order>& orders = *in.orders;
   const std::vector<Vehicle>& vehicles = *in.vehicles;
@@ -105,29 +102,13 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
   };
 
   if (!in.config.exact_nearest_vehicle) {
-    std::vector<int64_t> slot_queries(meter ? orders.size() : 0, 0);
-    if (anytime) {
-      const AnytimeSweep sweep = AnytimeBatchedSweep(
-          pool, orders.size(), dl,
-          [&](std::size_t j) {
-            const int64_t before =
-                meter ? DistanceOracle::ThreadQueryCount() : 0;
-            resolve_knn(j);
-            if (meter) {
-              slot_queries[j] = DistanceOracle::ThreadQueryCount() - before;
-            }
-          },
-          [&](std::size_t b, std::size_t e) {
-            if (!meter) return;
-            int64_t total = 0;
-            for (std::size_t k = b; k < e; ++k) total += slot_queries[k];
-            dl->ChargeQueries(total);
-          });
-      *truncated = sweep.truncated;
+    if (dl == nullptr) {
+      ParallelForOrSerial(pool, orders.size(), resolve_knn);
       return nearest;
     }
-    *completed = ParallelForOrSerial(
-        pool, orders.size(),
+    std::vector<int64_t> slot_queries(meter ? orders.size() : 0, 0);
+    const AnytimeSweep sweep = AnytimeBatchedSweep(
+        pool, orders.size(), dl,
         [&](std::size_t j) {
           const int64_t before =
               meter ? DistanceOracle::ThreadQueryCount() : 0;
@@ -136,25 +117,22 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
             slot_queries[j] = DistanceOracle::ThreadQueryCount() - before;
           }
         },
-        dl);
-    if (meter) {
-      int64_t total = 0;
-      for (int64_t q : slot_queries) total += q;
-      dl->ChargeQueries(total);
-    }
+        [&](std::size_t b, std::size_t e) {
+          if (!meter) return;
+          int64_t total = 0;
+          for (std::size_t k = b; k < e; ++k) total += slot_queries[k];
+          dl->ChargeQueries(total);
+        });
+    *truncated = sweep.truncated;
     return nearest;
   }
 
   DijkstraSearch reverse_search(&in.oracle->network());
   for (std::size_t j = 0; j < orders.size(); ++j) {
     if (dl != nullptr && (j & 7) == 0 && dl->expired()) {
-      if (anytime) {
-        // Per-order charges make every completed slot a finalized result;
-        // the cut leaves the tail unresolved.
-        *truncated = true;
-        return nearest;
-      }
-      *completed = false;
+      // Per-order charges make every completed slot a finalized result;
+      // the cut leaves the tail unresolved.
+      *truncated = true;
       return nearest;
     }
     const int64_t order_before =
@@ -187,7 +165,6 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
       dl->ChargeQueries(DistanceOracle::ThreadQueryCount() - order_before);
     }
   }
-  if (dl != nullptr && dl->expired() && !anytime) *completed = false;
   return nearest;
 }
 
@@ -354,17 +331,15 @@ void GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
 
 // Generates candidate packs for every order: the per-group origin indexes
 // are built serially (cheap), then the (order, index) tasks are flattened
-// across groups and fanned out per-order on `pool`. Cliff mode returns
-// false (result must be discarded) if `dl` expires mid-generation; anytime
-// mode walks the tasks warm-hinted-first in deterministic batches, cuts at
-// a batch boundary (*sweep_out records it), and always returns true —
-// unprocessed orders keep best = -1 and are invisible to Phase II.
-bool GeneratePacks(const AuctionInstance& in,
+// across groups and fanned out per-order on `pool`. Under a deadline the
+// tasks run warm-hinted-first in deterministic batches and cut at a batch
+// boundary (*sweep_out records it) — unprocessed orders keep best = -1 and
+// are invisible to Phase II.
+void GeneratePacks(const AuctionInstance& in,
                    const std::vector<std::vector<int32_t>>& groups,
                    ThreadPool* pool, Deadline* dl, PackMemo* memo,
                    RankArtifacts* artifacts, AnytimeSweep* sweep_out) {
   const std::vector<Order>& orders = *in.orders;
-  const bool anytime = in.anytime && dl != nullptr;
 
   // Maximum pack size: the largest vehicle capacity (c̄, default 3).
   int max_pack = 1;
@@ -393,49 +368,39 @@ bool GeneratePacks(const AuctionInstance& in,
     for (int32_t j : group) tasks.push_back({j, indexes.back().get()});
   }
 
-  const bool meter = dl != nullptr && dl->charges_queries();
-  std::vector<int64_t> slot_queries(meter ? tasks.size() : 0, 0);
-  if (anytime) {
-    // Warm-hinted orders first: under a cut the budget goes to pack
-    // searches that had surviving candidates a round ago. The permutation
-    // is deterministic and a no-op for results when nothing is cut (each
-    // task writes only its own order's artifact slots).
-    const std::vector<std::size_t> priority = WarmFirstPermutation(
-        tasks.size(), in.warm_start, [&](std::size_t t) {
-          return orders[static_cast<std::size_t>(tasks[t].order)].id;
-        });
-    *sweep_out = AnytimeBatchedSweep(
-        pool, tasks.size(), dl,
-        [&](std::size_t k) {
-          const std::size_t t = priority[k];
-          GeneratePacksForOrder(in, tasks[t].order, *tasks[t].index,
-                                max_pack, memo, artifacts,
-                                meter ? &slot_queries[t] : nullptr);
-        },
-        [&](std::size_t b, std::size_t e) {
-          if (!meter) return;
-          int64_t total = 0;
-          for (std::size_t k = b; k < e; ++k) {
-            total += slot_queries[priority[k]];
-          }
-          dl->ChargeQueries(total);
-        });
-    return true;
+  if (dl == nullptr) {
+    ParallelForOrSerial(pool, tasks.size(), [&](std::size_t t) {
+      GeneratePacksForOrder(in, tasks[t].order, *tasks[t].index, max_pack,
+                            memo, artifacts, nullptr);
+    });
+    return;
   }
-  const bool complete = ParallelForOrSerial(
-      pool, tasks.size(),
-      [&](std::size_t t) {
+  const bool meter = dl->charges_queries();
+  std::vector<int64_t> slot_queries(meter ? tasks.size() : 0, 0);
+  // Warm-hinted orders first: under a cut the budget goes to pack searches
+  // that had surviving candidates a round ago. The permutation is
+  // deterministic and a no-op for results when nothing is cut (each task
+  // writes only its own order's artifact slots).
+  const std::vector<std::size_t> priority = WarmFirstPermutation(
+      tasks.size(), in.warm_start, [&](std::size_t t) {
+        return orders[static_cast<std::size_t>(tasks[t].order)].id;
+      });
+  *sweep_out = AnytimeBatchedSweep(
+      pool, tasks.size(), dl,
+      [&](std::size_t k) {
+        const std::size_t t = priority[k];
         GeneratePacksForOrder(in, tasks[t].order, *tasks[t].index, max_pack,
                               memo, artifacts,
                               meter ? &slot_queries[t] : nullptr);
       },
-      dl);
-  if (meter) {
-    int64_t total = 0;
-    for (int64_t q : slot_queries) total += q;
-    dl->ChargeQueries(total);
-  }
-  return complete && !(dl != nullptr && dl->expired());
+      [&](std::size_t b, std::size_t e) {
+        if (!meter) return;
+        int64_t total = 0;
+        for (std::size_t k = b; k < e; ++k) {
+          total += slot_queries[priority[k]];
+        }
+        dl->ChargeQueries(total);
+      });
 }
 
 }  // namespace
@@ -462,24 +427,15 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
   }
 
   Deadline* const dl = in.deadline;
-  const bool anytime = in.anytime && dl != nullptr;
   RankRunResult run;
   RankArtifacts& art = run.artifacts;
   art.candidates.resize(orders.size());
   art.best.assign(orders.size(), -1);
-  bool nearest_complete = true;
   bool nearest_truncated = false;
-  art.nearest_vehicle =
-      NearestVehicles(in, pool, dl, &nearest_complete, &nearest_truncated);
-  if (!nearest_complete) {
-    run.result.completed = false;
-    run.result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
-    return run;
-  }
+  art.nearest_vehicle = NearestVehicles(in, pool, dl, &nearest_truncated);
 
   // Phase I: pack generation, clustered when the round is large (§V-E).
   PackMemo memo;
-  bool packs_complete = true;
   AnytimeSweep pack_sweep;
   {
     OBS_TRACE_SPAN("auction.rank.packgen");
@@ -496,8 +452,7 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
       }
       groups.push_back(std::move(everyone));
     }
-    packs_complete =
-        GeneratePacks(in, groups, pool, dl, &memo, &art, &pack_sweep);
+    GeneratePacks(in, groups, pool, dl, &memo, &art, &pack_sweep);
   }
   int64_t packs_generated = 0;
   for (const std::vector<PackCandidate>& cands : art.candidates) {
@@ -506,11 +461,6 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
   OBS_COUNTER_ADD("auction.rank.packs_generated", packs_generated);
   OBS_COUNTER_ADD("auction.rank.packmemo.hits", memo.hits());
   OBS_COUNTER_ADD("auction.rank.packmemo.misses", memo.misses());
-  if (!packs_complete) {
-    run.result.completed = false;
-    run.result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
-    return run;
-  }
 
   // Phase II: pack dispatch by utility ranking.
   OBS_TRACE_SPAN("auction.rank.dispatch");
@@ -550,15 +500,9 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
       }
     }
     if (conflict) continue;
-
-    // Cliff-mode safe point: the previous pack (if any) is fully applied.
-    // Anytime mode treats Phase II as finalization — the ranking only holds
+    // No cut point here: Phase II is finalization. The ranking only holds
     // packs whose feasibility is already proven, so it runs to completion
     // over the generated candidates and every winner is kept.
-    if (!anytime && dl != nullptr && dl->expired()) {
-      result.completed = false;
-      break;
-    }
 
     // Dispatch the pack: recompute its (deterministic) optimal plan.
     std::vector<const Order*> order_ptrs;
@@ -604,17 +548,13 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
     result.total_delta_delivery_m += plan.delta_delivery_m;
   }
 
-  if (anytime) {
-    // Expiry truncated the search, not the result: winners above are
-    // finalized. cut_slot counts completed pack-generation slots (0 when
-    // the cut landed in nearest-vehicle resolution).
-    result.anytime.complete = !(nearest_truncated || pack_sweep.truncated);
-    if (!result.anytime.complete) {
-      result.anytime.cut_slot =
-          nearest_truncated ? 0 : static_cast<int>(pack_sweep.processed);
-    }
-  } else if (dl != nullptr && dl->expired()) {
-    result.completed = false;
+  // Expiry truncated the search, not the result: winners above are
+  // finalized. cut_slot counts completed pack-generation slots (0 when the
+  // cut landed in nearest-vehicle resolution).
+  result.anytime.complete = !(nearest_truncated || pack_sweep.truncated);
+  if (!result.anytime.complete) {
+    result.anytime.cut_slot =
+        nearest_truncated ? 0 : static_cast<int>(pack_sweep.processed);
   }
   if (in.warm_start != nullptr) {
     // Surviving candidates for next round's warm start: each order's best

@@ -90,18 +90,12 @@ struct AuctionInstance {
   // point at a pool this dispatch itself runs on (nested ThreadPool::Wait
   // deadlocks) — see GPriPriceAll.
   ThreadPool* dispatch_pool = nullptr;
-  // Cooperative compute budget for this dispatch attempt (nullptr =
-  // unlimited). Dispatchers poll it at safe points and charge synthetic
-  // per-query costs from deterministic per-slot counts. In cliff mode
-  // (anytime = false) expiry abandons the attempt with
-  // DispatchResult::completed = false; in anytime mode the dispatcher
-  // finalizes the partial result built so far instead (AnytimeOutcome
-  // records the cut). See docs/ROBUSTNESS.md.
+  // Cooperative compute budget for this dispatch (nullptr = unlimited).
+  // Dispatchers run budgeted sweeps in deterministic batches, charge
+  // synthetic per-query costs from per-slot counts, and at expiry finalize
+  // the partial result built so far (AnytimeOutcome records the cut). See
+  // docs/ROBUSTNESS.md.
   Deadline* deadline = nullptr;
-  // Anytime contract toggle: when true (and a deadline is set), budgeted
-  // sweeps run in deterministic batches, keep completed slots at expiry, and
-  // always return completed = true.
-  bool anytime = false;
   // Previous round's surviving candidates (nullptr = cold start). Read-only:
   // hints only reprioritize anytime sweeps; survivors of this round are
   // reported back through DispatchResult::surviving_pairs.
@@ -146,13 +140,8 @@ struct DispatchResult {
   Money total_utility;
   // Σ ΔD over all insertions.
   Meters total_delta_delivery_m;
+  // Wall time of the dispatch; summed over tiers in a RunMechanism outcome.
   Seconds elapsed_seconds;
-  // False only in cliff mode (instance.anytime == false) when the deadline
-  // expired mid-dispatch and the attempt was abandoned. The other fields
-  // then hold an unspecified partial result that the caller must discard.
-  // Anytime dispatches always complete: expiry truncates the search instead
-  // (see `anytime`), and every emitted assignment is fully verified.
-  bool completed = true;
   // Anytime cut record; `anytime.complete` is false iff the deadline expired
   // and this result holds a (still internally consistent) partial dispatch.
   AnytimeOutcome anytime;

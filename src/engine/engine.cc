@@ -5,7 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "auction/verifier.h"
 #include "auction/warm_start.h"
 #include "common/check.h"
 #include "common/timer.h"
@@ -73,18 +72,16 @@ Engine::Engine(const DistanceOracle* oracle, const std::vector<Order>* orders,
   shards_.reserve(static_cast<std::size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    // Shard 0 inherits the engine seed unchanged so a one-shard engine
-    // replays the legacy simulator's idle-walk stream exactly; the others
-    // get independent splitmix-stepped streams.
+    // Shard 0 inherits the engine seed unchanged (a one-shard run's idle
+    // walk is the seed's own stream); the others get independent
+    // splitmix-stepped streams.
     const uint64_t shard_seed =
         options_.seed +
         static_cast<uint64_t>(s) * 0x9e3779b97f4a7c15ULL;
     shard->world = std::make_unique<ShardWorld>(
         oracle_, orders_, &ledger_, world_options, shard_seed);
     if (options_.num_shards == 1) {
-      // Legacy pool parity (sim/simulator.cc): identical pools mean the
-      // single-shard engine and the Simulator execute RunMechanism with
-      // identical parallel structure.
+      // A single shard owns the whole mechanism parallelism budget.
       if (options_.run_pricing) {
         const int threads =
             options_.pricing_threads > 0
@@ -109,9 +106,8 @@ Engine::Engine(const DistanceOracle* oracle, const std::vector<Order>* orders,
     shards_[static_cast<std::size_t>(s)]->world->AddVehicle(spawn);
   }
 
-  warm_enabled_ =
-      options_.faults.anytime && (options_.faults.round_budget_s > 0 ||
-                                  options_.service_round_budget_ms > 0);
+  warm_enabled_ = options_.faults.round_budget_s > 0 ||
+                  options_.service_round_budget_ms > 0;
 
   if (options_.engine_threads >= 0 && options_.num_shards > 1) {
     const int threads =
@@ -183,7 +179,6 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
         if (options_.faults.wall_clock_budget || spike) {
           mech_options.budget.budget_s = options_.faults.round_budget_s;
           mech_options.budget.wall_clock = options_.faults.wall_clock_budget;
-          mech_options.budget.anytime = options_.faults.anytime;
           if (spike) {
             mech_options.budget.query_penalty_s =
                 options_.faults.spike_query_penalty_s;
@@ -194,26 +189,14 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
         // Service mode: real wall-clock budget, best-so-far at the deadline.
         mech_options.budget.budget_s = options_.service_round_budget_ms / 1e3;
         mech_options.budget.wall_clock = true;
-        mech_options.budget.anytime = options_.faults.anytime;
       }
       const MechanismOutcome outcome =
           RunMechanism(options_.mechanism, instance, mech_options,
                        sh.pricing_pool.get(), sh.dispatch_pool.get());
 
       if (options_.verify_dispatch) {
-        std::vector<Order> deducted = pass.submitted;
-        for (Order& o : deducted) {
-          o.bid *= (1.0 - options_.auction.charge_ratio);
-        }
-        AuctionInstance charged = instance;
-        charged.orders = &deducted;
-        const Status verified = VerifyDispatch(charged, outcome.dispatch);
+        const Status verified = VerifyMechanismOutcome(instance, outcome);
         ARIDE_ACHECK(verified.ok()) << verified.ToString();
-        if (!outcome.payments.empty()) {
-          const Status paid =
-              VerifyPayments(charged, outcome.dispatch, outcome.payments);
-          ARIDE_ACHECK(paid.ok()) << paid.ToString();
-        }
       }
 
       sh.auction_fx = sh.world->ApplyOutcome(outcome.dispatch,
@@ -225,8 +208,10 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
       sh.platform_utility = outcome.platform_utility;
       sh.requester_utility = outcome.requester_utility;
       if (warm_enabled_) {
-        // Mirror of sim/simulator.cc: survivors become next round's hints,
-        // minus what the outcome just invalidated.
+        // This round's surviving candidates become next round's hints,
+        // minus whatever the outcome itself just invalidated: dispatched
+        // orders leave the pool, and a vehicle with a new plan makes its
+        // old hints stale.
         sh.warm.Clear();
         for (const auto& [order, vehicle] :
              outcome.dispatch.surviving_pairs) {

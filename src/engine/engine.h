@@ -11,11 +11,11 @@
 // Rounds are lockstep: StepRound() fans the shard tasks out over the
 // engine's exec::ThreadPool, then merges their buffered EffectBatches
 // serially in ascending shard order — so a given seed and configuration
-// produce bit-identical results at any engine thread count, and a one-shard
-// engine reproduces the legacy Simulator exactly (docs/ENGINE.md).
+// produce bit-identical results at any engine thread count
+// (docs/ENGINE.md).
 //
-// Clients drive the engine: the simulator's round-driving adapter
-// (sim/engine_client.h) and the replay/load-generator CLI
+// Clients drive the engine: the paper's round-based simulation
+// (sim/simulator.h) and the replay/load-generator CLI
 // (examples/engine_load.cpp) both submit orders and call StepRound().
 
 #ifndef AUCTIONRIDE_ENGINE_ENGINE_H_
@@ -40,20 +40,43 @@
 namespace auctionride {
 
 struct EngineOptions {
-  // Auction knobs, mirroring SimOptions (sim/simulator.h documents them).
   MechanismKind mechanism = MechanismKind::kRank;
   AuctionConfig auction;
-  Seconds round_duration_s{10};
-  Seconds max_pending_s{300};
+
+  Seconds round_duration_s{10};  // t_rnd, paper default 10 s
+  Seconds max_pending_s{300};    // orders are dropped after 5 minutes
+
+  // Bonus escalation (paper §II-B: "the losing requesters in a round can
+  // increase their bids in the next dispatch round"): every round an order
+  // stays pended, its bid grows by this amount (yuan). 0 disables.
   Money pending_bid_increment;
+
+  // Pricing (GPri/DnW) is much more expensive than dispatch; the
+  // dispatch-only experiments (Figs 3-5, 8) turn it off.
   bool run_pricing = false;
-  int pricing_threads = 0;   // single-shard only (legacy pool parity)
-  int dispatch_threads = 0;  // single-shard only; multi-shard runs serial
+  // Workers for parallel pricing. 0 = hardware concurrency. Single-shard
+  // only: a multi-shard engine prices serially inside each shard task.
+  int pricing_threads = 0;
+  // Workers for parallel dispatch candidate generation (results are
+  // bit-identical to serial). 0 = hardware concurrency; negative = serial.
+  // Single-shard only, like pricing_threads.
+  int dispatch_threads = 0;
+
+  // Re-validate every round's outcome with VerifyMechanismOutcome
+  // (structure, Definition 4 feasibility, accounting, payments). Cheap
+  // relative to dispatch; on in tests, available in production for
+  // paranoia.
   bool verify_dispatch = false;
-  uint64_t seed = 1;
+
+  uint64_t seed = 1;  // drives the idle random walk
+
+  // Fault injection + degradation budgets (docs/ROBUSTNESS.md). Inactive by
+  // default. Callers usually set this to FaultOptionsForProfile(profile,
+  // seed) or FaultOptionsFromEnv(seed) — passing the run seed keeps one knob
+  // reproducing the whole run.
   FaultOptions faults;
 
-  // --- Engine-specific knobs ---
+  // --- Sharding knobs ---
   int num_shards = 1;
   // Workers of the pool the shard round tasks run on. 0 = hardware
   // concurrency, negative = serial on the caller thread. Never changes
@@ -89,8 +112,7 @@ struct ShardStats {
   // fallback, FCFS fallback). A round is counted under the deepest tier
   // that contributed assignments.
   uint64_t tier_counts[kDispatchTierCount] = {0, 0, 0};
-  // Auction rounds whose budget expired mid-dispatch (anytime truncation
-  // or cliff tier abort).
+  // Auction rounds whose budget expired mid-dispatch.
   uint64_t truncated_rounds = 0;
   SampleSet round_s;  // wall latency of the shard's whole round task
 };
@@ -164,7 +186,8 @@ class Engine {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> engine_pool_;
   // Per-shard warm-start caches live in Shard; they only carry hints when a
-  // budget can truncate a round (mirrors sim/simulator.cc warm_enabled_).
+  // budget can truncate a round, which keeps budget-free runs independent
+  // of the cache.
   bool warm_enabled_ = false;
 
   Seconds clock_s_;

@@ -70,14 +70,7 @@ FaultOptions FaultOptionsFromEnv(uint64_t seed) {
   ARIDE_ACHECK(ParseFaultProfile(env, &profile))
       << "unknown AR_FAULT_PROFILE \"" << env
       << "\" (expected none|breakdowns|cancellations|storm)";
-  FaultOptions options = FaultOptionsForProfile(profile, seed);
-  // AR_ANYTIME=0 is the kill switch back to the all-or-nothing cliff;
-  // anything else (including unset) keeps the anytime quality curve.
-  const char* anytime_env = std::getenv("AR_ANYTIME");
-  if (anytime_env != nullptr && std::string_view(anytime_env) == "0") {
-    options.anytime = false;
-  }
-  return options;
+  return FaultOptionsForProfile(profile, seed);
 }
 
 namespace {

@@ -1,10 +1,10 @@
-// Deterministic fault injection for the dispatch engine and simulator
+// Deterministic fault injection for the dispatch engine
 // (docs/ROBUSTNESS.md).
 //
 // A FaultPlan decides — purely from (seed, round, entity id) hash chains —
 // which busy vehicles break down, which dispatched-but-unpicked orders
 // cancel, and which rounds suffer a synthetic oracle latency spike. Because
-// the plan never draws from the simulator's Rng stream, enabling faults does
+// the plan never draws from the world's Rng stream, enabling faults does
 // not perturb the idle random walk, and the same seed + profile reproduces
 // the exact same fault schedule regardless of thread count or mechanism.
 
@@ -32,9 +32,9 @@ bool ParseFaultProfile(std::string_view name, FaultProfile* out);
 
 struct FaultOptions {
   FaultProfile profile = FaultProfile::kNone;
-  // Seed of the fault hash chains. Independent of SimOptions::seed so fault
-  // schedules can be varied while holding the workload/walk fixed (the
-  // simulator passes its own seed by default).
+  // Seed of the fault hash chains. Independent of EngineOptions::seed so
+  // fault schedules can be varied while holding the workload/walk fixed
+  // (callers pass the run seed by default).
   uint64_t seed = 1;
 
   // Per-round probability that an online busy vehicle goes offline,
@@ -50,7 +50,7 @@ struct FaultOptions {
   double spike_prob_per_round = 0;
   double spike_query_penalty_s = 0;
 
-  // Per-attempt dispatch budget in seconds; <= 0 disables budgets. With
+  // Per-round dispatch budget in seconds; <= 0 disables budgets. With
   // wall_clock_budget the budget also counts real elapsed time (production
   // behavior, not bit-reproducible); without it only synthetic spike
   // charges count, keeping runs bit-identical for a fixed seed.
@@ -58,11 +58,6 @@ struct FaultOptions {
   // sentinel contract), so it stays a raw double with that field.
   double round_budget_s = 0;  // NOLINT-ARIDE(raw-unit-double): budget knob
   bool wall_clock_budget = false;
-  // True (default): budget expiry finalizes best-so-far winners and only
-  // the unassigned remainder falls through the tier curve. False: the
-  // legacy all-or-nothing cliff — an expired tier is discarded wholly
-  // (AR_ANYTIME=0 kill switch; see DispatchBudget::anytime).
-  bool anytime = true;
 
   /// True when any fault machinery is active (injection or budgets).
   bool any() const {

@@ -1,9 +1,9 @@
-// Dispatch run results shared by the engine and the simulator.
+// Dispatch run results of the engine.
 //
-// SimResult is the common currency of every engine client: the legacy
-// round-based Simulator, the sharded Engine, and the replay/load-generator
-// CLI all aggregate into the same structure, which is what makes
-// "engine-mode is bit-identical to the simulator" a checkable contract
+// SimResult is the common currency of every engine client: the round-based
+// simulation (sim/simulator.h) and the replay/load-generator CLI both
+// aggregate into the same structure, and its wall-time-free fields are
+// bit-identical at any engine thread count
 // (tests/engine_determinism_test.cc).
 
 #ifndef AUCTIONRIDE_ENGINE_RESULT_H_
@@ -49,6 +49,9 @@ struct RoundRecord {
   int online_vehicles = 0;
   int dispatched = 0;
   Money round_utility;
+  // Wall times, as MechanismOutcome reports them: a budgeted round's
+  // dispatch_seconds includes its inline pricing, an unbudgeted one's does
+  // not.
   Seconds dispatch_seconds;
   Seconds pricing_seconds;
   // Deepest tier that contributed this round's assignments; under the
@@ -56,11 +59,10 @@ struct RoundRecord {
   // dispatched_by_tier (indexed by DispatchTier).
   DispatchTier dispatch_tier = DispatchTier::kPrimary;
   int dispatched_by_tier[kDispatchTierCount] = {0, 0, 0};
-  // True when the round budget expired and the dispatch was cut (anytime)
-  // or a tier was abandoned (cliff).
+  // True when the round budget expired and the dispatch was cut.
   bool truncated = false;
-  // Region shard that ran this round's auction (always 0 in the legacy
-  // simulator; engine runs emit one record per shard-round that auctioned).
+  // Region shard that ran this round's auction (one record per shard-round
+  // that auctioned).
   int shard = 0;
 };
 
@@ -88,8 +90,7 @@ struct SimResult {
   int orders_redispatched = 0;
   // Rounds decided by a fallback tier of the degradation ladder.
   int degraded_rounds = 0;
-  // Rounds whose budget expired mid-dispatch: truncated with winners kept
-  // (anytime) or tier-aborted (cliff).
+  // Rounds whose budget expired mid-dispatch (truncated, winners kept).
   int truncated_rounds = 0;
   // Σ payments returned to stranded/cancelled requesters, yuan. Already
   // subtracted from total_payments (refunds conserve money: Σ per-order

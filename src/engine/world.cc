@@ -35,8 +35,8 @@ void ApplyEffects(const EffectBatch& batch, SimResult* result) {
     result->events.push_back(event);
   }
   // Money moves one element at a time: the replay order is the shard's
-  // emission order, which for a single shard is exactly the legacy
-  // simulator's accumulation order (bit-identity contract).
+  // emission order, so the accumulation order is fixed (bit-identity
+  // contract).
   for (const Money refund : batch.refunds) {
     result->refunded_payments += refund;
     result->total_payments -= refund;

@@ -1,6 +1,6 @@
 // Shard-local world state: vehicles, pending orders, and the physics that
-// moves them (legs, arrivals, faults). Extracted from the round simulator so
-// the sharded engine and the legacy Simulator share one implementation.
+// moves them (legs, arrivals, faults). The engine runs one ShardWorld per
+// region shard.
 //
 // A ShardWorld owns the vehicles of one region shard plus that shard's slice
 // of the pending-order pool. Every phase method is shard-local and returns an
@@ -71,7 +71,7 @@ struct WorldVehicle {
 struct EffectBatch {
   std::vector<OrderEvent> events;
   // Exact refund/payment sequences (not sums): replayed element-by-element
-  // so double accumulation order matches the legacy simulator bit-for-bit.
+  // so double accumulation order is fixed bit-for-bit.
   std::vector<Money> refunds;
   std::vector<Money> payments;
   int stranded = 0;
@@ -98,7 +98,7 @@ void InvalidateWarmStart(const EffectBatch& batch, WarmStartCache* warm);
 struct PendingPass {
   EffectBatch fx;  // issued + expired events
   // Orders submitted to this round's auction, bid-escalated copies, in
-  // ascending order-id order (the legacy scan order).
+  // ascending order-id order.
   std::vector<Order> submitted;
 };
 
@@ -127,8 +127,7 @@ class ShardWorld {
   // --- Round phases. All shard-local; safe to run concurrently across
   // --- distinct shards between serial barriers.
 
-  /// Breakdowns (vehicle-id order) then cancellations (order-id order),
-  /// exactly the legacy injection sequence.
+  /// Breakdowns (vehicle-id order) then cancellations (order-id order).
   EffectBatch InjectFaults(const FaultPlan& plan, int round, Seconds now_s);
 
   /// Issue/expire/escalate pass over the pending pool in order-id order.
@@ -196,7 +195,7 @@ class ShardWorld {
   std::vector<Order> pending_;  // sorted by order id
   // Orders dispatched on this shard and not yet refunded, sorted by id
   // (completed entries linger and are skipped — the cancel scan checks the
-  // ledger). Gives the cancellation pass its legacy id-order scan without
+  // ledger). Gives the cancellation pass its id-order scan without
   // touching other shards' ledger slices.
   std::vector<OrderId> dispatched_here_;
 };

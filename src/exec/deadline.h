@@ -1,12 +1,10 @@
-// Cooperative compute budget for one dispatch attempt (the fault-injection
+// Cooperative compute budget for one dispatch round (the fault-injection
 // round time budget and the engine's service-mode budget,
 // docs/ROBUSTNESS.md). Dispatchers poll expired() at deterministic cut
-// points. In anytime mode (the default) expiry finalizes the best-so-far
-// partial result — completed packs / completed merge slots — so a budget
-// bounds a round's latency while keeping every winner decided before the
-// cut; a budget that never expires never changes a round's output. In
-// legacy cliff mode (DispatchBudget::anytime = false) expiry abandons the
-// attempt wholly and the caller falls down the degradation ladder.
+// points, and expiry finalizes the best-so-far partial result — completed
+// packs / completed merge slots — so a budget bounds a round's latency while
+// keeping every winner decided before the cut; a budget that never expires
+// never changes a round's output.
 //
 // Two accounting modes:
 //  - WallClock: real elapsed time plus synthetic charges count against the
@@ -18,9 +16,9 @@
 //    fixed seed at any dispatch thread count.
 //
 // Charges are integer nanoseconds on a relaxed atomic: addition is
-// associative, so the accumulated total (and the final expired() verdict a
-// dispatcher must check before declaring an attempt complete) does not
-// depend on the order threads charge in.
+// associative, so the accumulated total (and with it every expired()
+// verdict at a serial cut point) does not depend on the order threads
+// charge in.
 //
 // Thread-safety annotations: deliberately none. Every member is either
 // const after construction (mode_, budget_ns_, query_penalty_ns_, start_)
@@ -39,9 +37,6 @@ namespace auctionride {
 
 class Deadline {
  public:
-  /// Never expires. Useful as a neutral element in budget plumbing.
-  static Deadline Unlimited() { return Deadline(Mode::kUnlimited, 0, 0); }
-
   /// Expires once real elapsed time plus synthetic charges reach
   /// `budget_s`. Not bit-reproducible across runs.
   // Budgets arrive as raw seconds from the DispatchBudget knob and are
@@ -76,8 +71,6 @@ class Deadline {
   /// stays expired (charges are never removed).
   bool expired() const {
     switch (mode_) {
-      case Mode::kUnlimited:
-        return false;
       case Mode::kWall:
         return ElapsedNs() + charged() >= budget_ns_;
       case Mode::kSynthetic:
@@ -94,7 +87,7 @@ class Deadline {
   bool charges_queries() const { return query_penalty_ns_ > 0; }
 
  private:
-  enum class Mode { kUnlimited, kWall, kSynthetic };
+  enum class Mode { kWall, kSynthetic };
 
   Deadline(Mode mode, int64_t budget_ns, int64_t query_penalty_ns)
       : mode_(mode),

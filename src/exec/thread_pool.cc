@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "common/check.h"
-#include "exec/deadline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -69,43 +68,6 @@ void ThreadPool::ParallelFor(std::size_t n,
   Wait();
 }
 
-bool ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn,
-                             const Deadline* deadline) {
-  if (deadline == nullptr) {
-    // Identical chunking and merge behavior to the unbudgeted overload by
-    // construction: it IS the unbudgeted overload.
-    ParallelFor(n, fn);
-    return true;
-  }
-  if (n == 0) return true;
-  const std::size_t num_chunks = std::min(n, num_threads() * 4);
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto abandoned = std::make_shared<std::atomic<bool>>(false);
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    Submit([next, abandoned, chunk, n, &fn, deadline] {
-      for (;;) {
-        if (abandoned->load(std::memory_order_relaxed)) return;
-        if (deadline->expired()) {
-          abandoned->store(true, std::memory_order_relaxed);
-          return;
-        }
-        const std::size_t begin = next->fetch_add(chunk);
-        if (begin >= n) return;
-        const std::size_t end = std::min(n, begin + chunk);
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-      }
-    });
-  }
-  Wait();
-  // The trailing expired() check mirrors the serial path: if fn itself
-  // charged the deadline past its budget, the attempt is reported
-  // incomplete even though every index ran — callers treat both the same
-  // way (discard and fall back), so the conservative verdict is safe.
-  return !abandoned->load(std::memory_order_relaxed) && !deadline->expired();
-}
-
 void ParallelForOrSerial(ThreadPool* pool, std::size_t n,
                          const std::function<void(std::size_t)>& fn) {
   if (pool != nullptr && n >= 2) {
@@ -113,23 +75,6 @@ void ParallelForOrSerial(ThreadPool* pool, std::size_t n,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) fn(i);
-}
-
-bool ParallelForOrSerial(ThreadPool* pool, std::size_t n,
-                         const std::function<void(std::size_t)>& fn,
-                         const Deadline* deadline) {
-  if (deadline == nullptr) {
-    ParallelForOrSerial(pool, n, fn);
-    return true;
-  }
-  if (pool != nullptr && n >= 2) return pool->ParallelFor(n, fn, deadline);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Check sparsely: expired() is two atomic loads, cheap but not free
-    // against fine-grained fn bodies.
-    if ((i & 31) == 0 && deadline->expired()) return false;
-    fn(i);
-  }
-  return !deadline->expired();
 }
 
 void ThreadPool::WorkerLoop() {

@@ -16,8 +16,6 @@
 
 namespace auctionride {
 
-class Deadline;
-
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
@@ -36,15 +34,6 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n), distributing chunks over the pool, and
   /// blocks until all complete. fn must be safe to invoke concurrently.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Deadline-aware variant: workers stop claiming new chunks once
-  /// `deadline` expires (nullptr behaves exactly like the overload above).
-  /// Returns true iff fn ran for every i in [0, n); on false the set of
-  /// indices that did run is unspecified and the caller must discard any
-  /// partial results. When it returns true the side effects are identical
-  /// to the unbudgeted overload.
-  bool ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
-                   const Deadline* deadline);
 
   std::size_t num_threads() const { return workers_.size(); }
 
@@ -68,14 +57,6 @@ class ThreadPool {
 /// the caller's own task is still counted).
 void ParallelForOrSerial(ThreadPool* pool, std::size_t n,
                          const std::function<void(std::size_t)>& fn);
-
-/// Deadline-aware variant of ParallelForOrSerial: the serial path checks the
-/// deadline every few iterations, the pooled path stops scheduling chunks
-/// once it expires. Returns true iff fn ran for every i (always true when
-/// `deadline` is null); on false partial results must be discarded.
-bool ParallelForOrSerial(ThreadPool* pool, std::size_t n,
-                         const std::function<void(std::size_t)>& fn,
-                         const Deadline* deadline);
 
 }  // namespace auctionride
 

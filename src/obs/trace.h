@@ -2,7 +2,7 @@
 //
 // Usage:
 //   obs::Tracer::SetEnabled(true);                  // e.g. from AR_TRACE=1
-//   { OBS_TRACE_SPAN("sim.round"); ... }            // RAII complete event
+//   { OBS_TRACE_SPAN("engine.round"); ... }         // RAII complete event
 //   obs::Tracer::WriteChromeTrace("TRACE_run.json");
 //
 // Load the output in chrome://tracing or https://ui.perfetto.dev.

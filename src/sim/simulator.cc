@@ -1,219 +1,37 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cmath>
-#include <thread>
 
-#include "auction/verifier.h"
 #include "common/check.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace auctionride {
 
-Simulator::Simulator(const DistanceOracle* oracle, Workload workload,
-                     SimOptions options)
-    : oracle_(oracle),
-      workload_(std::move(workload)),
-      options_(options),
-      fault_plan_(options.faults) {
-  ARIDE_ACHECK(oracle_ != nullptr);
-  ARIDE_ACHECK(options_.round_duration_s > Seconds(0));
-  if (options_.run_pricing) {
-    const int threads = options_.pricing_threads > 0
-                            ? options_.pricing_threads
-                            : static_cast<int>(
-                                  std::thread::hardware_concurrency());
-    pricing_pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(std::max(1, threads)));
-  }
-  if (options_.dispatch_threads >= 0) {
-    const int threads = options_.dispatch_threads > 0
-                            ? options_.dispatch_threads
-                            : static_cast<int>(
-                                  std::thread::hardware_concurrency());
-    dispatch_pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(std::max(1, threads)));
-  }
-
-  // The ledger is indexed by OrderId; the generator contract is dense ids.
-  for (std::size_t j = 0; j < workload_.orders.size(); ++j) {
-    ARIDE_ACHECK(workload_.orders[j].id == static_cast<OrderId>(j))
-        << "order ids must be dense and index-aligned";
-  }
-  ledger_.resize(workload_.orders.size());
-  WorldOptions world_options;
-  world_options.round_duration_s = options_.round_duration_s;
-  world_options.max_pending_s = options_.max_pending_s;
-  world_options.pending_bid_increment = options_.pending_bid_increment;
-  world_ = std::make_unique<ShardWorld>(oracle_, &workload_.orders, &ledger_,
-                                        world_options, options_.seed);
-  for (const VehicleSpawn& spawn : workload_.vehicles) {
-    world_->AddVehicle(spawn);
-  }
-  // Warm starts only pay off when a budget can truncate a round; keeping the
-  // cache off otherwise pins budget-free runs byte-identical to the
-  // pre-anytime behavior.
-  warm_enabled_ = options_.faults.anytime && options_.faults.round_budget_s > 0;
-}
-
-void Simulator::RunRound(Seconds now_s, SimResult* result) {
-  OBS_TRACE_SPAN("sim.round");
-  OBS_SCOPED_TIMER("sim.round_s");
-  OBS_COUNTER_INC("sim.rounds");
-  PendingPass pass = world_->CollectPending(now_s);
-  ApplyEffects(pass.fx, result);
-  if (warm_enabled_) InvalidateWarmStart(pass.fx, &warm_);
-  if (pass.submitted.empty()) return;
-
-  std::vector<std::size_t> online_idx;
-  const std::vector<Vehicle> online =
-      world_->OnlineSnapshot(now_s, &online_idx);
-  if (online.empty()) return;
-
-  OBS_TRACE_COUNTER("sim.pending_orders",
-                    static_cast<double>(pass.submitted.size()));
-  OBS_TRACE_COUNTER("sim.online_vehicles", static_cast<double>(online.size()));
-
-  AuctionInstance instance;
-  instance.orders = &pass.submitted;
-  instance.vehicles = &online;
-  instance.now_s = now_s;
-  instance.oracle = oracle_;
-  instance.config = options_.auction;
-  instance.warm_start = warm_enabled_ ? &warm_ : nullptr;
-
-  MechanismOptions mech_options;
-  mech_options.run_pricing = options_.run_pricing;
-  if (options_.faults.round_budget_s > 0) {
-    const bool spike = fault_plan_.IsSpikeRound(round_index_);
-    // A purely synthetic budget only matters on spike rounds (non-spike
-    // rounds charge nothing), so skip the ladder machinery otherwise.
-    if (options_.faults.wall_clock_budget || spike) {
-      mech_options.budget.budget_s = options_.faults.round_budget_s;
-      mech_options.budget.wall_clock = options_.faults.wall_clock_budget;
-      mech_options.budget.anytime = options_.faults.anytime;
-      if (spike) {
-        mech_options.budget.query_penalty_s =
-            options_.faults.spike_query_penalty_s;
-        OBS_COUNTER_INC("sim.faults.spike_rounds");
-      }
-    }
-  }
-  const MechanismOutcome outcome =
-      RunMechanism(options_.mechanism, instance, mech_options,
-                   pricing_pool_.get(), dispatch_pool_.get());
-  if (outcome.tier != DispatchTier::kPrimary) ++result->degraded_rounds;
-
-  if (options_.verify_dispatch) {
-    // The dispatch ran on charge-deducted bids; re-derive them for the
-    // verifier's utility accounting.
-    std::vector<Order> deducted = pass.submitted;
-    for (Order& o : deducted) o.bid *= (1.0 - options_.auction.charge_ratio);
-    AuctionInstance charged = instance;
-    charged.orders = &deducted;
-    const Status verified = VerifyDispatch(charged, outcome.dispatch);
-    ARIDE_ACHECK(verified.ok()) << verified.ToString();
-    if (!outcome.payments.empty()) {
-      const Status paid =
-          VerifyPayments(charged, outcome.dispatch, outcome.payments);
-      ARIDE_ACHECK(paid.ok()) << paid.ToString();
-    }
-  }
-
-  ApplyEffects(world_->ApplyOutcome(outcome.dispatch, outcome.payments, now_s,
-                                    online_idx),
-               result);
-  if (warm_enabled_) {
-    // This round's surviving candidates become next round's hints, minus
-    // whatever the outcome itself just invalidated: dispatched orders leave
-    // the pool, and a vehicle with a new plan makes its old hints stale.
-    warm_.Clear();
-    for (const auto& [order, vehicle] : outcome.dispatch.surviving_pairs) {
-      warm_.Note(order, vehicle);
-    }
-    for (const Assignment& a : outcome.dispatch.assignments) {
-      warm_.InvalidateOrder(a.order);
-    }
-    for (const auto& [veh_idx, plan] : outcome.dispatch.updated_plans) {
-      warm_.InvalidateVehicle(online[veh_idx].id);
-    }
-  }
-
-  result->total_utility += outcome.dispatch.total_utility;
-  result->platform_utility += outcome.platform_utility;
-  result->requester_utility += outcome.requester_utility;
-
-  RoundRecord record;
-  record.time_s = now_s;
-  record.pending_orders = static_cast<int>(pass.submitted.size());
-  record.online_vehicles = static_cast<int>(online.size());
-  record.dispatched = static_cast<int>(outcome.dispatch.assignments.size());
-  record.round_utility = outcome.dispatch.total_utility;
-  record.dispatch_seconds = outcome.dispatch_seconds;
-  record.pricing_seconds = outcome.pricing_seconds;
-  record.dispatch_tier = outcome.tier;
-  for (int t = 0; t < kDispatchTierCount; ++t) {
-    record.dispatched_by_tier[t] = outcome.dispatched_by_tier[t];
-  }
-  record.truncated = outcome.truncated;
-  if (outcome.truncated) ++result->truncated_rounds;
-  result->rounds.push_back(record);
-}
-
-SimResult Simulator::Run() {
-  OBS_TRACE_SPAN("sim.run");
-  SimResult result;
-  result.orders_total = static_cast<int>(workload_.orders.size());
+SimResult RunSimulation(const DistanceOracle* oracle, const Workload& workload,
+                        const EngineOptions& options) {
+  Engine engine(oracle, &workload.orders, workload.vehicles, options);
 
   Seconds horizon;
-  for (const Order& o : workload_.orders) {
+  for (const Order& o : workload.orders) {
     horizon = std::max(horizon, o.issue_time_s);
   }
-  horizon += options_.max_pending_s + options_.round_duration_s;
+  horizon += options.max_pending_s + options.round_duration_s;
 
-  Seconds clock_s;
-  round_index_ = 0;
+  // Orders are submitted when their issue times come due, one batch ahead
+  // of each round.
   std::size_t next_order = 0;  // orders are sorted by issue time
-  while (clock_s < horizon) {
-    while (next_order < workload_.orders.size() &&
-           workload_.orders[next_order].issue_time_s <= clock_s) {
-      world_->EnqueueOrder(workload_.orders[next_order]);
+  while (engine.now_s() < horizon) {
+    const Seconds now = engine.now_s();
+    while (next_order < workload.orders.size() &&
+           workload.orders[next_order].issue_time_s <= now) {
+      engine.SubmitOrder(workload.orders[next_order]);
       ++next_order;
     }
-    if (options_.faults.any()) {
-      const EffectBatch fault_fx =
-          world_->InjectFaults(fault_plan_, round_index_, clock_s);
-      ApplyEffects(fault_fx, &result);
-      if (warm_enabled_) InvalidateWarmStart(fault_fx, &warm_);
-    }
-    RunRound(clock_s, &result);
-    // Advance the world by one round.
-    {
-      OBS_TRACE_SPAN("sim.advance");
-      const EffectBatch advance_fx = world_->AdvanceRound(clock_s);
-      ApplyEffects(advance_fx, &result);
-      if (warm_enabled_) InvalidateWarmStart(advance_fx, &warm_);
-    }
-    clock_s += options_.round_duration_s;
-    ++round_index_;
+    engine.StepRound();
   }
-
-  // Drain: let dispatched riders finish (movement only, capped). Faults are
-  // not injected during the drain — no auctions run, so there is no pending
-  // pool to recover a stranded order into.
-  const Seconds drain_cap_s = clock_s + Seconds(7200);
-  while (clock_s < drain_cap_s) {
-    EffectBatch fx;
-    const bool any_busy = world_->AdvanceBusy(clock_s, &fx);
-    ApplyEffects(fx, &result);
-    clock_s += options_.round_duration_s;
-    if (!any_busy) break;
-  }
-
-  FinalizeResult(options_.auction, workload_.orders, ledger_,
-                 world_->DeliveryDistanceSum(), &result);
-  return result;
+  ARIDE_ACHECK(next_order == workload.orders.size())
+      << "orders issued beyond the simulation horizon";
+  engine.DrainDeliveries();
+  return engine.Finish();
 }
 
 }  // namespace auctionride

@@ -1,4 +1,4 @@
-// Round-based ridesharing simulator (paper §V-A).
+// Round-based ridesharing simulation (paper §V-A).
 //
 // Orders are issued at their recorded timestamps; undispatched orders pend
 // to the next round and are dropped after 5 minutes. Vehicles come online at
@@ -8,95 +8,27 @@
 // pending orders and online vehicles; accepted plans are applied and
 // payments accounted.
 //
-// The world physics (vehicle legs, arrivals, faults, the pending pool) live
-// in engine/world.h — the simulator is the single-shard reference client of
-// that machinery, and the sharded engine (engine/engine.h) is the scaled-out
-// one. The two must agree bit-for-bit on the `none` fault profile
-// (tests/engine_determinism_test.cc).
+// A simulation is a replay through the dispatch engine (engine/engine.h):
+// orders are submitted as their issue times come due, rounds are stepped to
+// the horizon, and deliveries drain. The default single shard runs the
+// paper's one batched auction per round; more shards partition the city.
 
 #ifndef AUCTIONRIDE_SIM_SIMULATOR_H_
 #define AUCTIONRIDE_SIM_SIMULATOR_H_
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "auction/mechanism.h"
-#include "auction/warm_start.h"
-#include "engine/faults.h"
+#include "engine/engine.h"
 #include "engine/result.h"
-#include "engine/world.h"
-#include "exec/thread_pool.h"
 #include "roadnet/oracle.h"
 #include "workload/generator.h"
 
 namespace auctionride {
 
-struct SimOptions {
-  MechanismKind mechanism = MechanismKind::kRank;
-  AuctionConfig auction;
-
-  Seconds round_duration_s{10};  // t_rnd, paper default 10 s
-  Seconds max_pending_s{300};    // orders are dropped after 5 minutes
-
-  // Bonus escalation (paper §II-B: "the losing requesters in a round can
-  // increase their bids in the next dispatch round"): every round an order
-  // stays pended, its bid grows by this amount (yuan). 0 disables.
-  Money pending_bid_increment;
-
-  // Pricing (GPri/DnW) is much more expensive than dispatch; the
-  // dispatch-only experiments (Figs 3-5, 8) turn it off.
-  bool run_pricing = false;
-  int pricing_threads = 0;  // 0 = hardware concurrency
-
-  // Workers for parallel dispatch candidate generation (results are
-  // bit-identical to serial). 0 = hardware concurrency; negative = serial.
-  int dispatch_threads = 0;
-
-  // Re-validate every round's dispatch with auction::VerifyDispatch
-  // (structure, Definition 4 feasibility, accounting). Cheap relative to
-  // dispatch; on by default in tests, available in production for paranoia.
-  bool verify_dispatch = false;
-
-  uint64_t seed = 1;  // drives the idle random walk
-
-  // Fault injection + degradation budgets (docs/ROBUSTNESS.md). Inactive by
-  // default. Callers usually set this to FaultOptionsForProfile(profile,
-  // seed) or FaultOptionsFromEnv(seed) — passing the sim seed keeps one knob
-  // reproducing the whole run.
-  FaultOptions faults;
-};
-
-class Simulator {
- public:
-  /// The oracle (and its network) must outlive the simulator.
-  Simulator(const DistanceOracle* oracle, Workload workload,
-            SimOptions options);
-
-  /// Runs the simulation to completion and returns aggregate results.
-  SimResult Run();
-
- private:
-  void RunRound(Seconds now_s, SimResult* result);
-
-  const DistanceOracle* oracle_;
-  Workload workload_;
-  SimOptions options_;
-  FaultPlan fault_plan_;
-  int round_index_ = 0;  // wall-clock round counter driving the fault plan
-  std::unique_ptr<ThreadPool> pricing_pool_;
-  std::unique_ptr<ThreadPool> dispatch_pool_;
-
-  std::vector<OrderLedgerEntry> ledger_;
-  std::unique_ptr<ShardWorld> world_;
-
-  // Warm-start hints carried between rounds (anytime quality curve only:
-  // budgeted runs with the anytime contract on). The cache is a pure
-  // function of the replayed event sequence, so it never perturbs
-  // determinism — hints only permute processing order within a round.
-  WarmStartCache warm_;
-  bool warm_enabled_ = false;
-};
+/// Replays `workload` through a fresh Engine and returns the aggregate
+/// result. The oracle (and its network) and the workload must outlive the
+/// call; orders must be sorted by issue time with dense ids (the generator
+/// contract).
+SimResult RunSimulation(const DistanceOracle* oracle, const Workload& workload,
+                        const EngineOptions& options);
 
 }  // namespace auctionride
 

@@ -1,13 +1,13 @@
 // Anytime dispatch contract tests (docs/ROBUSTNESS.md "quality curve"):
 // budget expiry must finalize best-so-far winners at deterministic cut
-// points (bit-identical at any thread count), the AR_ANYTIME=0 cliff must
-// remain reproducible, anytime runs must dispatch at least as many orders
-// as the cliff on the same seed, fault-free runs must be byte-identical
-// with the anytime flag on or off, and the verifier/conservation contracts
-// must hold on truncated rounds. Plus WarmStartCache unit behavior.
+// points (bit-identical at any thread count), the quality curve must cut
+// rounds under a tight budget and none without one, and the verifier/
+// conservation contracts must hold on truncated rounds. Plus WarmStartCache
+// unit behavior.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +16,7 @@
 #include "roadnet/builder.h"
 #include "roadnet/nearest_node.h"
 #include "sim/simulator.h"
+#include "testutil.h"
 #include "workload/generator.h"
 
 namespace auctionride {
@@ -45,11 +46,10 @@ class AnytimeDispatchTest : public ::testing::Test {
     return GenerateWorkload(options, *oracle_, *nearest_);
   }
 
-  SimResult RunOnce(const SimOptions& options, int orders = 60,
+  SimResult RunOnce(const EngineOptions& options, int orders = 60,
                     int vehicles = 25, uint64_t wl_seed = 11) {
-    Simulator sim(oracle_.get(), SmallWorkload(orders, vehicles, wl_seed),
-                  options);
-    return sim.Run();
+    return RunSimulation(oracle_.get(),
+                         SmallWorkload(orders, vehicles, wl_seed), options);
   }
 
   RoadNetwork net_;
@@ -57,57 +57,8 @@ class AnytimeDispatchTest : public ::testing::Test {
   std::unique_ptr<NearestNodeIndex> nearest_;
 };
 
-// Asserts bit-identity of everything except wall-clock timing fields.
-void ExpectSameResult(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.total_utility, b.total_utility);
-  EXPECT_EQ(a.platform_utility, b.platform_utility);
-  EXPECT_EQ(a.requester_utility, b.requester_utility);
-  EXPECT_EQ(a.total_payments, b.total_payments);
-  EXPECT_EQ(a.orders_total, b.orders_total);
-  EXPECT_EQ(a.orders_dispatched, b.orders_dispatched);
-  EXPECT_EQ(a.orders_expired, b.orders_expired);
-  EXPECT_EQ(a.orders_completed, b.orders_completed);
-  EXPECT_EQ(a.orders_stranded, b.orders_stranded);
-  EXPECT_EQ(a.orders_cancelled, b.orders_cancelled);
-  EXPECT_EQ(a.orders_redispatched, b.orders_redispatched);
-  EXPECT_EQ(a.degraded_rounds, b.degraded_rounds);
-  EXPECT_EQ(a.truncated_rounds, b.truncated_rounds);
-  EXPECT_EQ(a.refunded_payments, b.refunded_payments);
-  EXPECT_EQ(a.total_delivery_m, b.total_delivery_m);
-  EXPECT_EQ(a.driver_utility, b.driver_utility);
-  EXPECT_EQ(a.mean_waiting_s, b.mean_waiting_s);
-  EXPECT_EQ(a.mean_detour_s, b.mean_detour_s);
-  EXPECT_EQ(a.shared_ride_fraction, b.shared_ride_fraction);
-  EXPECT_EQ(a.max_wasted_time_violation_s, b.max_wasted_time_violation_s);
-
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-    EXPECT_EQ(a.rounds[r].time_s, b.rounds[r].time_s) << r;
-    EXPECT_EQ(a.rounds[r].pending_orders, b.rounds[r].pending_orders) << r;
-    EXPECT_EQ(a.rounds[r].online_vehicles, b.rounds[r].online_vehicles) << r;
-    EXPECT_EQ(a.rounds[r].dispatched, b.rounds[r].dispatched) << r;
-    EXPECT_EQ(a.rounds[r].round_utility, b.rounds[r].round_utility) << r;
-    EXPECT_EQ(a.rounds[r].dispatch_tier, b.rounds[r].dispatch_tier) << r;
-    EXPECT_EQ(a.rounds[r].truncated, b.rounds[r].truncated) << r;
-    for (int t = 0; t < kDispatchTierCount; ++t) {
-      EXPECT_EQ(a.rounds[r].dispatched_by_tier[t],
-                b.rounds[r].dispatched_by_tier[t])
-          << r << " tier " << t;
-    }
-    // dispatch_seconds / pricing_seconds are wall time — excluded.
-  }
-
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t e = 0; e < a.events.size(); ++e) {
-    EXPECT_EQ(a.events[e].time_s, b.events[e].time_s) << e;
-    EXPECT_EQ(a.events[e].order, b.events[e].order) << e;
-    EXPECT_EQ(a.events[e].kind, b.events[e].kind) << e;
-    EXPECT_EQ(a.events[e].vehicle, b.events[e].vehicle) << e;
-  }
-}
-
-SimOptions BaseOptions(MechanismKind mechanism) {
-  SimOptions options;
+EngineOptions BaseOptions(MechanismKind mechanism) {
+  EngineOptions options;
   options.mechanism = mechanism;
   options.run_pricing = true;
   options.verify_dispatch = true;  // verifier contracts on every round
@@ -118,8 +69,8 @@ SimOptions BaseOptions(MechanismKind mechanism) {
 // A storm tuned so the synthetic budget expires mid-sweep on spike rounds:
 // the per-query penalty is small enough that the first few batches complete
 // (keeping partial winners) but large enough that a full round does not fit.
-SimOptions TruncatingStorm(MechanismKind mechanism) {
-  SimOptions options = BaseOptions(mechanism);
+EngineOptions TruncatingStorm(MechanismKind mechanism) {
+  EngineOptions options = BaseOptions(mechanism);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   options.faults.spike_prob_per_round = 1.0;
   options.faults.spike_query_penalty_s = 2e-3;
@@ -168,7 +119,7 @@ TEST_F(AnytimeDispatchTest, ForcedTruncationKeepsPartialWinners) {
     // Budgets actually bit: some rounds were cut mid-dispatch...
     EXPECT_GT(result.truncated_rounds, 0);
     // ...and the cut rounds still kept winners from the budgeted (priced)
-    // tiers — the anytime contract, not the all-or-nothing cliff.
+    // tiers — the anytime contract.
     int partial_winners = 0;
     for (const RoundRecord& r : result.rounds) {
       if (r.truncated) {
@@ -188,56 +139,61 @@ TEST_F(AnytimeDispatchTest, TruncationIsBitIdenticalAcrossThreadCounts) {
   for (const MechanismKind mechanism :
        {MechanismKind::kRank, MechanismKind::kGreedy}) {
     SCOPED_TRACE(std::string(MechanismName(mechanism)));
-    SimOptions serial = TruncatingStorm(mechanism);
+    EngineOptions serial = TruncatingStorm(mechanism);
     serial.dispatch_threads = -1;
-    SimOptions threaded = serial;
+    EngineOptions threaded = serial;
     threaded.dispatch_threads = 8;
     const SimResult a = RunOnce(serial);
     const SimResult b = RunOnce(threaded);
     EXPECT_GT(a.truncated_rounds, 0);
-    ExpectSameResult(a, b);
+    testutil::ExpectSameResult(a, b);
   }
 }
 
-TEST_F(AnytimeDispatchTest, AnytimeDispatchesAtLeastAsManyAsCliff) {
+TEST_F(AnytimeDispatchTest, QualityCurveOverBudget) {
+  // The storm's round budget scaled from a quarter to unlimited. Every
+  // finite budget cuts rounds and keeps serving; without a budget nothing
+  // is cut. Priced tiers keep partial winners from half the budget up; at a
+  // quarter, Rank spends its budget before it finalizes a pack and hands the
+  // Greedy tier an expired deadline, so only Greedy as the primary mechanism
+  // still keeps priced winners there. Dispatched orders and U_auc per point
+  // are the quality curve (EXPERIMENTS.md records them).
   for (const MechanismKind mechanism :
        {MechanismKind::kRank, MechanismKind::kGreedy}) {
     SCOPED_TRACE(std::string(MechanismName(mechanism)));
-    SimOptions anytime = TruncatingStorm(mechanism);
-    SimOptions cliff = anytime;
-    cliff.faults.anytime = false;  // what AR_ANYTIME=0 sets
-    const SimResult a = RunOnce(anytime);
-    const SimResult b = RunOnce(cliff);
-    EXPECT_GT(a.truncated_rounds, 0);
-    EXPECT_GT(b.truncated_rounds, 0);
-    EXPECT_GE(a.orders_dispatched, b.orders_dispatched);
+    const EngineOptions storm = TruncatingStorm(mechanism);
+    // 0 stands for an unlimited budget: round budgets off.
+    for (const double scale : {0.25, 0.5, 1.0, 2.0, 0.0}) {
+      SCOPED_TRACE(::testing::Message() << "budget x" << scale);
+      EngineOptions options = storm;
+      options.faults.round_budget_s = scale * storm.faults.round_budget_s;
+      const SimResult result = RunOnce(options);
+      int partial_winners = 0;
+      for (const RoundRecord& r : result.rounds) {
+        if (r.truncated) {
+          partial_winners +=
+              r.dispatched_by_tier[0] + r.dispatched_by_tier[1];
+        }
+      }
+      const std::string budget =
+          scale > 0 ? "x" + std::to_string(scale).substr(0, 4) : "unlimited";
+      std::printf("%s budget=%s dispatched=%d U_auc=%.4f truncated=%d "
+                  "partial_winners=%d\n",
+                  std::string(MechanismName(mechanism)).c_str(),
+                  budget.c_str(), result.orders_dispatched,
+                  result.total_utility.value(), result.truncated_rounds,
+                  partial_winners);
+      EXPECT_GT(result.orders_dispatched, 0);
+      if (scale == 0.0) {
+        EXPECT_EQ(result.truncated_rounds, 0);
+        continue;
+      }
+      EXPECT_GT(result.truncated_rounds, 0);
+      if (scale >= 0.5 || mechanism == MechanismKind::kGreedy) {
+        EXPECT_GT(partial_winners, 0);
+      }
+    }
   }
-}
-
-TEST_F(AnytimeDispatchTest, CliffModeStaysBitReproducible) {
-  // The kill switch must reproduce the legacy cliff exactly: same options,
-  // same seed, serial vs threaded — and still bit-identical.
-  SimOptions serial = TruncatingStorm(MechanismKind::kRank);
-  serial.faults.anytime = false;
-  serial.dispatch_threads = -1;
-  SimOptions threaded = serial;
-  threaded.dispatch_threads = 8;
-  const SimResult a = RunOnce(serial);
-  const SimResult b = RunOnce(threaded);
-  ExpectSameResult(a, b);
-}
-
-TEST_F(AnytimeDispatchTest, FaultFreeRunsIgnoreTheAnytimeFlag) {
-  // Without a budget there is nothing to truncate: the flag must be inert
-  // and the results byte-identical either way.
-  SimOptions on = BaseOptions(MechanismKind::kRank);
-  SimOptions off = on;
-  off.faults.anytime = false;
-  const SimResult a = RunOnce(on);
-  const SimResult b = RunOnce(off);
-  EXPECT_EQ(a.truncated_rounds, 0);
-  EXPECT_EQ(a.degraded_rounds, 0);
-  ExpectSameResult(a, b);
 }
 
 TEST_F(AnytimeDispatchTest, WarmStartSurvivesFaultChurn) {
@@ -246,16 +202,16 @@ TEST_F(AnytimeDispatchTest, WarmStartSurvivesFaultChurn) {
   for (const MechanismKind mechanism :
        {MechanismKind::kRank, MechanismKind::kGreedy}) {
     SCOPED_TRACE(std::string(MechanismName(mechanism)));
-    SimOptions serial = TruncatingStorm(mechanism);
+    EngineOptions serial = TruncatingStorm(mechanism);
     serial.faults.breakdown_prob_per_round = 0.05;
     serial.faults.cancel_prob_per_round = 0.3;
     serial.dispatch_threads = -1;
-    SimOptions threaded = serial;
+    EngineOptions threaded = serial;
     threaded.dispatch_threads = 8;
     const SimResult a = RunOnce(serial);
     const SimResult b = RunOnce(threaded);
     EXPECT_GT(a.orders_stranded + a.orders_cancelled, 0);
-    ExpectSameResult(a, b);
+    testutil::ExpectSameResult(a, b);
   }
 }
 

@@ -2,23 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "exec/thread_pool.h"
 
 namespace auctionride {
 namespace {
-
-TEST(DeadlineTest, UnlimitedNeverExpires) {
-  Deadline dl = Deadline::Unlimited();
-  EXPECT_FALSE(dl.expired());
-  dl.Charge(INT64_MAX / 2);
-  EXPECT_FALSE(dl.expired());
-  EXPECT_FALSE(dl.charges_queries());
-}
 
 TEST(DeadlineTest, SyntheticExpiresExactlyAtBudget) {
   Deadline dl = Deadline::Synthetic(/*budget_s=*/1.0);
@@ -73,86 +60,6 @@ TEST(DeadlineTest, WallClockExpiresFromCharges) {
   EXPECT_FALSE(dl.expired());
   dl.Charge(int64_t{3600} * 1'000'000'000);
   EXPECT_TRUE(dl.expired());
-}
-
-TEST(DeadlineTest, ParallelForCompletesUnderGenerousBudget) {
-  ThreadPool pool(4);
-  Deadline dl = Deadline::Synthetic(/*budget_s=*/1.0);
-  std::vector<int> hits(1000, 0);
-  const bool complete = pool.ParallelFor(
-      hits.size(), [&](std::size_t i) { hits[i] = 1; }, &dl);
-  EXPECT_TRUE(complete);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], 1) << i;
-  }
-}
-
-TEST(DeadlineTest, ParallelForStopsOnExpiredDeadline) {
-  ThreadPool pool(4);
-  Deadline dl = Deadline::Synthetic(/*budget_s=*/1.0);
-  dl.Charge(2'000'000'000);  // already expired before the loop starts
-  std::atomic<int> ran{0};
-  const bool complete = pool.ParallelFor(
-      10000, [&](std::size_t) { ran.fetch_add(1); }, &dl);
-  EXPECT_FALSE(complete);
-  // Expired before any chunk was claimed, so nothing should have run.
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(DeadlineTest, ParallelForReportsMidRunExpiry) {
-  ThreadPool pool(4);
-  Deadline dl = Deadline::Synthetic(/*budget_s=*/1e-3);
-  std::atomic<int> ran{0};
-  const bool complete = pool.ParallelFor(
-      100000,
-      [&](std::size_t) {
-        ran.fetch_add(1);
-        dl.Charge(100);  // workers exhaust the budget as they go
-      },
-      &dl);
-  EXPECT_FALSE(complete);
-  EXPECT_LT(ran.load(), 100000);
-}
-
-TEST(DeadlineTest, NullDeadlineBehavesUnbudgeted) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_TRUE(pool.ParallelFor(
-      500, [&](std::size_t) { ran.fetch_add(1); }, nullptr));
-  EXPECT_EQ(ran.load(), 500);
-}
-
-TEST(DeadlineTest, SerialParallelForOrSerialHonorsDeadline) {
-  // pool == nullptr takes the serial path, which polls every 32 iterations.
-  Deadline expired = Deadline::Synthetic(/*budget_s=*/1.0);
-  expired.Charge(2'000'000'000);
-  int ran = 0;
-  const bool complete = ParallelForOrSerial(
-      nullptr, 10000, [&](std::size_t) { ++ran; }, &expired);
-  EXPECT_FALSE(complete);
-  EXPECT_EQ(ran, 0);
-
-  Deadline fresh = Deadline::Synthetic(/*budget_s=*/1.0);
-  ran = 0;
-  EXPECT_TRUE(ParallelForOrSerial(
-      nullptr, 100, [&](std::size_t) { ++ran; }, &fresh));
-  EXPECT_EQ(ran, 100);
-}
-
-TEST(DeadlineTest, SerialPathStopsWithinOnePollWindow) {
-  // The serial path checks every 32 iterations: after the deadline expires
-  // mid-loop, at most one poll window of additional iterations may run.
-  Deadline dl = Deadline::Synthetic(/*budget_s=*/1e-9);
-  int ran = 0;
-  const bool complete = ParallelForOrSerial(
-      nullptr, 10000,
-      [&](std::size_t) {
-        ++ran;
-        dl.Charge(1);  // expired after the first iteration
-      },
-      &dl);
-  EXPECT_FALSE(complete);
-  EXPECT_LE(ran, 32);
 }
 
 }  // namespace

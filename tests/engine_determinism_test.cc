@@ -1,9 +1,8 @@
-// Engine determinism regression (docs/ENGINE.md): a one-shard engine must
-// reproduce the legacy Simulator bit-for-bit on the `none` fault profile —
-// payments, utilities, dispatch counts, per-round records, events — across
-// a seed sweep at any engine thread count, and a multi-shard engine must be
-// bit-identical to itself at 1, 2, and 8 engine threads (with and without
-// faults, with the rebalancer active).
+// Engine determinism regression (docs/ENGINE.md): a one-shard run's
+// payments, utilities, dispatch counts, per-round records and events are
+// pinned by digest under every fault profile, and one- and multi-shard
+// engines must be bit-identical to themselves at any thread count (with
+// and without faults, with the rebalancer active).
 
 #include <gtest/gtest.h>
 
@@ -12,8 +11,8 @@
 
 #include "roadnet/builder.h"
 #include "roadnet/nearest_node.h"
-#include "sim/engine_client.h"
 #include "sim/simulator.h"
+#include "testutil.h"
 #include "workload/generator.h"
 
 namespace auctionride {
@@ -48,58 +47,8 @@ class EngineDeterminismTest : public ::testing::Test {
   std::unique_ptr<NearestNodeIndex> nearest_;
 };
 
-// Asserts bit-identity of everything except wall-clock timing fields.
-void ExpectSameResult(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.total_utility, b.total_utility);
-  EXPECT_EQ(a.platform_utility, b.platform_utility);
-  EXPECT_EQ(a.requester_utility, b.requester_utility);
-  EXPECT_EQ(a.total_payments, b.total_payments);
-  EXPECT_EQ(a.orders_total, b.orders_total);
-  EXPECT_EQ(a.orders_dispatched, b.orders_dispatched);
-  EXPECT_EQ(a.orders_expired, b.orders_expired);
-  EXPECT_EQ(a.orders_completed, b.orders_completed);
-  EXPECT_EQ(a.orders_stranded, b.orders_stranded);
-  EXPECT_EQ(a.orders_cancelled, b.orders_cancelled);
-  EXPECT_EQ(a.orders_redispatched, b.orders_redispatched);
-  EXPECT_EQ(a.degraded_rounds, b.degraded_rounds);
-  EXPECT_EQ(a.truncated_rounds, b.truncated_rounds);
-  EXPECT_EQ(a.refunded_payments, b.refunded_payments);
-  EXPECT_EQ(a.total_delivery_m, b.total_delivery_m);
-  EXPECT_EQ(a.driver_utility, b.driver_utility);
-  EXPECT_EQ(a.mean_waiting_s, b.mean_waiting_s);
-  EXPECT_EQ(a.mean_detour_s, b.mean_detour_s);
-  EXPECT_EQ(a.shared_ride_fraction, b.shared_ride_fraction);
-  EXPECT_EQ(a.max_wasted_time_violation_s, b.max_wasted_time_violation_s);
-
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-    EXPECT_EQ(a.rounds[r].time_s, b.rounds[r].time_s) << r;
-    EXPECT_EQ(a.rounds[r].shard, b.rounds[r].shard) << r;
-    EXPECT_EQ(a.rounds[r].pending_orders, b.rounds[r].pending_orders) << r;
-    EXPECT_EQ(a.rounds[r].online_vehicles, b.rounds[r].online_vehicles) << r;
-    EXPECT_EQ(a.rounds[r].dispatched, b.rounds[r].dispatched) << r;
-    EXPECT_EQ(a.rounds[r].round_utility, b.rounds[r].round_utility) << r;
-    EXPECT_EQ(a.rounds[r].dispatch_tier, b.rounds[r].dispatch_tier) << r;
-    EXPECT_EQ(a.rounds[r].truncated, b.rounds[r].truncated) << r;
-    for (int t = 0; t < kDispatchTierCount; ++t) {
-      EXPECT_EQ(a.rounds[r].dispatched_by_tier[t],
-                b.rounds[r].dispatched_by_tier[t])
-          << r << " tier " << t;
-    }
-    // dispatch_seconds / pricing_seconds are wall time — excluded.
-  }
-
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t e = 0; e < a.events.size(); ++e) {
-    EXPECT_EQ(a.events[e].time_s, b.events[e].time_s) << e;
-    EXPECT_EQ(a.events[e].order, b.events[e].order) << e;
-    EXPECT_EQ(a.events[e].kind, b.events[e].kind) << e;
-    EXPECT_EQ(a.events[e].vehicle, b.events[e].vehicle) << e;
-  }
-}
-
-SimOptions BaseOptions(MechanismKind mechanism, uint64_t seed) {
-  SimOptions options;
+EngineOptions BaseOptions(MechanismKind mechanism, uint64_t seed) {
+  EngineOptions options;
   options.mechanism = mechanism;
   options.run_pricing = true;
   options.verify_dispatch = true;
@@ -107,71 +56,81 @@ SimOptions BaseOptions(MechanismKind mechanism, uint64_t seed) {
   return options;
 }
 
-TEST_F(EngineDeterminismTest, OneShardEngineMatchesLegacySimulatorSeedSweep) {
-  for (const MechanismKind mechanism :
-       {MechanismKind::kRank, MechanismKind::kGreedy}) {
-    for (const uint64_t seed : {1u, 7u, 23u}) {
-      const SimOptions options = BaseOptions(mechanism, seed);
-      const Workload workload = MorningPeakWorkload(seed);
-
-      Workload legacy_copy = workload;
-      Simulator simulator(oracle_.get(), std::move(legacy_copy), options);
-      const SimResult legacy = simulator.Run();
-
-      for (const int threads : {1, 8, -1}) {
-        EngineShardingOptions sharding;
-        sharding.num_shards = 1;
-        sharding.engine_threads = threads;
-        const SimResult engine =
-            RunSimulationOnEngine(oracle_.get(), workload, options, sharding);
-        SCOPED_TRACE(::testing::Message()
-                     << "mechanism=" << static_cast<int>(mechanism)
-                     << " seed=" << seed << " threads=" << threads);
-        ExpectSameResult(legacy, engine);
-      }
-    }
+// The one-shard engine run of the workload, pinned to the last bit: a
+// digest of its economic totals, round records and events under every fault
+// profile and both mechanisms. A change that moves any of them — including
+// the budgeted tier loop the storm profile exercises — fails here.
+TEST_F(EngineDeterminismTest, PinnedResultDigests) {
+  struct Pin {
+    MechanismKind mechanism;
+    FaultProfile profile;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {MechanismKind::kRank, FaultProfile::kNone, 0x4042a58e5630194fULL},
+      {MechanismKind::kRank, FaultProfile::kBreakdowns, 0xd88512d7ea1e2bebULL},
+      {MechanismKind::kRank, FaultProfile::kCancellations,
+       0x8e9abf7726d4fceaULL},
+      {MechanismKind::kRank, FaultProfile::kStorm, 0xd37a3108abf12c7aULL},
+      {MechanismKind::kGreedy, FaultProfile::kNone, 0x10b5e4fa85007c35ULL},
+      {MechanismKind::kGreedy, FaultProfile::kBreakdowns,
+       0xaeb42a8dacac48f3ULL},
+      {MechanismKind::kGreedy, FaultProfile::kCancellations,
+       0x0031562f654fc95dULL},
+      {MechanismKind::kGreedy, FaultProfile::kStorm, 0x12600e666973ef7eULL},
+  };
+  const uint64_t seed = 7;
+  const Workload workload = MorningPeakWorkload(seed);
+  for (const Pin& pin : pins) {
+    EngineOptions options = BaseOptions(pin.mechanism, seed);
+    options.faults = FaultOptionsForProfile(pin.profile, seed);
+    const SimResult result = RunSimulation(oracle_.get(), workload, options);
+    EXPECT_EQ(testutil::SimResultDigest(result), pin.digest)
+        << MechanismName(pin.mechanism) << " / "
+        << FaultProfileName(pin.profile);
   }
 }
 
 TEST_F(EngineDeterminismTest, MultiShardResultsIdenticalAtAnyThreadCount) {
-  const SimOptions options = BaseOptions(MechanismKind::kRank, 7);
   const Workload workload = MorningPeakWorkload(7);
+  for (const int shards : {1, 4}) {
+    EngineOptions options = BaseOptions(MechanismKind::kRank, 7);
+    options.num_shards = shards;
+    options.engine_threads = 1;
+    options.dispatch_threads = 1;
+    const SimResult baseline =
+        RunSimulation(oracle_.get(), workload, options);
+    EXPECT_EQ(baseline.orders_total, 60);
+    EXPECT_EQ(baseline.orders_dispatched + baseline.orders_expired, 60);
 
-  EngineShardingOptions sharding;
-  sharding.num_shards = 4;
-  sharding.engine_threads = 1;
-  const SimResult baseline =
-      RunSimulationOnEngine(oracle_.get(), workload, options, sharding);
-  EXPECT_EQ(baseline.orders_total, 60);
-  EXPECT_EQ(baseline.orders_dispatched + baseline.orders_expired, 60);
-
-  for (const int threads : {2, 8, -1}) {
-    sharding.engine_threads = threads;
-    const SimResult run =
-        RunSimulationOnEngine(oracle_.get(), workload, options, sharding);
-    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ExpectSameResult(baseline, run);
+    // A multi-shard engine fans shard tasks over engine_threads; a single
+    // shard runs the mechanism on dispatch_threads. Neither may matter.
+    for (const int threads : {2, 8, -1}) {
+      options.engine_threads = threads;
+      options.dispatch_threads = threads;
+      const SimResult run = RunSimulation(oracle_.get(), workload, options);
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << shards << " threads=" << threads);
+      testutil::ExpectSameResult(baseline, run);
+    }
   }
 }
 
 TEST_F(EngineDeterminismTest, MultiShardStormProfileIsThreadCountInvariant) {
-  SimOptions options = BaseOptions(MechanismKind::kRank, 11);
+  EngineOptions options = BaseOptions(MechanismKind::kRank, 11);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   const Workload workload = MorningPeakWorkload(11);
 
-  EngineShardingOptions sharding;
-  sharding.num_shards = 4;
-  sharding.rebalance_period_rounds = 2;
-  sharding.engine_threads = 1;
-  const SimResult baseline =
-      RunSimulationOnEngine(oracle_.get(), workload, options, sharding);
+  options.num_shards = 4;
+  options.rebalance_period_rounds = 2;
+  options.engine_threads = 1;
+  const SimResult baseline = RunSimulation(oracle_.get(), workload, options);
 
   for (const int threads : {2, 8}) {
-    sharding.engine_threads = threads;
-    const SimResult run =
-        RunSimulationOnEngine(oracle_.get(), workload, options, sharding);
+    options.engine_threads = threads;
+    const SimResult run = RunSimulation(oracle_.get(), workload, options);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    ExpectSameResult(baseline, run);
+    testutil::ExpectSameResult(baseline, run);
   }
 }
 

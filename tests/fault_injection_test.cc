@@ -15,6 +15,7 @@
 #include "roadnet/nearest_node.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
+#include "testutil.h"
 #include "workload/generator.h"
 
 namespace auctionride {
@@ -44,11 +45,10 @@ class FaultInjectionTest : public ::testing::Test {
     return GenerateWorkload(options, *oracle_, *nearest_);
   }
 
-  SimResult RunOnce(const SimOptions& options, int orders = 40,
+  SimResult RunOnce(const EngineOptions& options, int orders = 40,
                     int vehicles = 30, uint64_t wl_seed = 11) {
-    Simulator sim(oracle_.get(), SmallWorkload(orders, vehicles, wl_seed),
-                  options);
-    return sim.Run();
+    return RunSimulation(oracle_.get(),
+                         SmallWorkload(orders, vehicles, wl_seed), options);
   }
 
   RoadNetwork net_;
@@ -56,57 +56,8 @@ class FaultInjectionTest : public ::testing::Test {
   std::unique_ptr<NearestNodeIndex> nearest_;
 };
 
-// Asserts bit-identity of everything except wall-clock timing fields.
-void ExpectSameResult(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.total_utility, b.total_utility);
-  EXPECT_EQ(a.platform_utility, b.platform_utility);
-  EXPECT_EQ(a.requester_utility, b.requester_utility);
-  EXPECT_EQ(a.total_payments, b.total_payments);
-  EXPECT_EQ(a.orders_total, b.orders_total);
-  EXPECT_EQ(a.orders_dispatched, b.orders_dispatched);
-  EXPECT_EQ(a.orders_expired, b.orders_expired);
-  EXPECT_EQ(a.orders_completed, b.orders_completed);
-  EXPECT_EQ(a.orders_stranded, b.orders_stranded);
-  EXPECT_EQ(a.orders_cancelled, b.orders_cancelled);
-  EXPECT_EQ(a.orders_redispatched, b.orders_redispatched);
-  EXPECT_EQ(a.degraded_rounds, b.degraded_rounds);
-  EXPECT_EQ(a.truncated_rounds, b.truncated_rounds);
-  EXPECT_EQ(a.refunded_payments, b.refunded_payments);
-  EXPECT_EQ(a.total_delivery_m, b.total_delivery_m);
-  EXPECT_EQ(a.driver_utility, b.driver_utility);
-  EXPECT_EQ(a.mean_waiting_s, b.mean_waiting_s);
-  EXPECT_EQ(a.mean_detour_s, b.mean_detour_s);
-  EXPECT_EQ(a.shared_ride_fraction, b.shared_ride_fraction);
-  EXPECT_EQ(a.max_wasted_time_violation_s, b.max_wasted_time_violation_s);
-
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
-    EXPECT_EQ(a.rounds[r].time_s, b.rounds[r].time_s) << r;
-    EXPECT_EQ(a.rounds[r].pending_orders, b.rounds[r].pending_orders) << r;
-    EXPECT_EQ(a.rounds[r].online_vehicles, b.rounds[r].online_vehicles) << r;
-    EXPECT_EQ(a.rounds[r].dispatched, b.rounds[r].dispatched) << r;
-    EXPECT_EQ(a.rounds[r].round_utility, b.rounds[r].round_utility) << r;
-    EXPECT_EQ(a.rounds[r].dispatch_tier, b.rounds[r].dispatch_tier) << r;
-    EXPECT_EQ(a.rounds[r].truncated, b.rounds[r].truncated) << r;
-    for (int t = 0; t < kDispatchTierCount; ++t) {
-      EXPECT_EQ(a.rounds[r].dispatched_by_tier[t],
-                b.rounds[r].dispatched_by_tier[t])
-          << r << " tier " << t;
-    }
-    // dispatch_seconds / pricing_seconds are wall time — excluded.
-  }
-
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t e = 0; e < a.events.size(); ++e) {
-    EXPECT_EQ(a.events[e].time_s, b.events[e].time_s) << e;
-    EXPECT_EQ(a.events[e].order, b.events[e].order) << e;
-    EXPECT_EQ(a.events[e].kind, b.events[e].kind) << e;
-    EXPECT_EQ(a.events[e].vehicle, b.events[e].vehicle) << e;
-  }
-}
-
-SimOptions BaseOptions(MechanismKind mechanism) {
-  SimOptions options;
+EngineOptions BaseOptions(MechanismKind mechanism) {
+  EngineOptions options;
   options.mechanism = mechanism;
   options.run_pricing = true;
   options.verify_dispatch = true;
@@ -115,12 +66,12 @@ SimOptions BaseOptions(MechanismKind mechanism) {
 }
 
 TEST_F(FaultInjectionTest, NoneProfileMatchesFaultFreeRun) {
-  SimOptions plain = BaseOptions(MechanismKind::kRank);
-  SimOptions none = plain;
+  EngineOptions plain = BaseOptions(MechanismKind::kRank);
+  EngineOptions none = plain;
   none.faults = FaultOptionsForProfile(FaultProfile::kNone, plain.seed);
   const SimResult a = RunOnce(plain);
   const SimResult b = RunOnce(none);
-  ExpectSameResult(a, b);
+  testutil::ExpectSameResult(a, b);
   EXPECT_EQ(b.orders_stranded, 0);
   EXPECT_EQ(b.orders_cancelled, 0);
   EXPECT_EQ(b.refunded_payments, Money(0));
@@ -133,31 +84,31 @@ TEST_F(FaultInjectionTest, ProfilesAreBitIdenticalAcrossThreadCounts) {
         FaultProfile::kStorm}) {
     for (const MechanismKind mechanism :
          {MechanismKind::kGreedy, MechanismKind::kRank}) {
-      SimOptions serial = BaseOptions(mechanism);
+      EngineOptions serial = BaseOptions(mechanism);
       serial.faults = FaultOptionsForProfile(profile, serial.seed);
       serial.dispatch_threads = -1;
-      SimOptions threaded = serial;
+      EngineOptions threaded = serial;
       threaded.dispatch_threads = 8;
       const SimResult a = RunOnce(serial);
       const SimResult b = RunOnce(threaded);
       SCOPED_TRACE(std::string(FaultProfileName(profile)) + " / " +
                    std::string(MechanismName(mechanism)));
-      ExpectSameResult(a, b);
+      testutil::ExpectSameResult(a, b);
     }
   }
 }
 
 TEST_F(FaultInjectionTest, SameSeedReproducesFaultSchedule) {
-  SimOptions options = BaseOptions(MechanismKind::kGreedy);
+  EngineOptions options = BaseOptions(MechanismKind::kGreedy);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   const SimResult a = RunOnce(options);
   const SimResult b = RunOnce(options);
-  ExpectSameResult(a, b);
+  testutil::ExpectSameResult(a, b);
 }
 
 TEST_F(FaultInjectionTest, StormInjectsAndRecovers) {
   // Boost the rates so a small run reliably exercises every fault path.
-  SimOptions options = BaseOptions(MechanismKind::kRank);
+  EngineOptions options = BaseOptions(MechanismKind::kRank);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   options.faults.breakdown_prob_per_round = 0.05;
   options.faults.cancel_prob_per_round = 0.3;
@@ -174,11 +125,11 @@ TEST_F(FaultInjectionTest, StormInjectsAndRecovers) {
 }
 
 TEST_F(FaultInjectionTest, RefundsConserveMoneyAcrossSeeds) {
-  // The always-on conservation contract inside Simulator::Run() aborts on
+  // The always-on conservation contract inside Engine::Finish() aborts on
   // any ledger mismatch; surviving a seed sweep with faults + pricing on is
   // the assertion. Spot-check the aggregates are sane on top.
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    SimOptions options = BaseOptions(seed % 2 == 0 ? MechanismKind::kGreedy
+    EngineOptions options = BaseOptions(seed % 2 == 0 ? MechanismKind::kGreedy
                                                    : MechanismKind::kRank);
     options.seed = seed;
     options.faults =
@@ -198,7 +149,7 @@ TEST_F(FaultInjectionTest, SpikesDriveTheDegradationLadder) {
   // Spike every round with a huge per-query penalty and a tiny budget: Rank
   // and Greedy must fall back (ultimately to FCFS) instead of blowing the
   // budget, and the degraded rounds must be counted.
-  SimOptions options = BaseOptions(MechanismKind::kRank);
+  EngineOptions options = BaseOptions(MechanismKind::kRank);
   options.faults = FaultOptionsForProfile(FaultProfile::kStorm, options.seed);
   options.faults.breakdown_prob_per_round = 0;
   options.faults.cancel_prob_per_round = 0;
@@ -221,8 +172,8 @@ TEST_F(FaultInjectionTest, SpikesDriveTheDegradationLadder) {
 TEST_F(FaultInjectionTest, GenerousBudgetStaysOnPrimaryTier) {
   // Spikes with a big budget and a tiny penalty must not degrade anything,
   // and must not change the dispatch outcome at all.
-  SimOptions plain = BaseOptions(MechanismKind::kRank);
-  SimOptions spiky = plain;
+  EngineOptions plain = BaseOptions(MechanismKind::kRank);
+  EngineOptions spiky = plain;
   spiky.faults = FaultOptionsForProfile(FaultProfile::kStorm, plain.seed);
   spiky.faults.breakdown_prob_per_round = 0;
   spiky.faults.cancel_prob_per_round = 0;
@@ -232,15 +183,15 @@ TEST_F(FaultInjectionTest, GenerousBudgetStaysOnPrimaryTier) {
   const SimResult a = RunOnce(plain);
   const SimResult b = RunOnce(spiky);
   EXPECT_EQ(b.degraded_rounds, 0);
-  ExpectSameResult(a, b);
+  testutil::ExpectSameResult(a, b);
 }
 
 TEST_F(FaultInjectionTest, SummaryMentionsFaultsOnlyWhenPresent) {
-  SimOptions plain = BaseOptions(MechanismKind::kGreedy);
+  EngineOptions plain = BaseOptions(MechanismKind::kGreedy);
   const SimResult fault_free = RunOnce(plain);
   EXPECT_EQ(FormatSummary(fault_free).find("faults:"), std::string::npos);
 
-  SimOptions faulty = plain;
+  EngineOptions faulty = plain;
   faulty.faults =
       FaultOptionsForProfile(FaultProfile::kCancellations, plain.seed);
   faulty.faults.cancel_prob_per_round = 0.3;

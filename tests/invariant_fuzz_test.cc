@@ -36,7 +36,6 @@ namespace {
 
 // Scenario family shared with dispatch_determinism_test (tests/testutil.h).
 using testutil::BuildFuzzScenario;
-using testutil::DeductedOrders;
 using testutil::FuzzScenario;
 
 class InvariantFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -73,21 +72,13 @@ TEST_P(InvariantFuzzTest, DispatchersVerify) {
 TEST_P(InvariantFuzzTest, MechanismsVerify) {
   const FuzzScenario sc = BuildFuzzScenario(GetParam());
   const AuctionInstance in = sc.Instance();
-  const std::vector<Order> deducted = DeductedOrders(sc);
-  AuctionInstance deducted_in = in;
-  deducted_in.orders = &deducted;
 
   for (MechanismKind kind : {MechanismKind::kGreedy, MechanismKind::kRank}) {
     const MechanismOutcome outcome = RunMechanism(kind, in);
-    const Status dispatched = VerifyDispatch(deducted_in, outcome.dispatch);
-    EXPECT_TRUE(dispatched.ok())
-        << MechanismName(kind) << " seed " << GetParam() << ": "
-        << dispatched.ToString();
     ASSERT_EQ(outcome.payments.size(), outcome.dispatch.assignments.size());
-    const Status paid =
-        VerifyPayments(deducted_in, outcome.dispatch, outcome.payments);
-    EXPECT_TRUE(paid.ok()) << MechanismName(kind) << " seed " << GetParam()
-                           << ": " << paid.ToString();
+    const Status verified = VerifyMechanismOutcome(in, outcome);
+    EXPECT_TRUE(verified.ok()) << MechanismName(kind) << " seed " << GetParam()
+                               << ": " << verified.ToString();
   }
 }
 

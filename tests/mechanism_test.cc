@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "auction/mechanism.h"
 #include "common/rng.h"
+#include "common/timer.h"
 #include "exec/thread_pool.h"
 #include "roadnet/builder.h"
 #include "testutil.h"
@@ -177,6 +179,33 @@ TEST(MechanismTest, PlatformUtilityAccountingIdentity) {
                        outcome.dispatch.total_delta_delivery_m;
   EXPECT_NEAR(outcome.platform_utility.value(),
               (pay_sum + fee_sum - payout).value(), 1e-9);
+}
+
+// Timing fields keep their meaning: the dispatch reports its own time, also
+// when a budget runs it through the tier loop, and an unbudgeted round
+// splits its wall time into dispatch and pricing without counting pricing
+// twice.
+TEST(MechanismTest, TimingFieldsPartitionTheCall) {
+  const testutil::FuzzScenario sc = testutil::BuildFuzzScenario(3);
+  const AuctionInstance in = sc.Instance();
+  for (const MechanismKind kind :
+       {MechanismKind::kGreedy, MechanismKind::kRank}) {
+    SCOPED_TRACE(std::string(MechanismName(kind)));
+    MechanismOptions options;
+    options.run_pricing = true;
+    const WallTimer timer;
+    const MechanismOutcome outcome = RunMechanism(kind, in, options);
+    const Seconds wall(timer.ElapsedSeconds());
+    ASSERT_FALSE(outcome.payments.empty());
+    EXPECT_GT(outcome.dispatch.elapsed_seconds, Seconds(0));
+    EXPECT_GT(outcome.pricing_seconds, Seconds(0));
+    EXPECT_LE(outcome.dispatch_seconds + outcome.pricing_seconds, wall);
+
+    options.budget.budget_s = 1e6;  // never expires
+    const MechanismOutcome budgeted = RunMechanism(kind, in, options);
+    EXPECT_FALSE(budgeted.truncated);
+    EXPECT_GT(budgeted.dispatch.elapsed_seconds, Seconds(0));
+  }
 }
 
 }  // namespace

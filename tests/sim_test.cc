@@ -42,77 +42,75 @@ class SimulatorTest : public ::testing::Test {
     return GenerateWorkload(options, *oracle_, *nearest_);
   }
 
+  SimResult Run(const EngineOptions& options, int orders, int vehicles,
+                uint64_t seed = 11) {
+    return RunSimulation(oracle_.get(), SmallWorkload(orders, vehicles, seed),
+                         options);
+  }
+
   RoadNetwork net_;
   std::unique_ptr<DistanceOracle> oracle_;
   std::unique_ptr<NearestNodeIndex> nearest_;
 };
 
 TEST_F(SimulatorTest, AllOrdersResolveAsDispatchedOrExpired) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kGreedy;
-  Simulator sim(oracle_.get(), SmallWorkload(40, 30), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 40, 30);
   EXPECT_EQ(result.orders_total, 40);
   EXPECT_EQ(result.orders_dispatched + result.orders_expired, 40);
   EXPECT_GT(result.orders_dispatched, 0);
 }
 
 TEST_F(SimulatorTest, DispatchedOrdersComplete) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kRank;
-  Simulator sim(oracle_.get(), SmallWorkload(30, 25), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 30, 25);
   EXPECT_EQ(result.orders_completed, result.orders_dispatched);
 }
 
 TEST_F(SimulatorTest, WastedTimeConstraintNeverViolated) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kRank;
-  Simulator sim(oracle_.get(), SmallWorkload(50, 30, /*seed=*/21), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 50, 30, /*seed=*/21);
   ASSERT_GT(result.orders_completed, 0);
   // Definition 4: wt + dt <= θ for every completed order (small float slack).
   EXPECT_LE(result.max_wasted_time_violation_s, Seconds(1e-6));
 }
 
 TEST_F(SimulatorTest, GreedyAlsoRespectsConstraints) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kGreedy;
-  Simulator sim(oracle_.get(), SmallWorkload(50, 30, /*seed=*/22), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 50, 30, /*seed=*/22);
   ASSERT_GT(result.orders_completed, 0);
   EXPECT_LE(result.max_wasted_time_violation_s, Seconds(1e-6));
 }
 
 TEST_F(SimulatorTest, UtilityMatchesRoundSum) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kRank;
-  Simulator sim(oracle_.get(), SmallWorkload(30, 20), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 30, 20);
   Money round_sum;
   for (const RoundRecord& r : result.rounds) round_sum += r.round_utility;
   EXPECT_NEAR(result.total_utility.value(), round_sum.value(), 1e-9);
 }
 
 TEST_F(SimulatorTest, DeterministicGivenSeed) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kGreedy;
   options.seed = 9;
-  Simulator a(oracle_.get(), SmallWorkload(25, 20), options);
-  Simulator b(oracle_.get(), SmallWorkload(25, 20), options);
-  const SimResult ra = a.Run();
-  const SimResult rb = b.Run();
+  const SimResult ra = Run(options, 25, 20);
+  const SimResult rb = Run(options, 25, 20);
   EXPECT_EQ(ra.orders_dispatched, rb.orders_dispatched);
   EXPECT_DOUBLE_EQ(ra.total_utility.value(), rb.total_utility.value());
 }
 
 TEST_F(SimulatorTest, PricingProducesIndividuallyRationalPayments) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kRank;
   options.run_pricing = true;
   options.pricing_threads = 2;
-  Simulator sim(oracle_.get(), SmallWorkload(25, 20, /*seed=*/31), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 25, 20, /*seed=*/31);
   ASSERT_GT(result.orders_dispatched, 0);
   // IR aggregated: requesters never pay more than their valuations.
   EXPECT_GE(result.requester_utility, Money(-1e-6));
@@ -122,39 +120,34 @@ TEST_F(SimulatorTest, PricingProducesIndividuallyRationalPayments) {
 TEST_F(SimulatorTest, ShorterRoundsDispatchAtLeastAsEarly) {
   // More rounds = more dispatch opportunities before expiry; dispatch counts
   // should not collapse with shorter rounds.
-  SimOptions fast;
+  EngineOptions fast;
   fast.mechanism = MechanismKind::kGreedy;
   fast.round_duration_s = Seconds(5);
-  SimOptions slow = fast;
+  EngineOptions slow = fast;
   slow.round_duration_s = Seconds(60);
-  Simulator a(oracle_.get(), SmallWorkload(40, 25, /*seed=*/41), fast);
-  Simulator b(oracle_.get(), SmallWorkload(40, 25, /*seed=*/41), slow);
-  const SimResult ra = a.Run();
-  const SimResult rb = b.Run();
+  const SimResult ra = Run(fast, 40, 25, /*seed=*/41);
+  const SimResult rb = Run(slow, 40, 25, /*seed=*/41);
   EXPECT_GT(ra.orders_dispatched, 0);
   EXPECT_GT(rb.orders_dispatched, 0);
   EXPECT_GT(ra.rounds.size(), rb.rounds.size());
 }
 
 TEST_F(SimulatorTest, ExpiredOrdersWhenNoVehicles) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kGreedy;
-  Simulator sim(oracle_.get(), SmallWorkload(10, 0), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 10, 0);
   EXPECT_EQ(result.orders_dispatched, 0);
   EXPECT_EQ(result.orders_expired, 10);
 }
 
 TEST_F(SimulatorTest, ChargeRatioTransfersUtilityToPlatform) {
-  SimOptions base;
+  EngineOptions base;
   base.mechanism = MechanismKind::kRank;
   base.run_pricing = true;
-  SimOptions charged = base;
+  EngineOptions charged = base;
   charged.auction.charge_ratio = 0.3;
-  Simulator a(oracle_.get(), SmallWorkload(30, 25, /*seed=*/51), base);
-  Simulator b(oracle_.get(), SmallWorkload(30, 25, /*seed=*/51), charged);
-  const SimResult ra = a.Run();
-  const SimResult rb = b.Run();
+  const SimResult ra = Run(base, 30, 25, /*seed=*/51);
+  const SimResult rb = Run(charged, 30, 25, /*seed=*/51);
   ASSERT_GT(ra.orders_dispatched, 0);
   ASSERT_GT(rb.orders_dispatched, 0);
   // With a charge the platform does strictly better per dispatched order.
@@ -163,10 +156,9 @@ TEST_F(SimulatorTest, ChargeRatioTransfersUtilityToPlatform) {
 }
 
 TEST_F(SimulatorTest, RiderExperienceMetricsArePopulated) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kRank;
-  Simulator sim(oracle_.get(), SmallWorkload(50, 35, /*seed=*/61), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 50, 35, /*seed=*/61);
   ASSERT_GT(result.orders_completed, 0);
   EXPECT_GE(result.mean_waiting_s, Seconds(0));
   // Detour can be 0 for solo direct rides but never negative on average.
@@ -178,44 +170,40 @@ TEST_F(SimulatorTest, RiderExperienceMetricsArePopulated) {
 }
 
 TEST_F(SimulatorTest, DriverUtilityFollowsBetaMinusAlpha) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kGreedy;
   options.auction.alpha_d_per_km = 3.0;
   options.auction.beta_d_per_km = 3.5;
-  Simulator sim(oracle_.get(), SmallWorkload(30, 25, /*seed=*/62), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 30, 25, /*seed=*/62);
   ASSERT_GT(result.total_delivery_m, Meters(0));
   EXPECT_NEAR(result.driver_utility.value(),
               0.5 / 1000.0 * result.total_delivery_m.value(), 1e-6);
   // With beta = alpha the drivers break even.
   options.auction.beta_d_per_km = 3.0;
-  Simulator even(oracle_.get(), SmallWorkload(30, 25, /*seed=*/62), options);
-  EXPECT_NEAR(even.Run().driver_utility.value(), 0, 1e-9);
+  EXPECT_NEAR(Run(options, 30, 25, /*seed=*/62).driver_utility.value(), 0,
+              1e-9);
 }
 
 TEST_F(SimulatorTest, PendingBidEscalationImprovesDispatchRate) {
   // Starve the market so plenty of orders pend, then let pended orders
   // escalate their bids (§II-B): the dispatch rate must not drop and
   // should typically rise.
-  SimOptions base;
+  EngineOptions base;
   base.mechanism = MechanismKind::kGreedy;
   base.auction.alpha_d_per_km = 3.6;
-  SimOptions escalating = base;
+  EngineOptions escalating = base;
   escalating.pending_bid_increment = Money(1.0);
-  Simulator a(oracle_.get(), SmallWorkload(60, 30, /*seed=*/63), base);
-  Simulator b(oracle_.get(), SmallWorkload(60, 30, /*seed=*/63), escalating);
-  const SimResult ra = a.Run();
-  const SimResult rb = b.Run();
+  const SimResult ra = Run(base, 60, 30, /*seed=*/63);
+  const SimResult rb = Run(escalating, 60, 30, /*seed=*/63);
   EXPECT_GE(rb.orders_dispatched, ra.orders_dispatched);
   EXPECT_GT(rb.orders_dispatched, 0);
 }
 
 TEST_F(SimulatorTest, ReportSummaryAndCsvExports) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kRank;
   options.run_pricing = true;
-  Simulator sim(oracle_.get(), SmallWorkload(25, 20, /*seed=*/64), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 25, 20, /*seed=*/64);
 
   const std::string summary = FormatSummary(result);
   EXPECT_NE(summary.find("U_auc"), std::string::npos);
@@ -240,10 +228,9 @@ TEST_F(SimulatorTest, ReportSummaryAndCsvExports) {
 }
 
 TEST_F(SimulatorTest, EventTraceIsConsistent) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kRank;
-  Simulator sim(oracle_.get(), SmallWorkload(40, 30, /*seed=*/71), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 40, 30, /*seed=*/71);
 
   // Per-order event sequences must follow the lifecycle state machine.
   std::map<OrderId, std::vector<OrderEventKind>> per_order;
@@ -286,21 +273,19 @@ TEST_F(SimulatorTest, EventTraceIsConsistent) {
 }
 
 TEST_F(SimulatorTest, VerifyDispatchOptionRunsClean) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kRank;
   options.verify_dispatch = true;  // ARIDE_ACHECK aborts on any violation
   options.auction.charge_ratio = 0.2;
   options.run_pricing = true;
-  Simulator sim(oracle_.get(), SmallWorkload(30, 25, /*seed=*/72), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 30, 25, /*seed=*/72);
   EXPECT_GT(result.orders_dispatched, 0);
 }
 
 TEST_F(SimulatorTest, EventsCsvExport) {
-  SimOptions options;
+  EngineOptions options;
   options.mechanism = MechanismKind::kGreedy;
-  Simulator sim(oracle_.get(), SmallWorkload(20, 15, /*seed=*/73), options);
-  const SimResult result = sim.Run();
+  const SimResult result = Run(options, 20, 15, /*seed=*/73);
   const std::string path = testing::TempDir() + "/events.csv";
   ASSERT_TRUE(WriteEventsCsv(result, path).ok());
   StatusOr<std::vector<std::vector<std::string>>> rows = ReadCsv(path);

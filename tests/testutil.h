@@ -1,14 +1,19 @@
-// Shared helpers for the test suites: tiny deterministic road networks and
-// scenario builders.
+// Shared helpers for the test suites: tiny deterministic road networks,
+// scenario builders, and run-result comparison.
 
 #ifndef AUCTIONRIDE_TESTS_TESTUTIL_H_
 #define AUCTIONRIDE_TESTS_TESTUTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "auction/types.h"
 #include "common/rng.h"
+#include "engine/result.h"
 #include "model/order.h"
 #include "model/vehicle.h"
 #include "roadnet/builder.h"
@@ -180,11 +185,105 @@ inline FuzzScenario BuildFuzzScenario(uint64_t seed) {
   return sc;
 }
 
-/// Bids as the algorithms saw them after the §V-C charge deduction.
-inline std::vector<Order> DeductedOrders(const FuzzScenario& sc) {
-  std::vector<Order> deducted = sc.orders;
-  for (Order& o : deducted) o.bid *= (1.0 - sc.config.charge_ratio);
-  return deducted;
+/// Asserts bit-identity of two runs in everything but wall-clock timing.
+inline void ExpectSameResult(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.total_utility, b.total_utility);
+  EXPECT_EQ(a.platform_utility, b.platform_utility);
+  EXPECT_EQ(a.requester_utility, b.requester_utility);
+  EXPECT_EQ(a.total_payments, b.total_payments);
+  EXPECT_EQ(a.orders_total, b.orders_total);
+  EXPECT_EQ(a.orders_dispatched, b.orders_dispatched);
+  EXPECT_EQ(a.orders_expired, b.orders_expired);
+  EXPECT_EQ(a.orders_completed, b.orders_completed);
+  EXPECT_EQ(a.orders_stranded, b.orders_stranded);
+  EXPECT_EQ(a.orders_cancelled, b.orders_cancelled);
+  EXPECT_EQ(a.orders_redispatched, b.orders_redispatched);
+  EXPECT_EQ(a.degraded_rounds, b.degraded_rounds);
+  EXPECT_EQ(a.truncated_rounds, b.truncated_rounds);
+  EXPECT_EQ(a.refunded_payments, b.refunded_payments);
+  EXPECT_EQ(a.total_delivery_m, b.total_delivery_m);
+  EXPECT_EQ(a.driver_utility, b.driver_utility);
+  EXPECT_EQ(a.mean_waiting_s, b.mean_waiting_s);
+  EXPECT_EQ(a.mean_detour_s, b.mean_detour_s);
+  EXPECT_EQ(a.shared_ride_fraction, b.shared_ride_fraction);
+  EXPECT_EQ(a.max_wasted_time_violation_s, b.max_wasted_time_violation_s);
+
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
+    EXPECT_EQ(a.rounds[r].time_s, b.rounds[r].time_s) << r;
+    EXPECT_EQ(a.rounds[r].shard, b.rounds[r].shard) << r;
+    EXPECT_EQ(a.rounds[r].pending_orders, b.rounds[r].pending_orders) << r;
+    EXPECT_EQ(a.rounds[r].online_vehicles, b.rounds[r].online_vehicles) << r;
+    EXPECT_EQ(a.rounds[r].dispatched, b.rounds[r].dispatched) << r;
+    EXPECT_EQ(a.rounds[r].round_utility, b.rounds[r].round_utility) << r;
+    EXPECT_EQ(a.rounds[r].dispatch_tier, b.rounds[r].dispatch_tier) << r;
+    EXPECT_EQ(a.rounds[r].truncated, b.rounds[r].truncated) << r;
+    for (int t = 0; t < kDispatchTierCount; ++t) {
+      EXPECT_EQ(a.rounds[r].dispatched_by_tier[t],
+                b.rounds[r].dispatched_by_tier[t])
+          << r << " tier " << t;
+    }
+    // dispatch_seconds / pricing_seconds are wall time — excluded.
+  }
+
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t e = 0; e < a.events.size(); ++e) {
+    EXPECT_EQ(a.events[e].time_s, b.events[e].time_s) << e;
+    EXPECT_EQ(a.events[e].order, b.events[e].order) << e;
+    EXPECT_EQ(a.events[e].kind, b.events[e].kind) << e;
+    EXPECT_EQ(a.events[e].vehicle, b.events[e].vehicle) << e;
+  }
+}
+
+/// FNV-1a digest of everything ExpectSameResult compares: the economic
+/// totals, the per-round records without their wall-time fields, and the
+/// event trace. Doubles enter by bit pattern, so a digest pinned in a test
+/// holds a run to the last bit across code changes.
+inline uint64_t SimResultDigest(const SimResult& r) {
+  uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mix_double = [&mix](double d) { mix(std::bit_cast<uint64_t>(d)); };
+  const auto mix_int = [&mix](int64_t v) { mix(static_cast<uint64_t>(v)); };
+  for (const double d :
+       {r.total_utility.value(), r.platform_utility.value(),
+        r.requester_utility.value(), r.total_payments.value(),
+        r.refunded_payments.value(), r.total_delivery_m.value(),
+        r.driver_utility.value(), r.mean_waiting_s.value(),
+        r.mean_detour_s.value(), r.shared_ride_fraction,
+        r.max_wasted_time_violation_s.value()}) {
+    mix_double(d);
+  }
+  for (const int v : {r.orders_total, r.orders_dispatched, r.orders_expired,
+                      r.orders_completed, r.orders_stranded,
+                      r.orders_cancelled, r.orders_redispatched,
+                      r.degraded_rounds, r.truncated_rounds}) {
+    mix_int(v);
+  }
+  mix_int(static_cast<int64_t>(r.rounds.size()));
+  for (const RoundRecord& rec : r.rounds) {
+    mix_double(rec.time_s.value());
+    mix_int(rec.shard);
+    mix_int(rec.pending_orders);
+    mix_int(rec.online_vehicles);
+    mix_int(rec.dispatched);
+    mix_double(rec.round_utility.value());
+    mix_int(static_cast<int64_t>(rec.dispatch_tier));
+    for (const int t : rec.dispatched_by_tier) mix_int(t);
+    mix_int(rec.truncated ? 1 : 0);
+  }
+  mix_int(static_cast<int64_t>(r.events.size()));
+  for (const OrderEvent& e : r.events) {
+    mix_double(e.time_s.value());
+    mix_int(e.order);
+    mix_int(static_cast<int64_t>(e.kind));
+    mix_int(e.vehicle);
+  }
+  return h;
 }
 
 }  // namespace testutil

@@ -198,38 +198,6 @@ TEST(DeadlineStressTest, ConcurrentChargeAndPoll) {
   EXPECT_FALSE(dl.expired());
 }
 
-TEST(DeadlineStressTest, RacingBudgetedParallelForCalls) {
-  // Several threads drive budgeted ParallelFor over the same pool while the
-  // shared deadline expires mid-flight. Whatever completes must have covered
-  // every index; whatever reports false must have been told so coherently.
-  ThreadPool pool(4);
-  for (int round = 0; round < 20; ++round) {
-    Deadline dl = Deadline::Synthetic(/*budget_s=*/1e-4);
-    std::atomic<long> ran{0};
-    std::vector<std::thread> callers;
-    callers.reserve(3);
-    std::atomic<int> completes{0};
-    for (int c = 0; c < 3; ++c) {
-      callers.emplace_back([&pool, &dl, &ran, &completes] {
-        const bool complete = pool.ParallelFor(
-            5000,
-            [&](std::size_t) {
-              ran.fetch_add(1, std::memory_order_relaxed);
-              dl.Charge(50);
-            },
-            &dl);
-        if (complete) completes.fetch_add(1);
-      });
-    }
-    for (std::thread& c : callers) c.join();
-    // Budget = 100us / 50ns per iteration = 2000 charged iterations max
-    // before everyone observes expiry; 3 x 5000 iterations can never all
-    // complete.
-    EXPECT_EQ(completes.load(), 0) << "round " << round;
-    EXPECT_GT(ran.load(), 0) << "round " << round;
-  }
-}
-
 TEST(ThreadPoolStressTest, WaitFromMultipleThreads) {
   ThreadPool pool(2);
   std::atomic<int> executed{0};
