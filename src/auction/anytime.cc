@@ -1,6 +1,7 @@
 #include "auction/anytime.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "auction/warm_start.h"
 #include "exec/deadline.h"
@@ -8,27 +9,11 @@
 
 namespace auctionride {
 
-AnytimeSweep AnytimeBatchedSweep(
-    ThreadPool* pool, std::size_t n, Deadline* deadline,
-    const std::function<void(std::size_t)>& fn,
-    const std::function<void(std::size_t, std::size_t)>& charge) {
-  AnytimeSweep sweep;
-  for (std::size_t begin = 0; begin < n; begin += kAnytimeBatchSize) {
-    if (deadline != nullptr && deadline->expired()) {
-      sweep.truncated = true;
-      return sweep;
-    }
-    const std::size_t end = std::min(n, begin + kAnytimeBatchSize);
-    // Unbudgeted within the batch: workers fill disjoint slots, so the
-    // batch's outcome cannot depend on the thread count.
-    ParallelForOrSerial(pool, end - begin,
-                        [&](std::size_t k) { fn(begin + k); });
-    charge(begin, end);
-    sweep.processed = end;
-  }
-  return sweep;
-}
+namespace {
 
+// Warm-first processing order: indices whose order id has hints in `warm`
+// come first, then the rest; both halves in ascending index order.
+// Identity permutation when `warm` is null or empty.
 std::vector<std::size_t> WarmFirstPermutation(
     std::size_t n, const WarmStartCache* warm,
     const std::function<OrderId(std::size_t)>& order_of) {
@@ -45,6 +30,30 @@ std::vector<std::size_t> WarmFirstPermutation(
     for (std::size_t i = 0; i < n; ++i) priority.push_back(i);
   }
   return priority;
+}
+
+}  // namespace
+
+bool RunAnytimeSweep(ThreadPool* pool, std::size_t n, Deadline* deadline,
+                     const WarmStartCache* warm,
+                     const std::function<OrderId(std::size_t)>& order_of,
+                     const std::function<int64_t(std::size_t)>& slot) {
+  if (deadline == nullptr) {
+    ParallelForOrSerial(pool, n, [&](std::size_t i) { slot(i); });
+    return false;
+  }
+  const std::vector<std::size_t> priority =
+      WarmFirstPermutation(n, warm, order_of);
+  for (std::size_t begin = 0; begin < n; begin += kAnytimeBatchSize) {
+    if (deadline->expired()) return true;
+    const std::size_t end = std::min(n, begin + kAnytimeBatchSize);
+    // Workers fill disjoint slots and the charges commute, so the batch's
+    // outcome cannot depend on the thread count.
+    ParallelForOrSerial(pool, end - begin, [&](std::size_t k) {
+      deadline->ChargeQueries(slot(priority[begin + k]));
+    });
+  }
+  return false;
 }
 
 }  // namespace auctionride

@@ -1,23 +1,26 @@
-// Anytime sweep primitive for budgeted dispatch (docs/ROBUSTNESS.md).
+// Anytime sweep primitive for dispatch (docs/ROBUSTNESS.md).
 //
-// A budgeted dispatcher walks its sweep's slots in fixed-size batches
-// instead of one parallel sweep: the deadline is polled serially *between*
-// batches (including before the first), each batch runs unbudgeted — in
-// parallel when a pool is available — and its synthetic query charges are
-// applied serially after it completes. The cut point is
-// therefore a whole-batch boundary decided purely by charges accumulated so
-// far: a pure function of work done, bit-identical at any thread count.
-// Completed slots are finalized results; slots past the cut are simply
-// never attempted.
+// Greedy's seed sweep and Rank's nearest-vehicle pass and pack search all
+// run through RunAnytimeSweep. Without a deadline it is one parallel sweep.
+// With a deadline it walks the slots in fixed-size batches: the deadline is
+// polled serially *between* batches (including before the first), each
+// batch runs in parallel when a pool is available, and every slot charges
+// its own oracle-query count from whichever worker ran it. Charges are a
+// relaxed atomic add, so the total seen at a poll is the sum over completed
+// slots whatever order they landed in. The cut point is therefore a
+// whole-batch boundary decided purely by work done, bit-identical at any
+// thread count. Completed slots are finalized results; slots past the cut
+// are simply never attempted.
 
 #ifndef AUCTIONRIDE_AUCTION_ANYTIME_H_
 #define AUCTIONRIDE_AUCTION_ANYTIME_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "model/order.h"
+#include "roadnet/oracle.h"
 
 namespace auctionride {
 
@@ -30,29 +33,26 @@ class WarmStartCache;
 // orders) cut mid-sweep instead of degenerating to all-or-nothing.
 inline constexpr std::size_t kAnytimeBatchSize = 8;
 
-struct AnytimeSweep {
-  // Slots actually run (a whole number of batches, or n when uncut).
-  std::size_t processed = 0;
-  // True when the deadline expired before all n slots ran.
-  bool truncated = false;
-};
+/// Runs slot(i) for i = 0..n-1; slot returns the oracle queries it made.
+/// `deadline` null: one ParallelForOrSerial over every slot, counts
+/// ignored. Otherwise slots whose order id (order_of(i)) has hints in
+/// `warm` run first, then the rest, both in ascending index order; expiry is
+/// polled before each batch of kAnytimeBatchSize slots and each slot's count
+/// is charged to the deadline at its query penalty. `warm` may be null
+/// (identity order; order_of is then never called). Returns true when the
+/// deadline cut the sweep.
+bool RunAnytimeSweep(ThreadPool* pool, std::size_t n, Deadline* deadline,
+                     const WarmStartCache* warm,
+                     const std::function<OrderId(std::size_t)>& order_of,
+                     const std::function<int64_t(std::size_t)>& slot);
 
-/// Runs fn(slot) for slot = 0..n-1 in batch order until the deadline
-/// expires. After each completed batch, charge(begin, end) is invoked
-/// serially to apply that batch's deterministic cost to the deadline.
-/// `deadline` may be null (never cuts). Callers that process slots in a
-/// priority permutation pass permuted indices through fn/charge themselves.
-AnytimeSweep AnytimeBatchedSweep(
-    ThreadPool* pool, std::size_t n, Deadline* deadline,
-    const std::function<void(std::size_t)>& fn,
-    const std::function<void(std::size_t, std::size_t)>& charge);
-
-/// Deterministic warm-first processing order: indices whose order id has
-/// hints in `warm` come first, then the rest; both halves in ascending index
-/// order. Identity permutation when `warm` is null or empty.
-std::vector<std::size_t> WarmFirstPermutation(
-    std::size_t n, const WarmStartCache* warm,
-    const std::function<OrderId(std::size_t)>& order_of);
+/// Runs fn() and returns the oracle queries the calling thread made in it.
+template <typename Fn>
+int64_t CountQueries(Fn&& fn) {
+  const int64_t before = DistanceOracle::ThreadQueryCount();
+  fn();
+  return DistanceOracle::ThreadQueryCount() - before;
+}
 
 }  // namespace auctionride
 

@@ -84,14 +84,10 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
   const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
   ThreadPool* pool = in.dispatch_pool;
   Deadline* const dl = in.deadline;
-  // Synthetic latency-spike charges are metered from per-slot
-  // ThreadQueryCount() deltas and booked at the serial merge points, so the
-  // accumulated total — and with it the expiry verdict — is bit-identical
-  // at any thread count (docs/ROBUSTNESS.md).
-  const bool meter = dl != nullptr && dl->charges_queries();
-  // Anytime contract (docs/ROBUSTNESS.md): budgeted sweeps run in
-  // deterministic batches and expiry finalizes the partial dispatch built so
-  // far.
+  // Anytime contract (docs/ROBUSTNESS.md): every oracle query is charged to
+  // the deadline at its synthetic penalty, the seed sweep runs in
+  // deterministic batches, and expiry finalizes the partial dispatch built
+  // so far.
 
   // Vehicle spatial index for pair pruning.
   std::vector<GridIndex::Item> items;
@@ -137,56 +133,31 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
     Money utility;
     int32_t veh;
   };
+  // Slots past an anytime cut keep empty seeds, so the merge treats them
+  // like orders with no candidate.
   std::vector<std::vector<SeedPair>> seeds(orders.size());
-  std::vector<int64_t> seed_queries(meter ? orders.size() : 0, 0);
-  // A budgeted sweep marks completed slots explicitly: under a cut the merge
-  // walks only the seeded prefix of the batch order.
-  std::vector<char> seeded(orders.size(), dl != nullptr ? 0 : 1);
   int64_t seed_pairs = 0;
-  AnytimeSweep sweep;
+  bool sweep_truncated = false;
   std::vector<std::pair<OrderId, VehicleId>> survivors;
-  auto eval_order = [&](std::size_t j) {
-    if (static_cast<int>(j) == excluded_idx) return;
-    const int64_t before = meter ? DistanceOracle::ThreadQueryCount() : 0;
-    std::vector<int32_t> scratch;
-    for (int32_t v : candidates.For(orders[j], &scratch)) {
-      const Money u = pair_utility(static_cast<int>(j), v);
-      if (u == Money(-kInf)) continue;
-      seeds[j].push_back({u, v});
-    }
-    if (meter) {
-      seed_queries[j] = DistanceOracle::ThreadQueryCount() - before;
-    }
+  auto eval_order = [&](std::size_t j) -> int64_t {
+    if (static_cast<int>(j) == excluded_idx) return 0;
+    return CountQueries([&] {
+      std::vector<int32_t> scratch;
+      for (int32_t v : candidates.For(orders[j], &scratch)) {
+        const Money u = pair_utility(static_cast<int>(j), v);
+        if (u == Money(-kInf)) continue;
+        seeds[j].push_back({u, v});
+      }
+    });
   };
   auto seed_sweep = [&] {
     OBS_SCOPED_TIMER("auction.dispatch.seed_sweep_s");
-    if (dl != nullptr) {
-      // Warm-hinted orders first: under a cut, the budget goes to orders
-      // that had surviving candidates a round ago (identity order when
-      // cold, so uncut runs match the unbatched sweep bit for bit).
-      const std::vector<std::size_t> priority = WarmFirstPermutation(
-          orders.size(), in.warm_start,
-          [&](std::size_t i) { return orders[i].id; });
-      sweep = AnytimeBatchedSweep(
-          pool, orders.size(), dl,
-          [&](std::size_t k) {
-            const std::size_t j = priority[k];
-            eval_order(j);
-            seeded[j] = 1;
-          },
-          [&](std::size_t b, std::size_t e) {
-            if (!meter) return;
-            int64_t total = 0;
-            for (std::size_t k = b; k < e; ++k) {
-              total += seed_queries[priority[k]];
-            }
-            dl->ChargeQueries(total);
-          });
-    } else {
-      ParallelForOrSerial(pool, orders.size(), eval_order);
-    }
+    // Warm-hinted orders first: under a cut, the budget goes to orders that
+    // had surviving candidates a round ago.
+    sweep_truncated = RunAnytimeSweep(
+        pool, orders.size(), dl, in.warm_start,
+        [&](std::size_t i) { return orders[i].id; }, eval_order);
     for (std::size_t j = 0; j < orders.size(); ++j) {
-      if (!seeded[j]) continue;
       if (in.warm_start != nullptr && !seeds[j].empty()) {
         // Report this order's best candidates for next round's warm start,
         // strongest first (ties to the lower vehicle index).
@@ -258,7 +229,6 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
   int64_t stale_pops = 0;
   int64_t refresh_pairs = 0;
   std::vector<Money> refresh_utility;
-  std::vector<int64_t> refresh_queries;
   bool loop_truncated = false;
   while (!heap.empty()) {
     // Anytime cut point: a dispatch step is all-or-nothing (recheck, apply,
@@ -268,7 +238,7 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
     // seeds computed so far IS the finalization (mirroring Rank, whose
     // ranking phase runs to completion over the generated packs), so the
     // poll is skipped and the truncation is attributed to the sweep.
-    if (dl != nullptr && !sweep.truncated && dl->expired()) {
+    if (dl != nullptr && !sweep_truncated && dl->expired()) {
       loop_truncated = true;
       break;
     }
@@ -288,12 +258,10 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
 
     const Order& order = orders[static_cast<std::size_t>(top.order_idx)];
     Vehicle& vehicle = vehicles[static_cast<std::size_t>(top.veh_idx)];
-    const int64_t pop_before = meter ? DistanceOracle::ThreadQueryCount() : 0;
-    const InsertionResult ins =
-        BestInsertion(vehicle, order, in.now_s, *in.oracle);
-    if (meter) {
-      dl->ChargeQueries(DistanceOracle::ThreadQueryCount() - pop_before);
-    }
+    InsertionResult ins;
+    const int64_t pop_queries = CountQueries(
+        [&] { ins = BestInsertion(vehicle, order, in.now_s, *in.oracle); });
+    if (dl != nullptr) dl->ChargeQueries(pop_queries);
     ARIDE_ACHECK(ins.feasible);
     const Money cost = alpha_per_m * ins.delta_delivery_m;
     // The popped entry is fresh for this vehicle version, so it was computed
@@ -325,24 +293,16 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
     std::vector<int>& cands =
         veh_candidates[static_cast<std::size_t>(top.veh_idx)];
     refresh_utility.assign(cands.size(), Money(-kInf));
-    if (meter) refresh_queries.assign(cands.size(), 0);
     // The refresh runs unbudgeted (it is part of the committed dispatch
-    // step); its charges still land below, and the next loop iteration is
-    // the cut point.
+    // step); each worker still charges its queries, and the next loop
+    // iteration is the cut point.
     ParallelForOrSerial(pool, cands.size(), [&](std::size_t k) {
       const int other = cands[k];
       if (dispatched[static_cast<std::size_t>(other)]) return;
-      const int64_t before = meter ? DistanceOracle::ThreadQueryCount() : 0;
-      refresh_utility[k] = pair_utility(other, top.veh_idx);
-      if (meter) {
-        refresh_queries[k] = DistanceOracle::ThreadQueryCount() - before;
-      }
+      const int64_t queries = CountQueries(
+          [&] { refresh_utility[k] = pair_utility(other, top.veh_idx); });
+      if (dl != nullptr) dl->ChargeQueries(queries);
     });
-    if (meter) {
-      int64_t total = 0;
-      for (int64_t q : refresh_queries) total += q;
-      dl->ChargeQueries(total);
-    }
     std::vector<int> alive;
     alive.reserve(cands.size());
     for (std::size_t k = 0; k < cands.size(); ++k) {
@@ -369,15 +329,8 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
   OBS_COUNTER_ADD("auction.greedy.heap_pops", heap_pops);
   OBS_COUNTER_ADD("auction.greedy.stale_pops", stale_pops);
   OBS_COUNTER_ADD("auction.dispatch.refresh_pairs", refresh_pairs);
-  // Expiry truncates: the assignments emitted so far are finalized and the
-  // cut point is recorded. cut_slot counts seed slots when the sweep itself
-  // was cut, finalized assignments otherwise.
-  result.anytime.complete = !(sweep.truncated || loop_truncated);
-  if (!result.anytime.complete) {
-    result.anytime.cut_slot =
-        sweep.truncated ? static_cast<int>(sweep.processed)
-                        : static_cast<int>(result.assignments.size());
-  }
+  // Expiry truncates: the assignments emitted so far are finalized.
+  result.anytime.complete = !(sweep_truncated || loop_truncated);
 
   for (std::size_t i = 0; i < vehicles.size(); ++i) {
     if (veh_version[i] > 0) {

@@ -16,7 +16,6 @@
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "planner/insertion.h"
 #include "planner/pack_planner.h"
 #include "spatial/grid_index.h"
 
@@ -36,34 +35,29 @@ PackMemo::Eval EvaluatePack(const AuctionInstance& in, int32_t vehicle_idx,
   for (int32_t m : members) {
     order_ptrs.push_back(&(*in.orders)[static_cast<std::size_t>(m)]);
   }
-  // PlanPack runs entirely on this thread, so the ThreadQueryCount() delta
-  // is exactly its Distance() call count — deterministic for the key and
-  // memoized alongside the result (see PackMemo::Eval::queries).
-  const int64_t before = DistanceOracle::ThreadQueryCount();
-  const PackPlanResult plan =
-      PlanPack((*in.vehicles)[static_cast<std::size_t>(vehicle_idx)],
-               order_ptrs, in.now_s, *in.oracle);
-  eval = {plan.feasible, plan.delta_delivery_m,
-          DistanceOracle::ThreadQueryCount() - before};
+  // PlanPack runs entirely on this thread, so the query count is exactly
+  // its Distance() call count — deterministic for the key and memoized
+  // alongside the result (see PackMemo::Eval::queries).
+  PackPlanResult plan;
+  const int64_t queries = CountQueries([&] {
+    plan = PlanPack((*in.vehicles)[static_cast<std::size_t>(vehicle_idx)],
+                    order_ptrs, in.now_s, *in.oracle);
+  });
+  eval = {plan.feasible, plan.delta_delivery_m, queries};
   memo->Insert(vehicle_idx, members, eval);
   return eval;
 }
 
 // Resolves the nearest vehicle of every order: Euclidean k-NN pre-filter
-// refined by exact road distance (committed extra distance included), or —
-// with config.exact_nearest_vehicle — an exact reverse Dijkstra sweep per
-// order over the feasibility radius, falling back to k-NN when no vehicle
-// is within reach. The k-NN path runs per-order on `pool` (each order only
-// writes its own slot; the oracle is thread-safe); the exact path stays
-// serial because the reverse Dijkstra workspace is shared mutable state.
-// When `dl` expires the sweep cuts at a deterministic batch boundary, sets
-// *truncated, and leaves unreached orders unresolved (-1 — they simply
-// generate no packs downstream).
+// refined by exact road distance (committed extra distance included), per
+// order on `pool` (each order only writes its own slot; the oracle is
+// thread-safe). When `dl` expires the sweep cuts at a deterministic batch
+// boundary, sets *truncated, and leaves unreached orders unresolved (-1 —
+// they simply generate no packs downstream).
 std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
                                      ThreadPool* pool, Deadline* dl,
                                      bool* truncated) {
   *truncated = false;
-  const bool meter = dl != nullptr && dl->charges_queries();
   const std::vector<Order>& orders = *in.orders;
   const std::vector<Vehicle>& vehicles = *in.vehicles;
   std::vector<int32_t> nearest(orders.size(), -1);
@@ -71,15 +65,11 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
 
   std::vector<GridIndex::Item> items;
   items.reserve(vehicles.size());
-  std::vector<std::vector<int32_t>> vehicles_at_node(
-      static_cast<std::size_t>(in.oracle->network().num_nodes()));
   for (std::size_t i = 0; i < vehicles.size(); ++i) {
     // Vehicles with no spare seat can never host a pack.
     if (vehicles[i].CommittedRiders() >= vehicles[i].capacity) continue;
     items.push_back({static_cast<int32_t>(i),
                      in.oracle->network().position(vehicles[i].next_node)});
-    vehicles_at_node[static_cast<std::size_t>(vehicles[i].next_node)]
-        .push_back(static_cast<int32_t>(i));
   }
   if (items.empty()) return nearest;
   const GridIndex index(std::move(items), in.config.vehicle_grid_cell_m);
@@ -100,71 +90,11 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
       }
     }
   };
-
-  if (!in.config.exact_nearest_vehicle) {
-    if (dl == nullptr) {
-      ParallelForOrSerial(pool, orders.size(), resolve_knn);
-      return nearest;
-    }
-    std::vector<int64_t> slot_queries(meter ? orders.size() : 0, 0);
-    const AnytimeSweep sweep = AnytimeBatchedSweep(
-        pool, orders.size(), dl,
-        [&](std::size_t j) {
-          const int64_t before =
-              meter ? DistanceOracle::ThreadQueryCount() : 0;
-          resolve_knn(j);
-          if (meter) {
-            slot_queries[j] = DistanceOracle::ThreadQueryCount() - before;
-          }
-        },
-        [&](std::size_t b, std::size_t e) {
-          if (!meter) return;
-          int64_t total = 0;
-          for (std::size_t k = b; k < e; ++k) total += slot_queries[k];
-          dl->ChargeQueries(total);
-        });
-    *truncated = sweep.truncated;
-    return nearest;
-  }
-
-  DijkstraSearch reverse_search(&in.oracle->network());
-  for (std::size_t j = 0; j < orders.size(); ++j) {
-    if (dl != nullptr && (j & 7) == 0 && dl->expired()) {
-      // Per-order charges make every completed slot a finalized result;
-      // the cut leaves the tail unresolved.
-      *truncated = true;
-      return nearest;
-    }
-    const int64_t order_before =
-        meter ? DistanceOracle::ThreadQueryCount() : 0;
-    // One reverse sweep prices every vehicle node within the order's
-    // feasibility radius exactly.
-    Meters best_dist{kInf};
-    const Meters radius = MaxPickupRadiusM(orders[j], in.oracle->speed_mps());
-    const std::vector<double>& to_origin =
-        reverse_search.ReverseDistancesWithin(
-            orders[j].origin,
-            radius.value());  // NOLINT-ARIDE(unsafe-unit-cast): geometry API
-    for (NodeId node = 0;
-         node < static_cast<NodeId>(vehicles_at_node.size()); ++node) {
-      if (to_origin[static_cast<std::size_t>(node)] == kInfDistance) {
-        continue;
-      }
-      for (int32_t v : vehicles_at_node[static_cast<std::size_t>(node)]) {
-        const Meters d =
-            vehicles[static_cast<std::size_t>(v)].extra_distance_m +
-            Meters(to_origin[static_cast<std::size_t>(node)]);
-        if (d < best_dist) {
-          best_dist = d;
-          nearest[j] = v;
-        }
-      }
-    }
-    if (nearest[j] < 0) resolve_knn(j);  // fall back to k-NN
-    if (meter) {
-      dl->ChargeQueries(DistanceOracle::ThreadQueryCount() - order_before);
-    }
-  }
+  // No warm start: this pass keeps the identity slot order, so a cut leaves
+  // the same tail of orders unresolved whatever the last round hinted.
+  *truncated = RunAnytimeSweep(
+      pool, orders.size(), dl, /*warm=*/nullptr, /*order_of=*/nullptr,
+      [&](std::size_t j) { return CountQueries([&] { resolve_knn(j); }); });
   return nearest;
 }
 
@@ -246,15 +176,14 @@ std::vector<std::vector<int32_t>> ClusterOrders(const AuctionInstance& in,
 // index, writing only into artifacts' slots for j — safe to run concurrently
 // for distinct orders. The memo is shared across all orders and groups
 // (sharded, thread-safe); caching is value-deterministic because PlanPack is
-// a pure function of the key for a fixed instance. *queries_out (may be
-// nullptr) receives the memoized oracle-query count of every logical pack
-// evaluation this order made — by summing Eval::queries rather than a live
-// counter delta, the total is independent of which thread happened to
-// compute (or duplicate-compute) each memo entry.
-void GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
-                           const GridIndex& origin_index, int max_pack,
-                           PackMemo* memo, RankArtifacts* artifacts,
-                           int64_t* queries_out) {
+// a pure function of the key for a fixed instance. Returns the memoized
+// oracle-query count of every logical pack evaluation this order made — by
+// summing Eval::queries rather than a live counter delta, the total is
+// independent of which thread happened to compute (or duplicate-compute)
+// each memo entry.
+int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
+                              const GridIndex& origin_index, int max_pack,
+                              PackMemo* memo, RankArtifacts* artifacts) {
   const std::vector<Order>& orders = *in.orders;
   const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
   std::vector<PackCandidate>& cands =
@@ -283,6 +212,7 @@ void GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
     }
   }
 
+  int64_t queries = 0;
   for (std::vector<int32_t>& members : member_sets) {
     // Candidate vehicles: the members' nearest vehicles (deduplicated).
     std::vector<int32_t> veh_candidates;
@@ -303,7 +233,7 @@ void GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
     best_for_set.utility = Money(-kInf);
     for (int32_t v : veh_candidates) {
       const PackMemo::Eval eval = EvaluatePack(in, v, members, memo);
-      if (queries_out != nullptr) *queries_out += eval.queries;
+      queries += eval.queries;
       if (!eval.feasible) continue;
       const Money utility = bid_sum - alpha_per_m * eval.delta_delivery_m;
       if (utility > best_for_set.utility) {
@@ -327,18 +257,19 @@ void GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
     }
   }
   artifacts->best[static_cast<std::size_t>(j)] = best_idx;
+  return queries;
 }
 
 // Generates candidate packs for every order: the per-group origin indexes
 // are built serially (cheap), then the (order, index) tasks are flattened
 // across groups and fanned out per-order on `pool`. Under a deadline the
 // tasks run warm-hinted-first in deterministic batches and cut at a batch
-// boundary (*sweep_out records it) — unprocessed orders keep best = -1 and
-// are invisible to Phase II.
-void GeneratePacks(const AuctionInstance& in,
+// boundary (the return value reports it) — unprocessed orders keep best = -1
+// and are invisible to Phase II.
+bool GeneratePacks(const AuctionInstance& in,
                    const std::vector<std::vector<int32_t>>& groups,
                    ThreadPool* pool, Deadline* dl, PackMemo* memo,
-                   RankArtifacts* artifacts, AnytimeSweep* sweep_out) {
+                   RankArtifacts* artifacts) {
   const std::vector<Order>& orders = *in.orders;
 
   // Maximum pack size: the largest vehicle capacity (c̄, default 3).
@@ -368,38 +299,18 @@ void GeneratePacks(const AuctionInstance& in,
     for (int32_t j : group) tasks.push_back({j, indexes.back().get()});
   }
 
-  if (dl == nullptr) {
-    ParallelForOrSerial(pool, tasks.size(), [&](std::size_t t) {
-      GeneratePacksForOrder(in, tasks[t].order, *tasks[t].index, max_pack,
-                            memo, artifacts, nullptr);
-    });
-    return;
-  }
-  const bool meter = dl->charges_queries();
-  std::vector<int64_t> slot_queries(meter ? tasks.size() : 0, 0);
   // Warm-hinted orders first: under a cut the budget goes to pack searches
-  // that had surviving candidates a round ago. The permutation is
-  // deterministic and a no-op for results when nothing is cut (each task
-  // writes only its own order's artifact slots).
-  const std::vector<std::size_t> priority = WarmFirstPermutation(
-      tasks.size(), in.warm_start, [&](std::size_t t) {
+  // that had surviving candidates a round ago. The order is deterministic
+  // and a no-op for results when nothing is cut (each task writes only its
+  // own order's artifact slots).
+  return RunAnytimeSweep(
+      pool, tasks.size(), dl, in.warm_start,
+      [&](std::size_t t) {
         return orders[static_cast<std::size_t>(tasks[t].order)].id;
-      });
-  *sweep_out = AnytimeBatchedSweep(
-      pool, tasks.size(), dl,
-      [&](std::size_t k) {
-        const std::size_t t = priority[k];
-        GeneratePacksForOrder(in, tasks[t].order, *tasks[t].index, max_pack,
-                              memo, artifacts,
-                              meter ? &slot_queries[t] : nullptr);
       },
-      [&](std::size_t b, std::size_t e) {
-        if (!meter) return;
-        int64_t total = 0;
-        for (std::size_t k = b; k < e; ++k) {
-          total += slot_queries[priority[k]];
-        }
-        dl->ChargeQueries(total);
+      [&](std::size_t t) {
+        return GeneratePacksForOrder(in, tasks[t].order, *tasks[t].index,
+                                     max_pack, memo, artifacts);
       });
 }
 
@@ -436,7 +347,7 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
 
   // Phase I: pack generation, clustered when the round is large (§V-E).
   PackMemo memo;
-  AnytimeSweep pack_sweep;
+  bool packs_truncated = false;
   {
     OBS_TRACE_SPAN("auction.rank.packgen");
     std::vector<std::vector<int32_t>> groups;
@@ -452,7 +363,7 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
       }
       groups.push_back(std::move(everyone));
     }
-    GeneratePacks(in, groups, pool, dl, &memo, &art, &pack_sweep);
+    packs_truncated = GeneratePacks(in, groups, pool, dl, &memo, &art);
   }
   int64_t packs_generated = 0;
   for (const std::vector<PackCandidate>& cands : art.candidates) {
@@ -509,16 +420,13 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
     for (int32_t mbr : rp.pack->members) {
       order_ptrs.push_back(&orders[static_cast<std::size_t>(mbr)]);
     }
-    const int64_t plan_before =
-        (dl != nullptr && dl->charges_queries())
-            ? DistanceOracle::ThreadQueryCount()
-            : 0;
-    const PackPlanResult plan = PlanPack(
-        (*in.vehicles)[static_cast<std::size_t>(rp.pack->vehicle)],
-        order_ptrs, in.now_s, *in.oracle);
-    if (dl != nullptr && dl->charges_queries()) {
-      dl->ChargeQueries(DistanceOracle::ThreadQueryCount() - plan_before);
-    }
+    PackPlanResult plan;
+    const int64_t plan_queries = CountQueries([&] {
+      plan = PlanPack(
+          (*in.vehicles)[static_cast<std::size_t>(rp.pack->vehicle)],
+          order_ptrs, in.now_s, *in.oracle);
+    });
+    if (dl != nullptr) dl->ChargeQueries(plan_queries);
     ARIDE_ACHECK(plan.feasible);
     // Pack planning is deterministic: the dispatched recomputation must
     // reproduce the ΔD the pack was ranked with, and the winning pack
@@ -549,13 +457,8 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
   }
 
   // Expiry truncated the search, not the result: winners above are
-  // finalized. cut_slot counts completed pack-generation slots (0 when the
-  // cut landed in nearest-vehicle resolution).
-  result.anytime.complete = !(nearest_truncated || pack_sweep.truncated);
-  if (!result.anytime.complete) {
-    result.anytime.cut_slot =
-        nearest_truncated ? 0 : static_cast<int>(pack_sweep.processed);
-  }
+  // finalized.
+  result.anytime.complete = !(nearest_truncated || packs_truncated);
   if (in.warm_start != nullptr) {
     // Surviving candidates for next round's warm start: each order's best
     // pack vehicle first, then its remaining candidate packs' vehicles in

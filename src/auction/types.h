@@ -31,8 +31,8 @@ struct AuctionConfig {
   double beta_d_per_km = 3.0;
 
   // Dispatch-fee ratio CR (paper §V-C): the platform withholds CR·bid_j of
-  // every dispatched requester; algorithms see deducted bids. Applied by the
-  // ChargedMechanism wrapper, not by the dispatch algorithms themselves.
+  // every dispatched requester; algorithms see deducted bids. Applied by
+  // RunMechanism, not by the dispatch algorithms themselves.
   double charge_ratio = 0.0;
 
   // Minimum pair/pack utility to dispatch (Algorithm 1 line 9 breaks when
@@ -46,10 +46,6 @@ struct AuctionConfig {
   // Euclidean pre-filter size when resolving each requester's nearest
   // vehicle by road distance.
   int nearest_vehicle_candidates = 8;
-  // Resolve nearest vehicles with one exact reverse Dijkstra sweep per
-  // order (within the order's feasibility radius) instead of the Euclidean
-  // k-NN pre-filter. Exact but slower; the k-NN heuristic is the default.
-  bool exact_nearest_vehicle = false;
   // When the number of requesters reaches this threshold, pack generation
   // clusters orders into groups of ~cluster_target_size and searches packs
   // within groups (paper §V-E optimization). 0 disables clustering.
@@ -68,10 +64,6 @@ struct AuctionConfig {
   double vehicle_grid_cell_m = 1000;  // NOLINT-ARIDE(raw-unit-double)
   // Cell size of Rank's per-group co-requester origin index (meters).
   double pack_origin_cell_m = 800;  // NOLINT-ARIDE(raw-unit-double)
-
-  // Threads for parallel pricing (paper §V-C prices requesters in
-  // parallel). 0 = hardware concurrency.
-  int pricing_threads = 0;
 };
 
 /// One dispatch round's input. Orders carry the (possibly deducted) bids the
@@ -107,10 +99,6 @@ struct AnytimeOutcome {
   // False when the deadline expired and the search was cut; the result then
   // covers only the slots finalized before the cut.
   bool complete = true;
-  // Dispatcher-specific count of finalized search slots at the cut (-1 when
-  // complete). Deterministic: a pure function of synthetic charges, never of
-  // wall clock or thread count.
-  int cut_slot = -1;
 };
 
 /// One dispatched requester.

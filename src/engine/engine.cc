@@ -126,6 +126,11 @@ void Engine::SubmitOrder(const Order& order) {
   ARIDE_ACHECK(order.id >= 0 &&
                static_cast<std::size_t>(order.id) < orders_->size())
       << "order id " << order.id << " outside the catalog";
+  // ShardOfNode indexes the network's node positions unchecked.
+  const NodeId num_nodes = oracle_->network().num_nodes();
+  ARIDE_ACHECK(order.origin >= 0 && order.origin < num_nodes &&
+               order.destination >= 0 && order.destination < num_nodes)
+      << "order " << order.id << " has a node outside the network";
   const int s = partition_.ShardOfNode(order.origin);
   shards_[static_cast<std::size_t>(s)]->queue.Push(order);
   orders_submitted_.fetch_add(1, std::memory_order_relaxed);

@@ -151,7 +151,9 @@ class Engine {
   int round_index() const { return round_index_; }
 
   /// Routes the order to its pickup-location shard's ingestion queue.
-  /// Thread-safe; may be called concurrently with StepRound().
+  /// Aborts when the order's id is outside the catalog or its origin or
+  /// destination is outside the network. Thread-safe; may be called
+  /// concurrently with StepRound().
   void SubmitOrder(const Order& order);
 
   /// Runs one lockstep dispatch round at the current virtual time: drain

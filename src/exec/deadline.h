@@ -64,7 +64,8 @@ class Deadline {
     if (cost_ns > 0) charged_ns_.fetch_add(cost_ns, std::memory_order_relaxed);
   }
 
-  /// Books `queries` shortest-path queries at the configured penalty.
+  /// Books `queries` shortest-path queries at the configured penalty (a
+  /// no-op when the penalty is 0).
   void ChargeQueries(int64_t queries) { Charge(queries * query_penalty_ns_); }
 
   /// True once the budget is exhausted. Monotone: once expired, a deadline
@@ -80,11 +81,6 @@ class Deadline {
   }
 
   int64_t charged_ns() const { return charged(); }
-  int64_t query_penalty_ns() const { return query_penalty_ns_; }
-
-  /// True when ChargeQueries() would book a nonzero cost — callers may skip
-  /// query counting entirely otherwise.
-  bool charges_queries() const { return query_penalty_ns_ > 0; }
 
  private:
   enum class Mode { kWall, kSynthetic };

@@ -55,58 +55,6 @@ double DijkstraSearch::ShortestDistance(NodeId source, NodeId target) {
   return kInfDistance;
 }
 
-const std::vector<double>& DijkstraSearch::DistancesWithin(NodeId source,
-                                                           double radius_m) {
-  ARIDE_DCHECK(source >= 0 && source < network_->num_nodes());
-  BeginQuery();
-  result_.assign(static_cast<std::size_t>(network_->num_nodes()),
-                 kInfDistance);
-  Dist(source) = 0;
-  queue_.push({0, source});
-  while (!queue_.empty()) {
-    const auto [d, u] = queue_.top();
-    queue_.pop();
-    if (d > Dist(u)) continue;
-    if (d > radius_m) break;  // queue is monotone; everything further is out
-    result_[u] = d;
-    for (const Arc& a : network_->OutArcs(u)) {
-      const double nd = d + a.length_m;
-      if (nd < Dist(a.head)) {
-        Dist(a.head) = nd;
-        queue_.push({nd, a.head});
-      }
-    }
-  }
-  return result_;
-}
-
-const std::vector<double>& DijkstraSearch::ReverseDistancesWithin(
-    NodeId target, double radius_m) {
-  ARIDE_DCHECK(target >= 0 && target < network_->num_nodes());
-  BeginQuery();
-  result_.assign(static_cast<std::size_t>(network_->num_nodes()),
-                 kInfDistance);
-  Dist(target) = 0;
-  queue_.push({0, target});
-  while (!queue_.empty()) {
-    const auto [d, u] = queue_.top();
-    queue_.pop();
-    if (d > Dist(u)) continue;
-    if (d > radius_m) break;
-    result_[u] = d;
-    // Relax incoming arcs: InArcs(u)'s head is the *source* of an arc into
-    // u, so d(head -> target) <= length + d(u -> target).
-    for (const Arc& a : network_->InArcs(u)) {
-      const double nd = d + a.length_m;
-      if (nd < Dist(a.head)) {
-        Dist(a.head) = nd;
-        queue_.push({nd, a.head});
-      }
-    }
-  }
-  return result_;
-}
-
 std::vector<NodeId> DijkstraSearch::ShortestPath(NodeId source,
                                                  NodeId target) {
   const double d = ShortestDistance(source, target);
@@ -120,78 +68,6 @@ std::vector<NodeId> DijkstraSearch::ShortestPath(NodeId source,
   std::reverse(path.begin(), path.end());
   ARIDE_ACHECK(path.front() == source);
   return path;
-}
-
-BidirectionalDijkstra::BidirectionalDijkstra(const RoadNetwork* network)
-    : network_(network) {
-  ARIDE_ACHECK(network != nullptr);
-  ARIDE_ACHECK(network->built());
-  const auto n = static_cast<std::size_t>(network->num_nodes());
-  dist_fwd_.assign(n, kInfDistance);
-  dist_bwd_.assign(n, kInfDistance);
-  gen_fwd_.assign(n, 0);
-  gen_bwd_.assign(n, 0);
-}
-
-double BidirectionalDijkstra::ShortestDistance(NodeId source, NodeId target) {
-  ARIDE_DCHECK(source >= 0 && source < network_->num_nodes());
-  ARIDE_DCHECK(target >= 0 && target < network_->num_nodes());
-  if (source == target) return 0;
-  ++generation_;
-  ARIDE_ACHECK(generation_ != 0);
-
-  auto dist = [this](std::vector<double>& d, std::vector<uint32_t>& g,
-                     NodeId n) -> double& {
-    if (g[n] != generation_) {
-      g[n] = generation_;
-      d[n] = kInfDistance;
-    }
-    return d[n];
-  };
-
-  MinQueue fwd, bwd;
-  dist(dist_fwd_, gen_fwd_, source) = 0;
-  dist(dist_bwd_, gen_bwd_, target) = 0;
-  fwd.push({0, source});
-  bwd.push({0, target});
-  double best = kInfDistance;
-
-  while (!fwd.empty() || !bwd.empty()) {
-    const double f_top = fwd.empty() ? kInfDistance : fwd.top().dist;
-    const double b_top = bwd.empty() ? kInfDistance : bwd.top().dist;
-    if (f_top + b_top >= best) break;  // standard termination criterion
-
-    if (f_top <= b_top) {
-      const auto [d, u] = fwd.top();
-      fwd.pop();
-      if (d > dist(dist_fwd_, gen_fwd_, u)) continue;
-      if (gen_bwd_[u] == generation_ && dist_bwd_[u] != kInfDistance) {
-        best = std::min(best, d + dist_bwd_[u]);
-      }
-      for (const Arc& a : network_->OutArcs(u)) {
-        const double nd = d + a.length_m;
-        if (nd < dist(dist_fwd_, gen_fwd_, a.head)) {
-          dist(dist_fwd_, gen_fwd_, a.head) = nd;
-          fwd.push({nd, a.head});
-        }
-      }
-    } else {
-      const auto [d, u] = bwd.top();
-      bwd.pop();
-      if (d > dist(dist_bwd_, gen_bwd_, u)) continue;
-      if (gen_fwd_[u] == generation_ && dist_fwd_[u] != kInfDistance) {
-        best = std::min(best, d + dist_fwd_[u]);
-      }
-      for (const Arc& a : network_->InArcs(u)) {
-        const double nd = d + a.length_m;
-        if (nd < dist(dist_bwd_, gen_bwd_, a.head)) {
-          dist(dist_bwd_, gen_bwd_, a.head) = nd;
-          bwd.push({nd, a.head});
-        }
-      }
-    }
-  }
-  return best;
 }
 
 }  // namespace auctionride

@@ -2,8 +2,8 @@
 //
 // DijkstraSearch keeps reusable buffers with generation-stamped labels, so a
 // single instance can run many queries without re-allocating. It is the
-// reference oracle against which the contraction-hierarchy implementation is
-// tested, and it powers one-to-many queries.
+// reference oracle against which the contraction-hierarchy and A*
+// implementations are tested.
 
 #ifndef AUCTIONRIDE_ROADNET_DIJKSTRA_H_
 #define AUCTIONRIDE_ROADNET_DIJKSTRA_H_
@@ -27,18 +27,6 @@ class DijkstraSearch {
   /// unreachable. Stops as soon as `target` is settled.
   double ShortestDistance(NodeId source, NodeId target);
 
-  /// Shortest distances from `source` to every node within `radius_m`
-  /// (inclusive). Unreached nodes get kInfDistance. The result references an
-  /// internal buffer invalidated by the next call.
-  const std::vector<double>& DistancesWithin(NodeId source, double radius_m);
-
-  /// Shortest distances *to* `target` (i.e. d(x, target)) from every node x
-  /// within `radius_m`, computed over the reverse graph. Same buffer
-  /// semantics as DistancesWithin. Used for exact nearest-vehicle queries:
-  /// one reverse sweep from an order origin prices every candidate vehicle.
-  const std::vector<double>& ReverseDistancesWithin(NodeId target,
-                                                    double radius_m);
-
   /// Shortest path from source to target as a node sequence (inclusive of
   /// both ends). Empty when unreachable.
   std::vector<NodeId> ShortestPath(NodeId source, NodeId target);
@@ -53,41 +41,15 @@ class DijkstraSearch {
   // Resets labels lazily via generation counters.
   void BeginQuery();
   double& Dist(NodeId n);
-  bool HasLabel(NodeId n) const { return generation_of_[n] == generation_; }
 
   const RoadNetwork* network_;
   std::vector<double> dist_;
   std::vector<NodeId> parent_;
   std::vector<uint32_t> generation_of_;
   uint32_t generation_ = 0;
-  std::vector<double> result_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue_;
-};
-
-/// Bidirectional Dijkstra point-to-point query; typically explores about half
-/// the nodes of the unidirectional search on road networks.
-class BidirectionalDijkstra {
- public:
-  explicit BidirectionalDijkstra(const RoadNetwork* network);
-
-  /// Shortest distance in meters; kInfDistance if unreachable.
-  double ShortestDistance(NodeId source, NodeId target);
-
- private:
-  struct QueueEntry {
-    double dist;
-    NodeId node;
-    bool operator>(const QueueEntry& o) const { return dist > o.dist; }
-  };
-  using MinQueue = std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                                       std::greater<QueueEntry>>;
-
-  const RoadNetwork* network_;
-  std::vector<double> dist_fwd_, dist_bwd_;
-  std::vector<uint32_t> gen_fwd_, gen_bwd_;
-  uint32_t generation_ = 0;
 };
 
 }  // namespace auctionride

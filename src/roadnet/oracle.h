@@ -114,11 +114,11 @@ class DistanceOracle {
   static constexpr std::size_t kFrontCacheSlots = 2048;
 
   /// Monotone count of Distance() calls made by the *calling thread* across
-  /// all oracles (trivial and cached queries included). Dispatchers meter
+  /// all oracles (trivial and cached queries included). Dispatchers charge
   /// synthetic latency-fault budgets from deltas of this counter: because
-  /// each worker measures only its own queries into a per-slot delta, the
-  /// charged totals are bit-identical at any thread count (see
-  /// docs/ROBUSTNESS.md).
+  /// each worker measures only its own queries into a per-slot delta and
+  /// the deadline is polled only between batches, the charged totals are
+  /// bit-identical at any thread count (see docs/ROBUSTNESS.md).
   static int64_t ThreadQueryCount();
 
  private:

@@ -3,16 +3,22 @@
 // points (bit-identical at any thread count), the quality curve must cut
 // rounds under a tight budget and none without one, and the verifier/
 // conservation contracts must hold on truncated rounds. Plus WarmStartCache
-// unit behavior.
+// and RunAnytimeSweep unit behavior.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "auction/anytime.h"
 #include "auction/warm_start.h"
+#include "exec/deadline.h"
+#include "exec/thread_pool.h"
 #include "roadnet/builder.h"
 #include "roadnet/nearest_node.h"
 #include "sim/simulator.h"
@@ -150,6 +156,75 @@ TEST_F(AnytimeDispatchTest, TruncationIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// RunAnytimeSweep contract: without a deadline every slot runs exactly
+// once; with one, the cut lands on a batch boundary, warm-hinted slots run
+// first, and the charged total does not depend on the thread count.
+TEST(RunAnytimeSweepTest, NullDeadlineRunsEverySlotOnce) {
+  constexpr std::size_t kSlots = 37;
+  ThreadPool pool(8);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::atomic<int>> runs(kSlots);
+    const bool truncated = RunAnytimeSweep(
+        p, kSlots, /*deadline=*/nullptr, /*warm=*/nullptr,
+        /*order_of=*/nullptr, [&](std::size_t i) -> int64_t {
+          runs[i].fetch_add(1);
+          return 1;
+        });
+    EXPECT_FALSE(truncated);
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "slot " << i;
+    }
+  }
+}
+
+TEST(RunAnytimeSweepTest, CutsOnBatchBoundaryWarmSlotsFirst) {
+  constexpr std::size_t kSlots = 40;
+  // One 1 ms query per slot against a 20 ms budget: 16 ms after two
+  // batches, 24 ms after three, so the poll before the fourth batch cuts.
+  Deadline dl = Deadline::Synthetic(/*budget_s=*/0.02,
+                                    /*query_penalty_s=*/1e-3);
+  WarmStartCache warm;
+  for (const OrderId hinted : {5, 17, 30, 39}) warm.Note(hinted, 1);
+  std::vector<std::size_t> ran;
+  const bool truncated = RunAnytimeSweep(
+      /*pool=*/nullptr, kSlots, &dl, &warm,
+      [](std::size_t i) { return static_cast<OrderId>(i); },
+      [&](std::size_t i) -> int64_t {
+        ran.push_back(i);
+        return 1;
+      });
+  EXPECT_TRUE(truncated);
+  ASSERT_EQ(ran.size(), 3 * kAnytimeBatchSize);
+  EXPECT_EQ(dl.charged_ns(), 24'000'000);
+  std::vector<std::size_t> expected = {5, 17, 30, 39};
+  for (std::size_t i = 0; expected.size() < ran.size(); ++i) {
+    if (i != 5 && i != 17) expected.push_back(i);
+  }
+  EXPECT_EQ(ran, expected);
+}
+
+TEST(RunAnytimeSweepTest, ChargedTotalIsThreadCountIndependent) {
+  constexpr std::size_t kSlots = 200;
+  auto run = [&](ThreadPool* pool) {
+    Deadline dl = Deadline::Synthetic(/*budget_s=*/0.05,
+                                      /*query_penalty_s=*/1e-4);
+    std::vector<char> ran(kSlots, 0);
+    const bool truncated = RunAnytimeSweep(
+        pool, kSlots, &dl, /*warm=*/nullptr, /*order_of=*/nullptr,
+        [&](std::size_t i) -> int64_t {
+          ran[i] = 1;
+          return static_cast<int64_t>((i * 7) % 5 + 1);
+        });
+    EXPECT_TRUE(truncated);
+    return std::make_pair(dl.charged_ns(), ran);
+  };
+  ThreadPool pool(8);
+  const auto serial = run(nullptr);
+  const auto threaded = run(&pool);
+  EXPECT_EQ(serial.first, threaded.first);
+  EXPECT_EQ(serial.second, threaded.second);
+}
+
 TEST_F(AnytimeDispatchTest, QualityCurveOverBudget) {
   // The storm's round budget scaled from a quarter to unlimited. Every
   // finite budget cuts rounds and keeps serving; without a budget nothing
@@ -175,12 +250,12 @@ TEST_F(AnytimeDispatchTest, QualityCurveOverBudget) {
               r.dispatched_by_tier[0] + r.dispatched_by_tier[1];
         }
       }
-      const std::string budget =
-          scale > 0 ? "x" + std::to_string(scale).substr(0, 4) : "unlimited";
+      char budget[16] = "unlimited";
+      if (scale > 0) std::snprintf(budget, sizeof budget, "x%.2f", scale);
       std::printf("%s budget=%s dispatched=%d U_auc=%.4f truncated=%d "
                   "partial_winners=%d\n",
                   std::string(MechanismName(mechanism)).c_str(),
-                  budget.c_str(), result.orders_dispatched,
+                  budget, result.orders_dispatched,
                   result.total_utility.value(), result.truncated_rounds,
                   partial_winners);
       EXPECT_GT(result.orders_dispatched, 0);

@@ -89,6 +89,28 @@ TEST(EngineTest, RoundClockAdvancesByRoundDuration) {
   EXPECT_EQ(engine.stats().rounds, 2u);
 }
 
+TEST(EngineDeathTest, SubmitOrderRejectsNodesOutsideTheNetwork) {
+  RoadNetwork net = testutil::LatticeNetwork(4, 4, 500);
+  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  std::vector<Order> orders = {testutil::MakeOrder(0, 0, 5, 20.0, oracle)};
+  std::vector<VehicleSpawn> vehicles;
+  // Pool-free, so the death test forks a single-threaded process.
+  EngineOptions options;
+  options.dispatch_threads = -1;
+  options.run_pricing = false;
+  Engine engine(&oracle, &orders, vehicles, options);
+
+  Order bad_origin = orders[0];
+  bad_origin.origin = net.num_nodes();
+  EXPECT_DEATH(engine.SubmitOrder(bad_origin), "outside the network");
+  Order bad_destination = orders[0];
+  bad_destination.destination = -1;
+  EXPECT_DEATH(engine.SubmitOrder(bad_destination), "outside the network");
+  engine.SubmitOrder(orders[0]);  // in range: accepted
+  engine.StepRound();
+  EXPECT_EQ(engine.Finish().orders_total, 1);
+}
+
 TEST(EngineTest, RebalancerMigratesIdleVehiclesTowardDemand) {
   // Vehicles all spawn in the left half, every order originates in the
   // right half: the rebalancer must move idle supply across the boundary.

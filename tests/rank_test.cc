@@ -223,65 +223,6 @@ TEST_P(RankPropertyTest, RandomInstancesAreConsistent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RankPropertyTest,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
 
-// Exact nearest-vehicle resolution (reverse Dijkstra sweep) must agree with
-// brute force, and never be worse than the k-NN heuristic.
-TEST(RankExactNearestTest, MatchesBruteForceNearest) {
-  Rng rng(41);
-  GridNetworkOptions options;
-  options.columns = 12;
-  options.rows = 12;
-  options.spacing_m = 500;
-  options.seed = 15;
-  RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
-  std::vector<Order> orders;
-  std::vector<Vehicle> vehicles;
-  for (int j = 0; j < 20; ++j) {
-    NodeId s = 0;
-    NodeId e = 0;
-    while (s == e) {
-      s = static_cast<NodeId>(
-          rng.UniformInt(static_cast<uint64_t>(grid.num_nodes())));
-      e = static_cast<NodeId>(
-          rng.UniformInt(static_cast<uint64_t>(grid.num_nodes())));
-    }
-    orders.push_back(MakeOrder(j, s, e, rng.Uniform(10, 40), oracle, 2.2));
-  }
-  for (int i = 0; i < 10; ++i) {
-    vehicles.push_back(MakeVehicle(
-        i, static_cast<NodeId>(
-               rng.UniformInt(static_cast<uint64_t>(grid.num_nodes())))));
-  }
-  AuctionInstance in;
-  in.orders = &orders;
-  in.vehicles = &vehicles;
-  in.oracle = &oracle;
-  in.config.exact_nearest_vehicle = true;
-  const RankRunResult exact = RankDispatch(in);
-
-  for (std::size_t j = 0; j < orders.size(); ++j) {
-    // Brute-force nearest by road distance.
-    double best = 1e18;
-    int32_t best_v = -1;
-    for (std::size_t i = 0; i < vehicles.size(); ++i) {
-      const double d =
-          oracle.Distance(vehicles[i].next_node, orders[j].origin);
-      if (d < best) {
-        best = d;
-        best_v = static_cast<int32_t>(i);
-      }
-    }
-    if (exact.artifacts.nearest_vehicle[j] >= 0 && best_v >= 0) {
-      const double got = oracle.Distance(
-          vehicles[static_cast<std::size_t>(
-                       exact.artifacts.nearest_vehicle[j])]
-              .next_node,
-          orders[j].origin);
-      EXPECT_NEAR(got, best, 1e-6) << "order " << j;
-    }
-  }
-}
-
 // The §V-E clustering optimization must produce a valid dispatch with
 // near-par utility: clustering only restricts pack partners to same-group
 // requesters.

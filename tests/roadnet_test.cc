@@ -94,63 +94,6 @@ TEST(DijkstraTest, UnreachableReturnsInfinity) {
   EXPECT_TRUE(search.ShortestPath(0, 1).empty());
 }
 
-TEST(DijkstraTest, DistancesWithinRadius) {
-  RoadNetwork net = testutil::LineNetwork(10, 100);
-  DijkstraSearch search(&net);
-  const std::vector<double>& dist = search.DistancesWithin(0, 350);
-  EXPECT_DOUBLE_EQ(dist[0], 0);
-  EXPECT_DOUBLE_EQ(dist[3], 300);
-  EXPECT_EQ(dist[7], kInfDistance);
-}
-
-TEST(DijkstraTest, ReverseDistancesWithinMatchesForwardQueries) {
-  // Build a genuinely directed graph: ring + chords.
-  RoadNetwork net;
-  for (int i = 0; i < 10; ++i) net.AddNode({i * 100.0, 0});
-  for (int i = 0; i < 10; ++i) net.AddEdge(i, (i + 1) % 10, 100);
-  net.AddEdge(3, 0, 50);
-  net.AddEdge(7, 2, 80);
-  net.Build();
-  DijkstraSearch search(&net);
-  DijkstraSearch reference(&net);
-  const std::vector<double> to_target =
-      search.ReverseDistancesWithin(2, 1e9);
-  for (NodeId x = 0; x < net.num_nodes(); ++x) {
-    EXPECT_NEAR(to_target[static_cast<std::size_t>(x)],
-                reference.ShortestDistance(x, 2), 1e-9)
-        << "x=" << x;
-  }
-}
-
-TEST(DijkstraTest, ReverseDistancesRespectRadius) {
-  RoadNetwork net = testutil::LineNetwork(10, 100);
-  DijkstraSearch search(&net);
-  const std::vector<double>& dist = search.ReverseDistancesWithin(5, 250);
-  EXPECT_DOUBLE_EQ(dist[5], 0);
-  EXPECT_DOUBLE_EQ(dist[3], 200);
-  EXPECT_EQ(dist[0], kInfDistance);  // 500 m > radius
-}
-
-TEST(BidirectionalDijkstraTest, MatchesUnidirectional) {
-  GridNetworkOptions options;
-  options.columns = 12;
-  options.rows = 12;
-  options.spacing_m = 200;
-  options.seed = 3;
-  RoadNetwork net = BuildGridNetwork(options);
-  DijkstraSearch reference(&net);
-  BidirectionalDijkstra bidi(&net);
-  Rng rng(11);
-  for (int i = 0; i < 200; ++i) {
-    const NodeId s = static_cast<NodeId>(rng.UniformInt(
-        static_cast<uint64_t>(net.num_nodes())));
-    const NodeId t = static_cast<NodeId>(rng.UniformInt(
-        static_cast<uint64_t>(net.num_nodes())));
-    EXPECT_NEAR(bidi.ShortestDistance(s, t), reference.ShortestDistance(s, t),
-                1e-6);
-  }
-}
-
 // Property sweep: contraction hierarchies must reproduce Dijkstra exactly on
 // randomized grid networks of varying size and irregularity.
 struct ChCase {

@@ -209,10 +209,9 @@ void CheckUnitSuffix(const FileInfo& f, std::vector<Diagnostic>* out) {
 // numbers for the wire. Everything else justifies its escape with a
 // suppression comment naming unsafe-unit-cast (docs/ANALYSIS.md).
 bool WhitelistedUnitCastFile(const std::string& path) {
-  static const std::array<const char*, 7> kPrefixes = {
-      "src/obs/",      "src/engine/stats_json", "src/sim/report.",
-      "src/sim/geojson.", "src/workload/io.",   "src/common/csv.",
-      "src/workload/generator.cc"};
+  static const std::array<const char*, 6> kPrefixes = {
+      "src/obs/",         "src/engine/stats_json", "src/sim/report.",
+      "src/workload/io.", "src/common/csv.",       "src/workload/generator.cc"};
   for (const char* prefix : kPrefixes) {
     if (StartsWith(path, prefix)) return true;
   }
