@@ -1,9 +1,9 @@
 // Sharded, mutex-striped memo of PlanPack outcomes, keyed by
-// (vehicle index, sorted member set) — modeled on DistanceOracle's
-// CacheShard. Rank's pack generation evaluates the same (vehicle, members)
-// combination from several requesters' enumerations; with per-requester
-// tasks running concurrently on the dispatch pool, the memo must tolerate
-// concurrent lookups and inserts of overlapping keys.
+// (vehicle index, sorted member set). Rank's pack generation evaluates the
+// same (vehicle, members) combination from several requesters'
+// enumerations; with per-requester tasks running concurrently on the
+// dispatch pool, the memo must tolerate concurrent lookups and inserts of
+// overlapping keys.
 //
 // Thread-safety: Lookup()/Insert() may be called from any thread. Two
 // threads may race to compute the same key; both insert the same value

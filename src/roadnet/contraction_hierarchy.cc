@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -40,16 +39,18 @@ struct WitnessSearcher {
 }  // namespace
 
 ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
-                                           int witness_settle_limit)
-    : num_nodes_(network->num_nodes()) {
+                                           int witness_settle_limit) {
   ARIDE_ACHECK(network != nullptr);
   ARIDE_ACHECK(network->built());
   ARIDE_ACHECK(witness_settle_limit > 0);
+  num_nodes_ = network->num_nodes();
 
   // Dynamic adjacency used during contraction: original arcs + shortcuts.
-  // Parallel arcs are deduplicated keeping the minimum weight.
+  // Parallel arcs are deduplicated keeping the minimum weight. Contracting
+  // a node erases its arcs from its neighbours' lists, so the lists of
+  // uncontracted nodes only ever name uncontracted nodes.
   const NodeId n = num_nodes_;
-  std::vector<std::vector<DynArc>> out_adj(n), in_adj(n);
+  std::vector<std::vector<UpArc>> out_adj(n), in_adj(n);
   for (NodeId u = 0; u < n; ++u) {
     for (const Arc& a : network->OutArcs(u)) {
       if (a.head == u) continue;  // self loops never help shortest paths
@@ -57,12 +58,12 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
       in_adj[a.head].push_back({u, a.length_m});
     }
   }
-  auto dedup = [](std::vector<DynArc>& arcs) {
-    std::sort(arcs.begin(), arcs.end(), [](const DynArc& a, const DynArc& b) {
+  auto dedup = [](std::vector<UpArc>& arcs) {
+    std::sort(arcs.begin(), arcs.end(), [](const UpArc& a, const UpArc& b) {
       return a.head < b.head || (a.head == b.head && a.weight < b.weight);
     });
     arcs.erase(std::unique(arcs.begin(), arcs.end(),
-                           [](const DynArc& a, const DynArc& b) {
+                           [](const UpArc& a, const UpArc& b) {
                              return a.head == b.head;
                            }),
                arcs.end());
@@ -77,27 +78,20 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
   rank_.assign(n, 0);
   WitnessSearcher witness(n);
 
-  // Runs witness searches for contracting `v`; returns the shortcuts needed.
-  // A shortcut u->w is needed iff the shortest u->w path bypassing v is
-  // longer than d(u,v)+d(v,w). The witness search is capped; on cap we
-  // conservatively add the shortcut (correct, possibly redundant).
-  auto shortcuts_for = [&](NodeId v, bool record,
-                           std::vector<std::pair<NodeId, DynArc>>* out)
-      -> int {
-    int count = 0;
-    // Active outgoing neighbors and the cap for witness searches.
+  // Runs witness searches for contracting `v` and fills `out` with the
+  // shortcuts needed. A shortcut u->w is needed iff the shortest u->w path
+  // bypassing v is longer than d(u,v)+d(v,w). The witness search is capped;
+  // on cap we conservatively add the shortcut (correct, possibly redundant).
+  auto shortcuts_for = [&](NodeId v,
+                           std::vector<std::pair<NodeId, UpArc>>* out) {
+    out->clear();
+    // The cap for witness searches.
     double max_out = 0;
-    int num_out = 0;
-    for (const DynArc& a : out_adj[v]) {
-      if (contracted[a.head]) continue;
-      max_out = std::max(max_out, a.weight);
-      ++num_out;
-    }
-    if (num_out == 0) return 0;
+    for (const UpArc& a : out_adj[v]) max_out = std::max(max_out, a.weight);
+    if (out_adj[v].empty()) return;
 
-    for (const DynArc& in : in_adj[v]) {
+    for (const UpArc& in : in_adj[v]) {
       const NodeId u = in.head;
-      if (contracted[u] || u == v) continue;
       const double cap = in.weight + max_out;
 
       // Local Dijkstra from u avoiding v over uncontracted nodes.
@@ -113,8 +107,8 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
         if (d > witness.Dist(x)) continue;
         if (d > cap) break;
         ++settled;
-        for (const DynArc& a : out_adj[x]) {
-          if (a.head == v || contracted[a.head]) continue;
+        for (const UpArc& a : out_adj[x]) {
+          if (a.head == v) continue;
           const double nd = d + a.weight;
           if (nd < witness.Dist(a.head)) {
             witness.Dist(a.head) = nd;
@@ -123,33 +117,33 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
         }
       }
 
-      for (const DynArc& outa : out_adj[v]) {
+      for (const UpArc& outa : out_adj[v]) {
         const NodeId w = outa.head;
-        if (contracted[w] || w == u || w == v) continue;
+        if (w == u) continue;
         const double via = in.weight + outa.weight;
         const double alt = witness.generation_of[w] == witness.generation
                                ? witness.dist[w]
                                : kInfDistance;
         if (alt <= via) continue;  // witness found
-        ++count;
-        if (record) out->push_back({u, {w, via}});
+        out->push_back({u, {w, via}});
       }
     }
-    return count;
   };
 
-  auto active_degree = [&](const std::vector<DynArc>& arcs) {
-    int deg = 0;
-    for (const DynArc& a : arcs) {
-      if (!contracted[a.head]) ++deg;
-    }
-    return deg;
-  };
+  // Priority of `v`; leaves v's shortcuts in `shortcuts`, so contracting v
+  // right after its priority check needs no second round of witness
+  // searches.
+  std::vector<std::pair<NodeId, UpArc>> shortcuts;
   auto priority_of = [&](NodeId v) -> int64_t {
-    const int shortcuts = shortcuts_for(v, /*record=*/false, nullptr);
-    const int degree = active_degree(out_adj[v]) + active_degree(in_adj[v]);
-    return 2 * static_cast<int64_t>(shortcuts - degree) +
-           deleted_neighbors[v];
+    shortcuts_for(v, &shortcuts);
+    const auto added = static_cast<int64_t>(shortcuts.size());
+    const auto degree =
+        static_cast<int64_t>(out_adj[v].size() + in_adj[v].size());
+    return 2 * (added - degree) + deleted_neighbors[v];
+  };
+  // Stable erase, so the surviving arcs keep their order.
+  auto erase_arcs_to = [](std::vector<UpArc>& arcs, NodeId head) {
+    std::erase_if(arcs, [head](const UpArc& a) { return a.head == head; });
   };
 
   struct PQEntry {
@@ -162,7 +156,6 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
   for (NodeId v = 0; v < n; ++v) order_queue.push({priority_of(v), v});
 
   int32_t next_rank = 0;
-  std::vector<std::pair<NodeId, DynArc>> new_shortcuts;
   while (!order_queue.empty()) {
     const auto [prio, v] = order_queue.top();
     order_queue.pop();
@@ -174,20 +167,20 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
       continue;
     }
 
-    new_shortcuts.clear();
-    shortcuts_for(v, /*record=*/true, &new_shortcuts);
     contracted[v] = 1;
     rank_[v] = next_rank++;
-    for (const DynArc& a : out_adj[v]) {
-      if (!contracted[a.head]) ++deleted_neighbors[a.head];
+    for (const UpArc& a : out_adj[v]) {
+      ++deleted_neighbors[a.head];
+      erase_arcs_to(in_adj[a.head], v);
     }
-    for (const DynArc& a : in_adj[v]) {
-      if (!contracted[a.head]) ++deleted_neighbors[a.head];
+    for (const UpArc& a : in_adj[v]) {
+      ++deleted_neighbors[a.head];
+      erase_arcs_to(out_adj[a.head], v);
     }
-    for (const auto& [u, arc] : new_shortcuts) {
+    for (const auto& [u, arc] : shortcuts) {
       // Keep only the cheapest parallel arc.
       bool replaced = false;
-      for (DynArc& existing : out_adj[u]) {
+      for (UpArc& existing : out_adj[u]) {
         if (existing.head == arc.head) {
           existing.weight = std::min(existing.weight, arc.weight);
           replaced = true;
@@ -196,7 +189,7 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
       }
       if (!replaced) out_adj[u].push_back(arc);
       replaced = false;
-      for (DynArc& existing : in_adj[arc.head]) {
+      for (UpArc& existing : in_adj[arc.head]) {
         if (existing.head == u) {
           existing.weight = std::min(existing.weight, arc.weight);
           replaced = true;
@@ -208,32 +201,22 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
     }
   }
 
-  // Freeze the upward graphs into CSR form.
+  // Freeze the upward graphs into CSR form. A contracted node's lists were
+  // final when it was contracted and hold exactly its upward arcs.
   up_out_begin_.assign(n + 1, 0);
   up_in_begin_.assign(n + 1, 0);
   for (NodeId u = 0; u < n; ++u) {
-    for (const DynArc& a : out_adj[u]) {
-      if (rank_[a.head] > rank_[u]) ++up_out_begin_[u + 1];
-    }
-    for (const DynArc& a : in_adj[u]) {
-      if (rank_[a.head] > rank_[u]) ++up_in_begin_[u + 1];
-    }
+    up_out_begin_[u + 1] = up_out_begin_[u] +
+                           static_cast<int64_t>(out_adj[u].size());
+    up_in_begin_[u + 1] = up_in_begin_[u] +
+                          static_cast<int64_t>(in_adj[u].size());
   }
-  for (NodeId i = 0; i < n; ++i) {
-    up_out_begin_[i + 1] += up_out_begin_[i];
-    up_in_begin_[i + 1] += up_in_begin_[i];
-  }
-  up_out_arcs_.resize(static_cast<std::size_t>(up_out_begin_[n]));
-  up_in_arcs_.resize(static_cast<std::size_t>(up_in_begin_[n]));
-  std::vector<int64_t> out_pos(up_out_begin_.begin(), up_out_begin_.end() - 1);
-  std::vector<int64_t> in_pos(up_in_begin_.begin(), up_in_begin_.end() - 1);
+  up_out_arcs_.reserve(static_cast<std::size_t>(up_out_begin_[n]));
+  up_in_arcs_.reserve(static_cast<std::size_t>(up_in_begin_[n]));
   for (NodeId u = 0; u < n; ++u) {
-    for (const DynArc& a : out_adj[u]) {
-      if (rank_[a.head] > rank_[u]) up_out_arcs_[out_pos[u]++] = a;
-    }
-    for (const DynArc& a : in_adj[u]) {
-      if (rank_[a.head] > rank_[u]) up_in_arcs_[in_pos[u]++] = a;
-    }
+    up_out_arcs_.insert(up_out_arcs_.end(), out_adj[u].begin(),
+                        out_adj[u].end());
+    up_in_arcs_.insert(up_in_arcs_.end(), in_adj[u].begin(), in_adj[u].end());
   }
 }
 
@@ -286,9 +269,9 @@ double ContractionHierarchy::Query::ShortestDistance(NodeId source,
                         std::vector<double>& other_dist,
                         std::vector<uint32_t>& other_gen,
                         const std::vector<int64_t>& begin,
-                        const std::vector<DynArc>& arcs,
+                        const std::vector<UpArc>& arcs,
                         const std::vector<int64_t>& stall_begin,
-                        const std::vector<DynArc>& stall_arcs) {
+                        const std::vector<UpArc>& stall_arcs) {
     const auto [d, u] = queue.top();
     queue.pop();
     if (d > dist(my_dist, my_gen, u)) return;
@@ -297,13 +280,13 @@ double ContractionHierarchy::Query::ShortestDistance(NodeId source,
       best = std::min(best, d + other_dist[u]);
     }
     for (int64_t i = stall_begin[u]; i < stall_begin[u + 1]; ++i) {
-      const DynArc& a = stall_arcs[static_cast<std::size_t>(i)];
+      const UpArc& a = stall_arcs[static_cast<std::size_t>(i)];
       if (my_gen[a.head] == generation_ && my_dist[a.head] + a.weight < d) {
         return;
       }
     }
     for (int64_t i = begin[u]; i < begin[u + 1]; ++i) {
-      const DynArc& a = arcs[static_cast<std::size_t>(i)];
+      const UpArc& a = arcs[static_cast<std::size_t>(i)];
       const double nd = d + a.weight;
       if (nd < dist(my_dist, my_gen, a.head)) {
         dist(my_dist, my_gen, a.head) = nd;

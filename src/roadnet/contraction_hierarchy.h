@@ -3,18 +3,22 @@
 //
 // Preprocessing contracts nodes in increasing importance order, inserting
 // shortcut arcs that preserve all shortest distances among the remaining
-// nodes. Queries run two *upward* Dijkstra searches (forward from the source,
-// backward from the target) over the hierarchy and meet in the middle;
-// on road-like graphs each search settles only a few hundred nodes.
+// nodes. The result is a pair of *upward* search graphs: UpOut(v) holds the
+// arcs v->w to more important nodes, UpIn(v) the arcs w->v from them.
 //
-// Queries are served through ContractionHierarchy::Query objects, which own
-// the per-search workspace; create one Query per thread for concurrent use.
+// Production queries do not search these graphs: HubLabels (hub_labels.h)
+// precomputes every node's upward search once and answers a query with a
+// two-list merge. ContractionHierarchy::Query, the classic bidirectional
+// upward search that meets in the middle, is kept as the reference the
+// label tests compare against; create one Query per thread for concurrent
+// use.
 
 #ifndef AUCTIONRIDE_ROADNET_CONTRACTION_HIERARCHY_H_
 #define AUCTIONRIDE_ROADNET_CONTRACTION_HIERARCHY_H_
 
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "roadnet/dijkstra.h"
@@ -24,6 +28,13 @@ namespace auctionride {
 
 class ContractionHierarchy {
  public:
+  /// An arc of the upward graphs: `head` is the other endpoint (the target
+  /// for UpOut, the source for UpIn).
+  struct UpArc {
+    NodeId head;
+    double weight;
+  };
+
   /// Builds the hierarchy; the network must stay alive and unchanged.
   /// `witness_settle_limit` caps each local witness search (larger = fewer
   /// redundant shortcuts, slower preprocessing).
@@ -36,7 +47,23 @@ class ContractionHierarchy {
   NodeId num_nodes() const { return num_nodes_; }
   int64_t num_shortcuts() const { return num_shortcuts_; }
 
-  /// Per-thread query context.
+  /// Contraction order of `v`; higher = more important.
+  int32_t rank(NodeId v) const { return rank_[v]; }
+
+  /// Arcs v->w with rank(w) > rank(v): the forward search graph.
+  std::span<const UpArc> UpOut(NodeId v) const {
+    return {up_out_arcs_.data() + up_out_begin_[v],
+            up_out_arcs_.data() + up_out_begin_[v + 1]};
+  }
+  /// Arcs w->v with rank(w) > rank(v), stored as {w, weight}: the backward
+  /// search graph.
+  std::span<const UpArc> UpIn(NodeId v) const {
+    return {up_in_arcs_.data() + up_in_begin_[v],
+            up_in_arcs_.data() + up_in_begin_[v + 1]};
+  }
+
+  /// Per-thread reference query context (bidirectional upward search with
+  /// stall-on-demand).
   class Query {
    public:
     explicit Query(const ContractionHierarchy* ch);
@@ -62,13 +89,6 @@ class ContractionHierarchy {
  private:
   friend class Query;
 
-  struct DynArc {
-    NodeId head;
-    double weight;
-  };
-
-  void BuildHierarchy(int witness_settle_limit);
-
   NodeId num_nodes_ = 0;
   int64_t num_shortcuts_ = 0;
   std::vector<int32_t> rank_;  // contraction order; higher = more important
@@ -77,9 +97,9 @@ class ContractionHierarchy {
   // (forward search). up_in: reversed arcs; for node v, the sources u of
   // original arcs u->v with rank u > rank v (backward search).
   std::vector<int64_t> up_out_begin_;
-  std::vector<DynArc> up_out_arcs_;
+  std::vector<UpArc> up_out_arcs_;
   std::vector<int64_t> up_in_begin_;
-  std::vector<DynArc> up_in_arcs_;
+  std::vector<UpArc> up_in_arcs_;
 };
 
 }  // namespace auctionride

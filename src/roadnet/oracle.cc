@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "obs/metrics.h"
+#include "roadnet/contraction_hierarchy.h"
 
 namespace auctionride {
 
@@ -22,63 +23,20 @@ DistanceOracle::DistanceOracle(const RoadNetwork* network, Backend backend,
                                double speed_mps)
     : id_(NextOracleId()),
       network_(network),
-      backend_(backend),
       speed_mps_(speed_mps) {
   ARIDE_ACHECK(network != nullptr);
   ARIDE_ACHECK(network->built());
   ARIDE_ACHECK(speed_mps > 0);
-  if (backend_ == Backend::kContractionHierarchy) {
-    ch_ = std::make_unique<ContractionHierarchy>(network);
+  if (backend == Backend::kContractionHierarchy) {
+    const ContractionHierarchy ch(network);
+    labels_ = std::make_unique<HubLabels>(ch);
   }
-  shards_ = std::make_unique<CacheShard[]>(kNumShards);
   // Relative safety margin: the backends sum edge lengths with round-to-
   // nearest adds, and LowerBoundDistance rounds its product once, so each
   // side can differ from the exact real value by a handful of ulps. Shaving
   // 1e-9 (~ 2^-30, millions of ulps) off the ratio keeps the bound strictly
   // admissible against the *rounded* Distance() result.
   lb_scale_ = network->min_detour_ratio() * (1.0 - 1e-9);
-}
-
-double DistanceOracle::ComputeUncached(NodeId source, NodeId target) const {
-  // Only uncached computes are timed, and only one in 16: cache hits are map
-  // lookups that would swamp the histogram, and pooled pricing runs would
-  // otherwise contend on the histogram mutex millions of times per bench.
-  OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 16);
-  if (backend_ == Backend::kContractionHierarchy) {
-    std::unique_ptr<ContractionHierarchy::Query> query;
-    {
-      MutexLock lock(pool_mu_);
-      if (!ch_pool_.empty()) {
-        query = std::move(ch_pool_.back());
-        ch_pool_.pop_back();
-      }
-    }
-    if (query == nullptr) {
-      query = std::make_unique<ContractionHierarchy::Query>(ch_.get());
-    }
-    const double d = query->ShortestDistance(source, target);
-    {
-      MutexLock lock(pool_mu_);
-      ch_pool_.push_back(std::move(query));
-    }
-    return d;
-  }
-
-  std::unique_ptr<DijkstraSearch> search;
-  {
-    MutexLock lock(pool_mu_);
-    if (!dijkstra_pool_.empty()) {
-      search = std::move(dijkstra_pool_.back());
-      dijkstra_pool_.pop_back();
-    }
-  }
-  if (search == nullptr) search = std::make_unique<DijkstraSearch>(network_);
-  const double d = search->ShortestDistance(source, target);
-  {
-    MutexLock lock(pool_mu_);
-    dijkstra_pool_.push_back(std::move(search));
-  }
-  return d;
 }
 
 #if !defined(ARIDE_OBS_DISABLED)
@@ -93,14 +51,19 @@ struct SpQueryBatch {
   int64_t queries = 0;
   int64_t cache_hits = 0;
   int64_t trivial = 0;
+  int64_t label_queries = 0;
   ~SpQueryBatch() { Flush(); }
   void Flush() {
     if (queries > 0) OBS_COUNTER_ADD("roadnet.sp.queries", queries);
     if (cache_hits > 0) OBS_COUNTER_ADD("roadnet.sp.cache_hits", cache_hits);
     if (trivial > 0) OBS_COUNTER_ADD("roadnet.sp.trivial", trivial);
+    if (label_queries > 0) {
+      OBS_COUNTER_ADD("roadnet.ch.queries", label_queries);
+    }
     queries = 0;
     cache_hits = 0;
     trivial = 0;
+    label_queries = 0;
   }
 };
 
@@ -114,12 +77,14 @@ thread_local SpQueryBatch sp_query_batch;
   } while (0)
 #define ARIDE_SP_COUNT_HIT() (++sp_query_batch.cache_hits)
 #define ARIDE_SP_COUNT_TRIVIAL() (++sp_query_batch.trivial)
+#define ARIDE_SP_COUNT_LABEL_QUERY() (++sp_query_batch.label_queries)
 #else
 #define ARIDE_SP_COUNT_QUERY() \
   do {                         \
   } while (0)
 #define ARIDE_SP_COUNT_HIT() (void)0
 #define ARIDE_SP_COUNT_TRIVIAL() (void)0
+#define ARIDE_SP_COUNT_LABEL_QUERY() (void)0
 #endif  // ARIDE_OBS_DISABLED
 
 namespace {
@@ -183,6 +148,48 @@ inline FrontEntry& FrontSlot(uint64_t oracle_id, uint64_t key) {
 
 int64_t DistanceOracle::ThreadQueryCount() { return tl_thread_queries; }
 
+double DistanceOracle::ComputeUncached(NodeId source, NodeId target) const {
+  if (labels_ != nullptr) {
+    // A label merge takes under a microsecond and runs ~10^6 times per
+    // round, so it is timed one in 1024: one in 16 would take the
+    // histogram mutex tens of thousands of times per round.
+    OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 1024);
+    ARIDE_SP_COUNT_LABEL_QUERY();
+    return labels_->Distance(source, target);
+  }
+  OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 16);
+  std::unique_ptr<DijkstraSearch> search;
+  {
+    MutexLock lock(pool_mu_);
+    if (!dijkstra_pool_.empty()) {
+      search = std::move(dijkstra_pool_.back());
+      dijkstra_pool_.pop_back();
+    }
+  }
+  if (search == nullptr) search = std::make_unique<DijkstraSearch>(network_);
+  const double d = search->ShortestDistance(source, target);
+  {
+    MutexLock lock(pool_mu_);
+    dijkstra_pool_.push_back(std::move(search));
+  }
+  return d;
+}
+
+double DistanceOracle::FrontOrCompute(NodeId source, NodeId target,
+                                      int64_t* hits) const {
+  ARIDE_SP_COUNT_QUERY();
+  const uint64_t key = PairKey(source, target);
+  FrontEntry& front = FrontSlot(id_, key);
+  if (front.key == key && front.oracle_id == id_) {
+    ++*hits;
+    ARIDE_SP_COUNT_HIT();
+    return front.value;
+  }
+  const double d = ComputeUncached(source, target);
+  front = {key, id_, d};
+  return d;
+}
+
 double DistanceOracle::Distance(NodeId source, NodeId target) const {
   ARIDE_DCHECK(source >= 0 && source < network_->num_nodes());
   ARIDE_DCHECK(target >= 0 && target < network_->num_nodes());
@@ -196,32 +203,9 @@ double DistanceOracle::Distance(NodeId source, NodeId target) const {
     return 0;
   }
   num_queries_.Add();
-  ARIDE_SP_COUNT_QUERY();
-
-  const uint64_t key = PairKey(source, target);
-  FrontEntry& front = FrontSlot(id_, key);
-  if (front.key == key && front.oracle_id == id_) {
-    num_cache_hits_.Add();
-    ARIDE_SP_COUNT_HIT();
-    return front.value;
-  }
-  CacheShard& shard = shards_[key % kNumShards];
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      num_cache_hits_.Add();
-      ARIDE_SP_COUNT_HIT();
-      front = {key, id_, it->second};
-      return it->second;
-    }
-  }
-  const double d = ComputeUncached(source, target);
-  {
-    MutexLock lock(shard.mu);
-    shard.map.emplace(key, d);
-  }
-  front = {key, id_, d};
+  int64_t hits = 0;
+  const double d = FrontOrCompute(source, target, &hits);
+  if (hits > 0) num_cache_hits_.Add();
   return d;
 }
 
@@ -231,22 +215,6 @@ void DistanceOracle::DistanceBatch(std::span<const NodePair> pairs,
   const std::size_t n = pairs.size();
   if (n == 0) return;
   tl_thread_queries += static_cast<int64_t>(n);
-
-  // Reused per-thread scratch: non-trivial pair indices bucketed by cache
-  // shard, cache-miss indices per shard, and this batch's freshly computed
-  // keys. The last one makes duplicate pairs inside a batch charge a cache
-  // hit and reuse the first occurrence's value — exactly what the second of
-  // two sequential Distance() calls would do after the first's insert.
-  struct BatchScratch {
-    std::vector<uint32_t> bucket[kNumShards];
-    std::vector<uint32_t> misses[kNumShards];
-    std::unordered_map<uint64_t, double> computed;
-  };
-  thread_local BatchScratch scratch;
-  for (auto& b : scratch.bucket) b.clear();
-  for (auto& m : scratch.misses) m.clear();
-  scratch.computed.clear();
-
   int64_t trivial = 0;
   int64_t hits = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -260,111 +228,11 @@ void DistanceOracle::DistanceBatch(std::span<const NodePair> pairs,
       ARIDE_SP_COUNT_TRIVIAL();
       continue;
     }
-    ARIDE_SP_COUNT_QUERY();
-    const uint64_t key = PairKey(source, target);
-    const FrontEntry& front = FrontSlot(id_, key);
-    if (front.key == key && front.oracle_id == id_) {
-      out[i] = front.value;
-      ++hits;
-      ARIDE_SP_COUNT_HIT();
-      continue;
-    }
-    scratch.bucket[key % kNumShards].push_back(static_cast<uint32_t>(i));
+    out[i] = FrontOrCompute(source, target, &hits);
   }
   if (trivial > 0) num_trivial_queries_.Add(trivial);
   const int64_t nontrivial = static_cast<int64_t>(n) - trivial;
   if (nontrivial > 0) num_queries_.Add(nontrivial);
-
-  // Back-cache lookup pass over the front misses: one lock per touched
-  // shard. Pending computes are marked with -1.0, which Distance() can
-  // never return (edge lengths are >= 0).
-  for (int s = 0; s < kNumShards; ++s) {
-    if (scratch.bucket[s].empty()) continue;
-    CacheShard& shard = shards_[s];
-    MutexLock lock(shard.mu);
-    for (const uint32_t i : scratch.bucket[s]) {
-      const uint64_t key = PairKey(pairs[i].source, pairs[i].target);
-      auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        out[i] = it->second;
-        ++hits;
-        ARIDE_SP_COUNT_HIT();
-        FrontSlot(id_, key) = {key, id_, it->second};
-      } else {
-        out[i] = -1.0;
-        scratch.misses[s].push_back(i);
-      }
-    }
-  }
-
-  std::size_t num_misses = 0;
-  for (const auto& m : scratch.misses) num_misses += m.size();
-  if (num_misses > 0) {
-    // All misses in the batch share one pooled backend context.
-    std::unique_ptr<ContractionHierarchy::Query> ch_query;
-    std::unique_ptr<DijkstraSearch> search;
-    {
-      MutexLock lock(pool_mu_);
-      if (backend_ == Backend::kContractionHierarchy) {
-        if (!ch_pool_.empty()) {
-          ch_query = std::move(ch_pool_.back());
-          ch_pool_.pop_back();
-        }
-      } else if (!dijkstra_pool_.empty()) {
-        search = std::move(dijkstra_pool_.back());
-        dijkstra_pool_.pop_back();
-      }
-    }
-    if (backend_ == Backend::kContractionHierarchy) {
-      if (ch_query == nullptr) {
-        ch_query = std::make_unique<ContractionHierarchy::Query>(ch_.get());
-      }
-    } else if (search == nullptr) {
-      search = std::make_unique<DijkstraSearch>(network_);
-    }
-
-    for (int s = 0; s < kNumShards; ++s) {
-      if (scratch.misses[s].empty()) continue;
-      for (const uint32_t i : scratch.misses[s]) {
-        const uint64_t key = PairKey(pairs[i].source, pairs[i].target);
-        auto it = scratch.computed.find(key);
-        if (it != scratch.computed.end()) {
-          out[i] = it->second;
-          ++hits;
-          ARIDE_SP_COUNT_HIT();
-          continue;
-        }
-        double d;
-        {
-          // Same 1-in-16 sampling as ComputeUncached, per compute.
-          OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 16);
-          d = ch_query != nullptr
-                  ? ch_query->ShortestDistance(pairs[i].source,
-                                               pairs[i].target)
-                  : search->ShortestDistance(pairs[i].source,
-                                             pairs[i].target);
-        }
-        out[i] = d;
-        scratch.computed.emplace(key, d);
-      }
-      // Publish this shard's fresh results with one lock. emplace ignores
-      // keys another thread raced in first; values are deterministic, so
-      // whichever insert wins stores the same double.
-      CacheShard& shard = shards_[s];
-      MutexLock lock(shard.mu);
-      for (const uint32_t i : scratch.misses[s]) {
-        const uint64_t key = PairKey(pairs[i].source, pairs[i].target);
-        shard.map.emplace(key, out[i]);
-        FrontSlot(id_, key) = {key, id_, out[i]};
-      }
-    }
-
-    {
-      MutexLock lock(pool_mu_);
-      if (ch_query != nullptr) ch_pool_.push_back(std::move(ch_query));
-      if (search != nullptr) dijkstra_pool_.push_back(std::move(search));
-    }
-  }
   if (hits > 0) num_cache_hits_.Add(hits);
 }
 

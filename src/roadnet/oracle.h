@@ -2,21 +2,23 @@
 // simulation code obtains road-network shortest distances and travel times.
 //
 // The paper (§III-A) treats the inter-location distances purely as inputs
-// with per-query cost O(q); this oracle makes q small via contraction
-// hierarchies plus a two-level memo cache. A plain Dijkstra backend is kept
-// as the reference implementation for correctness tests and ablations.
+// with per-query cost O(q); this oracle makes q small with hub labels built
+// from a contraction hierarchy (hub_labels.h): a cold query is one merge of
+// two sorted lists of ~60 entries, bit-identical to the CH query. A plain
+// Dijkstra backend is kept as the reference implementation for correctness
+// tests and ablations.
 //
-// Cache levels: every lookup first probes a small direct-mapped front cache
-// owned by the calling thread (no locks, no shared writes; entries are
-// tagged with the oracle's never-reused id, so one thread can serve several
-// oracles, and an oracle recreated at the same address never sees its
-// predecessor's entries). Only front misses go to the shared back cache,
-// a map striped over mutex-guarded shards that never evicts; every value the
-// front holds is also in the back, so a front hit is exactly a back hit.
+// One cache level: every non-trivial lookup first probes a small
+// direct-mapped front cache owned by the calling thread (no locks, no
+// shared writes; entries are tagged with the oracle's never-reused id, so
+// one thread can serve several oracles, and an oracle recreated at the same
+// address never sees its predecessor's entries). A front miss computes the
+// distance and fills the slot. Nothing is shared between threads but the
+// immutable labels.
 //
-// Thread-safety: Distance()/TravelTime() may be called concurrently; query
-// contexts are pooled internally, the back cache uses sharded locks and the
-// statistics are striped counters.
+// Thread-safety: Distance()/TravelTime() may be called concurrently; the
+// Dijkstra backend pools its search contexts internally, and the statistics
+// are striped counters.
 
 #ifndef AUCTIONRIDE_ROADNET_ORACLE_H_
 #define AUCTIONRIDE_ROADNET_ORACLE_H_
@@ -25,16 +27,15 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/striped_counter.h"
 #include "common/units.h"
 #include "common/thread_annotations.h"
-#include "roadnet/contraction_hierarchy.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/graph.h"
+#include "roadnet/hub_labels.h"
 
 namespace auctionride {
 
@@ -46,7 +47,7 @@ class DistanceOracle {
   enum class Backend { kContractionHierarchy, kDijkstra };
 
   /// The network must outlive the oracle. Building with the CH backend runs
-  /// preprocessing up front.
+  /// preprocessing (contraction, then hub labels) up front.
   DistanceOracle(const RoadNetwork* network, Backend backend,
                  double speed_mps = kDefaultSpeedMps);
 
@@ -54,8 +55,8 @@ class DistanceOracle {
   DistanceOracle& operator=(const DistanceOracle&) = delete;
 
   /// Shortest road distance in meters; kInfDistance if unreachable. Raw
-  /// double by design: this is the geometry boundary — the CH/Dijkstra
-  /// backends and memo cache below it are pure graph code. Economic
+  /// double by design: this is the geometry boundary — the label/Dijkstra
+  /// backends and front cache below it are pure graph code. Economic
   /// callers wrap the result in Meters at the call site.
   double Distance(NodeId source, NodeId target) const;
 
@@ -68,9 +69,8 @@ class DistanceOracle {
   /// Batched Distance(): fills out[i] = Distance(pairs[i].source,
   /// pairs[i].target). Semantically and statistically identical to the
   /// equivalent sequence of Distance() calls (same values, same query /
-  /// cache-hit / trivial counts, same ThreadQueryCount() charge), but each
-  /// touched cache shard is locked once per lookup pass instead of once per
-  /// pair, and all misses in the batch share a single pooled query context.
+  /// cache-hit / trivial counts, same ThreadQueryCount() charge); the
+  /// statistics are bumped once per batch instead of once per pair.
   /// `out.size()` must equal `pairs.size()`.
   void DistanceBatch(std::span<const NodePair> pairs,
                      std::span<double> out) const;
@@ -103,8 +103,8 @@ class DistanceOracle {
   /// Cumulative query statistics (for the ablation bench). num_queries()
   /// counts only non-trivial queries (source != target) — the ones that
   /// reach the cache — so hit rate is hits/queries without bias from
-  /// trivial zero-distance answers, which are counted separately. Hits in
-  /// either cache level count as cache hits.
+  /// trivial zero-distance answers, which are counted separately. Cache hits
+  /// are hits in the calling thread's front cache.
   int64_t num_queries() const { return num_queries_.value(); }
   int64_t num_cache_hits() const { return num_cache_hits_.value(); }
   int64_t num_trivial_queries() const { return num_trivial_queries_.value(); }
@@ -122,33 +122,27 @@ class DistanceOracle {
   static int64_t ThreadQueryCount();
 
  private:
-  static constexpr int kNumShards = 16;
-
-  struct CacheShard {
-    Mutex mu;
-    // Membership-only map (find/emplace, never iterated).
-    std::unordered_map<uint64_t, double> map ARIDE_GUARDED_BY(mu);
-  };
-
   double ComputeUncached(NodeId source, NodeId target) const;
+  // The non-trivial half of Distance(): front probe, else compute and fill
+  // the slot. Bumps *hits on a front hit.
+  double FrontOrCompute(NodeId source, NodeId target, int64_t* hits) const;
 
   // Tags this oracle's front-cache entries; drawn from a process-wide
   // counter, never reused.
   const uint64_t id_;
   const RoadNetwork* network_;
-  Backend backend_;
   double speed_mps_;
   double lb_scale_ = 0;
-  std::unique_ptr<ContractionHierarchy> ch_;
+  // CH backend only: hub labels of a contraction hierarchy, which is
+  // dropped once they are built.
+  std::unique_ptr<HubLabels> labels_;
 
-  // Pools of per-thread query contexts, lazily grown.
+  // Dijkstra backend only: pool of per-thread search contexts, lazily
+  // grown.
   mutable Mutex pool_mu_;
-  mutable std::vector<std::unique_ptr<ContractionHierarchy::Query>> ch_pool_
-      ARIDE_GUARDED_BY(pool_mu_);
   mutable std::vector<std::unique_ptr<DijkstraSearch>> dijkstra_pool_
       ARIDE_GUARDED_BY(pool_mu_);
 
-  mutable std::unique_ptr<CacheShard[]> shards_;
   mutable StripedCounter num_queries_;
   mutable StripedCounter num_cache_hits_;
   mutable StripedCounter num_trivial_queries_;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/graph.h"
+#include "roadnet/hub_labels.h"
 #include "roadnet/nearest_node.h"
 #include "roadnet/oracle.h"
 #include "testutil.h"
@@ -117,6 +119,7 @@ TEST_P(ContractionHierarchyPropertyTest, MatchesDijkstra) {
   RoadNetwork net = BuildGridNetwork(options);
   ContractionHierarchy ch(&net);
   ContractionHierarchy::Query query(&ch);
+  const HubLabels labels(ch);
   DijkstraSearch reference(&net);
   Rng rng(c.seed * 7 + 1);
   for (int i = 0; i < 150; ++i) {
@@ -124,8 +127,10 @@ TEST_P(ContractionHierarchyPropertyTest, MatchesDijkstra) {
         static_cast<uint64_t>(net.num_nodes())));
     const NodeId t = static_cast<NodeId>(rng.UniformInt(
         static_cast<uint64_t>(net.num_nodes())));
-    ASSERT_NEAR(query.ShortestDistance(s, t),
-                reference.ShortestDistance(s, t), 1e-6)
+    const double expected = reference.ShortestDistance(s, t);
+    ASSERT_NEAR(query.ShortestDistance(s, t), expected, 1e-6)
+        << "s=" << s << " t=" << t;
+    ASSERT_NEAR(labels.Distance(s, t), expected, 1e-6)
         << "s=" << s << " t=" << t;
   }
 }
@@ -172,6 +177,7 @@ TEST_P(ContractionHierarchyDirectedTest, OneWayStreets) {
 
   ContractionHierarchy ch(&net);
   ContractionHierarchy::Query query(&ch);
+  const HubLabels labels(ch);
   DijkstraSearch reference(&net);
   int asymmetric = 0;
   for (int i = 0; i < 120; ++i) {
@@ -184,6 +190,8 @@ TEST_P(ContractionHierarchyDirectedTest, OneWayStreets) {
     if (std::abs(forward - backward) > 1e-9) ++asymmetric;
     ASSERT_NEAR(query.ShortestDistance(s, t), forward, 1e-6);
     ASSERT_NEAR(query.ShortestDistance(t, s), backward, 1e-6);
+    ASSERT_NEAR(labels.Distance(s, t), forward, 1e-6);
+    ASSERT_NEAR(labels.Distance(t, s), backward, 1e-6);
   }
   EXPECT_GT(asymmetric, 0) << "test graph should be genuinely directed";
 }
@@ -211,8 +219,8 @@ TEST(OracleTest, ConcurrentQueriesMatchSerial) {
     expected[i] = reference.ShortestDistance(queries[i].first,
                                              queries[i].second);
   }
-  // Three passes: later ones are served by the threads' front caches or
-  // the shared back cache, whichever thread computed the pair first.
+  // Three passes: later ones are partly served by the threads' front
+  // caches, the rest by fresh label merges.
   constexpr std::size_t kPasses = 3;
   std::vector<double> got(kPasses * queries.size(), -1);
   ThreadPool pool(8);
@@ -227,27 +235,71 @@ TEST(OracleTest, ConcurrentQueriesMatchSerial) {
             static_cast<int64_t>(got.size()));
 }
 
-// Stall-on-demand must not change a single bit of any CH distance: FNV-1a
-// over the IEEE bits of 200k seeded queries on the Beijing-like network,
-// pinned from the query without stalling.
-TEST(ContractionHierarchyTest, BeijingDistancesMatchPinnedDigest) {
-  const RoadNetwork net = BuildBeijingLikeNetwork(7);
-  ContractionHierarchy ch(&net);
-  ContractionHierarchy::Query query(&ch);
+// FNV-1a over the IEEE bits of 200k seeded distances on the Beijing-like
+// network, pinned from the CH query without stall-on-demand. Neither
+// stalling nor hub labels may change a single bit.
+uint64_t DistanceDigest(const std::function<double(NodeId, NodeId)>& distance,
+                        NodeId num_nodes) {
   Rng rng(20190408);
-  const auto num_nodes = static_cast<uint64_t>(net.num_nodes());
   uint64_t digest = 1469598103934665603ull;
   for (int i = 0; i < 200000; ++i) {
-    const auto s = static_cast<NodeId>(rng.UniformInt(num_nodes));
-    const auto t = static_cast<NodeId>(rng.UniformInt(num_nodes));
-    const auto bits = std::bit_cast<uint64_t>(query.ShortestDistance(s, t));
+    const auto s = static_cast<NodeId>(
+        rng.UniformInt(static_cast<uint64_t>(num_nodes)));
+    const auto t = static_cast<NodeId>(
+        rng.UniformInt(static_cast<uint64_t>(num_nodes)));
+    const auto bits = std::bit_cast<uint64_t>(distance(s, t));
     for (int byte = 0; byte < 8; ++byte) {
       digest ^= (bits >> (8 * byte)) & 0xff;
       digest *= 1099511628211ull;
     }
   }
+  return digest;
+}
+
+TEST(ContractionHierarchyTest, BeijingDistancesMatchPinnedDigest) {
+  const RoadNetwork net = BuildBeijingLikeNetwork(7);
+  ContractionHierarchy ch(&net);
+  ContractionHierarchy::Query query(&ch);
+  const HubLabels labels(ch);
   EXPECT_EQ(net.num_nodes(), 6400);
-  EXPECT_EQ(digest, 0x464eedb84c0acaa1ull);
+  const auto ch_distance = [&](NodeId s, NodeId t) {
+    return query.ShortestDistance(s, t);
+  };
+  const auto label_distance = [&](NodeId s, NodeId t) {
+    return labels.Distance(s, t);
+  };
+  EXPECT_EQ(DistanceDigest(ch_distance, net.num_nodes()),
+            0x464eedb84c0acaa1ull);
+  EXPECT_EQ(DistanceDigest(label_distance, net.num_nodes()),
+            0x464eedb84c0acaa1ull);
+}
+
+// Hub labels answer bit-for-bit what the CH query answers, on a second
+// Beijing-like network.
+TEST(HubLabelsTest, BitIdenticalToChQuery) {
+  const RoadNetwork net = BuildBeijingLikeNetwork(3);
+  ContractionHierarchy ch(&net);
+  ContractionHierarchy::Query query(&ch);
+  const HubLabels labels(ch);
+  Rng rng(31);
+  const auto num_nodes = static_cast<uint64_t>(net.num_nodes());
+  int mismatches = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const auto s = static_cast<NodeId>(rng.UniformInt(num_nodes));
+    const auto t = static_cast<NodeId>(rng.UniformInt(num_nodes));
+    if (std::bit_cast<uint64_t>(labels.Distance(s, t)) !=
+        std::bit_cast<uint64_t>(query.ShortestDistance(s, t))) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(labels.num_levels(), 1);
+  EXPECT_GE(labels.num_entries(), 2 * net.num_nodes());  // a node hubs itself
+}
+
+TEST(ContractionHierarchyDeathTest, NullNetworkFailsTheCheck) {
+  EXPECT_DEATH({ const ContractionHierarchy ch(nullptr); },
+               "network != nullptr");
 }
 
 // Front-cache entries are tagged per oracle: two oracles over different
@@ -270,9 +322,15 @@ TEST(OracleTest, FrontCacheKeepsOraclesApart) {
       }
     }
   }
-  // Passes 2 and 3 are pure cache hits for both.
-  EXPECT_EQ(short_oracle.num_cache_hits(), 2 * 20 * 19);
-  EXPECT_EQ(long_oracle.num_cache_hits(), 2 * 20 * 19);
+  // Passes 2 and 3 repeat 2 * 20 * 19 non-trivial lookups per oracle. A
+  // slot that two of the 760 live pairs map to misses on every pass, so
+  // the exact count depends on the oracles' ids; but if the two oracles
+  // shared slots, every pair would evict its twin and no lookup would hit.
+  for (const DistanceOracle* oracle : {&short_oracle, &long_oracle}) {
+    EXPECT_EQ(oracle->num_queries(), 3 * 20 * 19);
+    EXPECT_LE(oracle->num_cache_hits(), 2 * 20 * 19);
+    EXPECT_GT(oracle->num_cache_hits(), 20 * 19);
+  }
 }
 
 // An oracle destroyed and recreated (typically at the same address) over a
@@ -532,9 +590,24 @@ TEST(OracleTest, LowerBoundAdmissibleOnGridNetworks) {
 // DistanceBatch must be indistinguishable from the equivalent sequence of
 // Distance() calls: same values and the same query/cache-hit/trivial
 // accounting, including trivial pairs, in-batch duplicates, and pairs
-// already cached by an earlier batch.
+// already cached by an earlier batch. The batched and the sequential pass
+// query one oracle (front-cache slots depend on the oracle's id) from two
+// threads (each thread owns its front cache), so both see identical cache
+// states and each pass's counts must match exactly.
 class OracleBatchTest
     : public ::testing::TestWithParam<DistanceOracle::Backend> {};
+
+struct OracleCounts {
+  int64_t queries = 0;
+  int64_t hits = 0;
+  int64_t trivial = 0;
+  bool operator==(const OracleCounts&) const = default;
+};
+
+OracleCounts CountsOf(const DistanceOracle& oracle) {
+  return {oracle.num_queries(), oracle.num_cache_hits(),
+          oracle.num_trivial_queries()};
+}
 
 void ExpectBatchMatchesSequential(DistanceOracle::Backend backend,
                                   int grid_side, int num_random_pairs) {
@@ -543,8 +616,7 @@ void ExpectBatchMatchesSequential(DistanceOracle::Backend backend,
   options.rows = grid_side;
   options.seed = 4242;
   RoadNetwork net = BuildGridNetwork(options);
-  const DistanceOracle batched(&net, backend);
-  const DistanceOracle sequential(&net, backend);
+  const DistanceOracle oracle(&net, backend);
 
   std::vector<DistanceOracle::NodePair> pairs;
   Rng rng(7);
@@ -557,33 +629,55 @@ void ExpectBatchMatchesSequential(DistanceOracle::Backend backend,
   pairs.push_back(pairs[0]);  // in-batch duplicate
   pairs.push_back(pairs[0]);  // and again
 
-  const int64_t thread_queries_before = DistanceOracle::ThreadQueryCount();
+  ThreadPool batched_thread(1);
+  ThreadPool sequential_thread(1);
   std::vector<double> batch_out(pairs.size());
-  batched.DistanceBatch(pairs, batch_out);
+  std::vector<double> sequential_out(pairs.size());
+  int64_t thread_queries = 0;
+  // Runs one pass of each kind on its thread; returns the counts each
+  // pass added.
+  auto run_passes = [&] {
+    const OracleCounts start = CountsOf(oracle);
+    batched_thread.Submit([&] {
+      const int64_t before = DistanceOracle::ThreadQueryCount();
+      oracle.DistanceBatch(pairs, batch_out);
+      thread_queries = DistanceOracle::ThreadQueryCount() - before;
+    });
+    batched_thread.Wait();
+    const OracleCounts mid = CountsOf(oracle);
+    sequential_thread.Submit([&] {
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        sequential_out[i] = oracle.Distance(pairs[i].source, pairs[i].target);
+      }
+    });
+    sequential_thread.Wait();
+    const OracleCounts end = CountsOf(oracle);
+    return std::pair<OracleCounts, OracleCounts>{
+        {mid.queries - start.queries, mid.hits - start.hits,
+         mid.trivial - start.trivial},
+        {end.queries - mid.queries, end.hits - mid.hits,
+         end.trivial - mid.trivial}};
+  };
+
+  const auto [batch_first, sequential_first] = run_passes();
   // Every pair charges the calling thread exactly one query, same as a
   // Distance() loop would.
-  EXPECT_EQ(DistanceOracle::ThreadQueryCount() - thread_queries_before,
+  EXPECT_EQ(thread_queries, static_cast<int64_t>(pairs.size()));
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(batch_out[i], sequential_out[i]) << "pair " << i;
+  }
+  EXPECT_EQ(batch_first, sequential_first);
+  EXPECT_EQ(batch_first.queries + batch_first.trivial,
             static_cast<int64_t>(pairs.size()));
 
+  // Second pass over the same pairs: a pair whose slot no other pair took
+  // is now a cache hit, in both worlds.
+  const auto [batch_second, sequential_second] = run_passes();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(batch_out[i],
-              sequential.Distance(pairs[i].source, pairs[i].target))
-        << "pair " << i;
+    EXPECT_EQ(batch_out[i], sequential_out[i]) << "pair " << i;
   }
-  EXPECT_EQ(batched.num_queries(), sequential.num_queries());
-  EXPECT_EQ(batched.num_cache_hits(), sequential.num_cache_hits());
-  EXPECT_EQ(batched.num_trivial_queries(), sequential.num_trivial_queries());
-
-  // Second pass over the same pairs: everything non-trivial is now a cache
-  // hit, in both worlds.
-  batched.DistanceBatch(pairs, batch_out);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(batch_out[i],
-              sequential.Distance(pairs[i].source, pairs[i].target));
-  }
-  EXPECT_EQ(batched.num_queries(), sequential.num_queries());
-  EXPECT_EQ(batched.num_cache_hits(), sequential.num_cache_hits());
-  EXPECT_EQ(batched.num_trivial_queries(), sequential.num_trivial_queries());
+  EXPECT_EQ(batch_second, sequential_second);
+  EXPECT_GT(batch_second.hits, batch_first.hits);
 }
 
 TEST_P(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {
@@ -592,7 +686,7 @@ TEST_P(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {
 }
 
 // More distinct pairs than a thread's front cache has slots: entries evict
-// each other, so the two passes mix front hits, back hits and computes.
+// each other, so the two passes mix cache hits and computes.
 TEST_P(OracleBatchTest, BatchMatchesSequentialBeyondFrontCache) {
   constexpr int kPairs = 3 * DistanceOracle::kFrontCacheSlots;
   ExpectBatchMatchesSequential(GetParam(), /*grid_side=*/14, kPairs);
