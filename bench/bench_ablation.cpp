@@ -1,12 +1,10 @@
 // Ablations of the implementation's design choices (DESIGN.md §4):
 //   * exact spatial pruning of requester-vehicle pairs in Greedy,
-//   * contraction-hierarchy vs plain Dijkstra distance oracle,
 //   * the pack-candidate restriction K in Rank's pack generation.
 //
-// Pruning and the CH oracle must not change utilities (they are exact); the
-// K-restriction trades utility for time and saturates quickly.
+// Pruning must not change utilities (it is exact); the K-restriction trades
+// utility for time and saturates quickly.
 
-#include <memory>
 #include <vector>
 
 #include "auction/greedy.h"
@@ -55,33 +53,6 @@ void BM_GreedyPruning(benchmark::State& state) {
       static_cast<double>(result.assignments.size());
 }
 
-void BM_OracleBackend(benchmark::State& state) {
-  const bool use_ch = state.range(0) != 0;
-  World& world = SharedWorld();
-  // Fresh oracle per backend so the shared cache cannot hide the cost.
-  DistanceOracle oracle(&world.network,
-                        use_ch ? DistanceOracle::Backend::kContractionHierarchy
-                               : DistanceOracle::Backend::kDijkstra);
-  const SingleRoundInput input = MakeInput(ScaledOrders() / 8,
-                                           ScaledVehicles() / 8);
-  AuctionInstance instance;
-  instance.orders = &input.orders;
-  instance.vehicles = &input.vehicles;
-  instance.oracle = &oracle;
-  instance.config = PaperAuction();
-  DispatchResult result;
-  for (auto _ : state) {
-    result = GreedyDispatch(instance);
-  }
-  state.counters["utility"] = result.total_utility.value();
-  state.counters["oracle_queries"] = static_cast<double>(oracle.num_queries());
-  state.counters["cache_hit_rate"] =
-      oracle.num_queries() == 0
-          ? 0
-          : static_cast<double>(oracle.num_cache_hits()) /
-                static_cast<double>(oracle.num_queries());
-}
-
 void BM_PackCandidateLimit(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const SingleRoundInput input = MakeInput(ScaledOrders() / 4,
@@ -109,13 +80,6 @@ BENCHMARK(auctionride::bench::BM_GreedyPruning)
     ->Arg(0)
     ->Arg(1)
     ->ArgNames({"pruning"})
-    ->Iterations(1)
-    ->Unit(benchmark::kSecond);
-
-BENCHMARK(auctionride::bench::BM_OracleBackend)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"ch"})
     ->Iterations(1)
     ->Unit(benchmark::kSecond);
 

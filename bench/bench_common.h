@@ -90,8 +90,7 @@ inline World& SharedWorld() {
   static World* world = [] {
     auto* w = new World();
     w->network = BuildBeijingLikeNetwork(/*seed=*/7);
-    w->oracle = std::make_unique<DistanceOracle>(
-        &w->network, DistanceOracle::Backend::kContractionHierarchy);
+    w->oracle = std::make_unique<DistanceOracle>(&w->network);
     w->nearest = std::make_unique<NearestNodeIndex>(&w->network, 400);
     return w;
   }();

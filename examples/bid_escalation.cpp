@@ -16,8 +16,7 @@ using namespace auctionride;
 
 int main() {
   RoadNetwork network = BuildBeijingLikeNetwork(/*seed=*/7);
-  DistanceOracle oracle(&network,
-                        DistanceOracle::Backend::kContractionHierarchy);
+  DistanceOracle oracle(&network);
   NearestNodeIndex nearest(&network, 400);
 
   WorkloadOptions wl;

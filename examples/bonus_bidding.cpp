@@ -20,8 +20,7 @@ using namespace auctionride;
 int main() {
   RoadNetwork network = BuildGridNetwork(
       {.columns = 16, .rows = 16, .spacing_m = 500, .seed = 11});
-  DistanceOracle oracle(&network,
-                        DistanceOracle::Backend::kContractionHierarchy);
+  DistanceOracle oracle(&network);
   NearestNodeIndex nearest(&network, 500);
 
   // Vehicle shortage: 14 requesters compete for 4 vehicles.

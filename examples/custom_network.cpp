@@ -51,7 +51,7 @@ int main() {
               static_cast<long long>(loaded->num_edges()), path.c_str());
 
   // 3) Run an auction round on the loaded network.
-  DistanceOracle oracle(&*loaded, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&*loaded);
   auto make_order = [&oracle](OrderId oid, NodeId s, NodeId e, double bid) {
     Order o;
     o.id = oid;

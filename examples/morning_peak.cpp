@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
 
   std::printf("building Beijing-like road network (29.6 x 29.6 km)...\n");
   RoadNetwork network = BuildBeijingLikeNetwork(/*seed=*/7);
-  DistanceOracle oracle(&network,
-                        DistanceOracle::Backend::kContractionHierarchy);
+  DistanceOracle oracle(&network);
   NearestNodeIndex nearest(&network, 400);
 
   WorkloadOptions wl;

@@ -27,8 +27,7 @@ int main() {
               static_cast<long long>(network.num_edges()));
 
   // 2) A distance oracle (contraction hierarchies + cache).
-  DistanceOracle oracle(&network,
-                        DistanceOracle::Backend::kContractionHierarchy);
+  DistanceOracle oracle(&network);
   NearestNodeIndex nearest(&network, 400);
 
   // 3) A small single-round workload: 12 requesters, 5 vehicles.

@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
 
   std::printf("building network and oracle...\n");
   RoadNetwork network = BuildBeijingLikeNetwork(/*seed=*/7);
-  DistanceOracle oracle(&network,
-                        DistanceOracle::Backend::kContractionHierarchy);
+  DistanceOracle oracle(&network);
   NearestNodeIndex nearest(&network, 400);
 
   StatusOr<CsvWriter> writer = CsvWriter::Open(out_path);

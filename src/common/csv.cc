@@ -1,6 +1,8 @@
 #include "common/csv.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/check.h"
 
@@ -70,6 +72,21 @@ StatusOr<std::vector<std::vector<std::string>>> ReadCsv(
   }
   std::fclose(file);
   return rows;
+}
+
+Status ParseFiniteDouble(const std::string& s, const std::string& line,
+                         const char* field, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0') {
+    return Status::InvalidArgument(line + ": " + field + " '" + s +
+                                   "' is not a number");
+  }
+  if (!std::isfinite(*out)) {
+    return Status::InvalidArgument(line + ": " + field + " '" + s +
+                                   "' must be finite");
+  }
+  return Status::Ok();
 }
 
 }  // namespace auctionride

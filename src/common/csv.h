@@ -49,6 +49,13 @@ class CsvWriter {
 StatusOr<std::vector<std::vector<std::string>>> ReadCsv(
     const std::string& path);
 
+/// Parses cell `s` as a finite double into *out. strtod happily accepts
+/// "nan"/"inf", and one NaN or infinity in a loaded file silently poisons
+/// every downstream comparison, so both are rejected at the boundary. The
+/// InvalidArgument message names `line` (e.g. "row 3") and `field`.
+Status ParseFiniteDouble(const std::string& s, const std::string& line,
+                         const char* field, double* out);
+
 }  // namespace auctionride
 
 #endif  // AUCTIONRIDE_COMMON_CSV_H_

@@ -62,6 +62,9 @@ FaultOptions FaultOptionsForProfile(FaultProfile profile, uint64_t seed) {
 }
 
 FaultOptions FaultOptionsFromEnv(uint64_t seed) {
+  // The one environment read in src/: examples and benches call this to
+  // honour the CI fault matrix, and library code takes FaultOptions.
+  // NOLINTNEXTLINE-ARIDE(banned-api): named env entry point, see above
   const char* env = std::getenv("AR_FAULT_PROFILE");
   if (env == nullptr || env[0] == '\0') {
     return FaultOptionsForProfile(FaultProfile::kNone, seed);

@@ -1,8 +1,6 @@
 #include "planner/insertion.h"
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <span>
 #include <utility>
@@ -23,73 +21,6 @@ namespace {
 // realistic clock magnitude (an ulp at 1e6 s is ~1e-10 s) while staying far
 // below any deadline granularity the simulation produces.
 inline constexpr Seconds kWindowSlackS{1e-6};
-
-bool PruningEnabledFromEnv() {
-  const char* env = std::getenv("AR_INSERTION_PRUNING");
-  return env == nullptr || env[0] != '0';
-}
-
-std::atomic<bool>& PruningFlag() {
-  static std::atomic<bool> flag(PruningEnabledFromEnv());
-  return flag;
-}
-
-// The pre-pruning implementation, verbatim: builds each candidate stop
-// sequence and evaluates it from scratch. Sets (not adds) the two counters.
-InsertionResult RunReference(const Vehicle& vehicle, const Order& order,
-                             Seconds now_s, const DistanceOracle& oracle,
-                             int64_t* attempts, int64_t* infeasible) {
-  InsertionResult best;
-  *attempts = 0;
-  *infeasible = 0;
-
-  const Meters base_delivery =
-      EvaluatePlan(vehicle, vehicle.plan.stops, now_s, oracle)
-          .delivery_distance_m;
-
-  const PlanStop pickup{order.origin, order.id, StopType::kPickup, Seconds{}};
-  const PlanStop dropoff{order.destination, order.id, StopType::kDropoff,
-                         order.DropoffDeadline(now_s)};
-
-  const std::size_t n = vehicle.plan.stops.size();
-  std::vector<PlanStop> candidate;
-  candidate.reserve(n + 2);
-  Meters best_delta{std::numeric_limits<double>::infinity()};
-
-  // Insert pickup at position i and drop-off at position j (positions in the
-  // plan *after* the pickup insertion), for all i <= j.
-  for (std::size_t i = 0; i <= n; ++i) {
-    for (std::size_t j = i; j <= n; ++j) {
-      candidate.clear();
-      candidate.insert(candidate.end(), vehicle.plan.stops.begin(),
-                       vehicle.plan.stops.begin() + static_cast<long>(i));
-      candidate.push_back(pickup);
-      candidate.insert(candidate.end(),
-                       vehicle.plan.stops.begin() + static_cast<long>(i),
-                       vehicle.plan.stops.begin() + static_cast<long>(j));
-      candidate.push_back(dropoff);
-      candidate.insert(candidate.end(),
-                       vehicle.plan.stops.begin() + static_cast<long>(j),
-                       vehicle.plan.stops.end());
-
-      const PlanEvaluation eval =
-          EvaluatePlan(vehicle, candidate, now_s, oracle);
-      ++*attempts;
-      if (!eval.feasible) {
-        ++*infeasible;
-        continue;
-      }
-      const Meters delta = eval.delivery_distance_m - base_delivery;
-      if (delta < best_delta) {
-        best_delta = delta;
-        best.feasible = true;
-        best.new_plan = candidate;
-      }
-    }
-  }
-  if (best.feasible) best.delta_delivery_m = best_delta;
-  return best;
-}
 
 // Per-thread scratch for the pruned search. Sized to the plan length each
 // call; plans are at most 2·c̄ stops, so these stay tiny and hot.
@@ -121,7 +52,7 @@ thread_local PrunedScratch tl_scratch;
 
 // The pruned/incremental search. Lossless by construction — see the header
 // comment for the monotonicity argument; insertion_prune_test fuzzes the
-// claim against RunReference bit for bit.
+// claim against the from-scratch reference search bit for bit.
 InsertionResult RunPruned(const Vehicle& vehicle, const Order& order,
                           Seconds now_s, const DistanceOracle& oracle,
                           int64_t* attempts, int64_t* infeasible) {
@@ -146,13 +77,28 @@ InsertionResult RunPruned(const Vehicle& vehicle, const Order& order,
     for (std::size_t k = 0; k < n; ++k) {
       s.plan_leg_m[k] = oracle.Distance(prev, plan[k].node);
       PlanWalkState st = s.prefix[k];
-      if (AdvancePlanStop(st, s.plan_leg_m[k], plan[k], vehicle.capacity,
-                          speed, kDeadlineEpsilonS) != StopAdvance::kOk) {
-        // A committed plan that does not walk cleanly (disconnected graph,
-        // corrupted state) is outside the pruning proof's assumptions; the
-        // reference path reproduces the historical behavior exactly.
-        return RunReference(vehicle, order, now_s, oracle, attempts,
-                            infeasible);
+      const StopAdvance adv = AdvancePlanStop(
+          st, s.plan_leg_m[k], plan[k], vehicle.capacity, speed,
+          kDeadlineEpsilonS);
+      if (adv != StopAdvance::kOk) {
+        // The committed plan itself fails at stop k (an unreachable leg, a
+        // deadline already missed, an overfull vehicle). Every candidate
+        // keeps the committed stops in order: with the pickup after k it
+        // repeats the failing prefix bit for bit, and otherwise the new
+        // stops only add load and detours before k, so capacity still
+        // overflows, the leg into k stays unreachable and the deadline
+        // stays missed. Every (i, j) is infeasible, counted the way the
+        // sweep counts its prunes. (A precedence failure, a drop-off with
+        // no rider on board, is corrupted state and is rejected the same
+        // way.)
+        *infeasible = total_pairs;
+        if (adv == StopAdvance::kDeadline) {
+          OBS_COUNTER_ADD("planner.insertion.pruned.deadline", total_pairs);
+        } else {
+          OBS_COUNTER_ADD("planner.insertion.pruned.capacity", total_pairs);
+        }
+        OBS_COUNTER_ADD("planner.insertion.pruned.candidates", total_pairs);
+        return InsertionResult{};
       }
       s.prefix[k + 1] = st;
       prev = plan[k].node;
@@ -404,14 +350,6 @@ InsertionResult RunPruned(const Vehicle& vehicle, const Order& order,
 
 }  // namespace
 
-bool InsertionPruningEnabled() {
-  return PruningFlag().load(std::memory_order_relaxed);
-}
-
-void SetInsertionPruningEnabled(bool enabled) {
-  PruningFlag().store(enabled, std::memory_order_relaxed);
-}
-
 InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
                               Seconds now_s, const DistanceOracle& oracle) {
   ARIDE_CHECK(order.origin != kInvalidNode &&
@@ -433,10 +371,7 @@ InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
   int64_t attempts = 0;
   int64_t infeasible = 0;
   InsertionResult best =
-      InsertionPruningEnabled()
-          ? RunPruned(vehicle, order, now_s, oracle, &attempts, &infeasible)
-          : RunReference(vehicle, order, now_s, oracle, &attempts,
-                         &infeasible);
+      RunPruned(vehicle, order, now_s, oracle, &attempts, &infeasible);
   OBS_COUNTER_ADD("planner.insertion.attempts", attempts);
   OBS_COUNTER_ADD("planner.insertion.infeasible", infeasible);
   if (best.feasible) {
@@ -448,18 +383,6 @@ InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
                                                          << order.id;
   }
   return best;
-}
-
-InsertionResult BestInsertionReference(const Vehicle& vehicle,
-                                       const Order& order, Seconds now_s,
-                                       const DistanceOracle& oracle) {
-  ARIDE_CHECK(order.origin != kInvalidNode &&
-              order.destination != kInvalidNode)
-      << "order " << order.id;
-  if (vehicle.CommittedRiders() >= vehicle.capacity) return InsertionResult{};
-  int64_t attempts = 0;
-  int64_t infeasible = 0;
-  return RunReference(vehicle, order, now_s, oracle, &attempts, &infeasible);
 }
 
 Meters MaxPickupRadiusM(const Order& order, MetersPerSecond speed_mps) {

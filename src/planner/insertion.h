@@ -25,7 +25,9 @@
 // on leg values at all. Hence phase 1 only ever removes candidates phase 2
 // would have found infeasible, and the surviving evaluation is the exact
 // historical operation sequence — same best plan, same ΔD, bit for bit
-// (property-tested against BestInsertionReference in tests/).
+// (property-tested against the from-scratch search in
+// tests/insertion_reference.h, which evaluates every candidate with a full
+// EvaluatePlan walk).
 
 #ifndef AUCTIONRIDE_PLANNER_INSERTION_H_
 #define AUCTIONRIDE_PLANNER_INSERTION_H_
@@ -50,25 +52,11 @@ struct InsertionResult {
 /// Finds the cheapest valid insertion of `order` into `vehicle`'s plan at
 /// time `now_s` (the dispatch round time: the order's drop-off deadline is
 /// DropoffDeadline(now_s)). Returns feasible = false when no insertion
-/// position satisfies the constraints.
+/// position satisfies the constraints — in particular whenever the
+/// committed plan itself does not walk, since every candidate keeps its
+/// stops in order.
 InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
                               Seconds now_s, const DistanceOracle& oracle);
-
-/// The from-scratch reference search: evaluates every (i, j) candidate with
-/// a full EvaluatePlan walk and no pruning. Emits no telemetry. This is the
-/// pre-pruning implementation, kept as the ground truth the property tests
-/// compare BestInsertion against and as the AR_INSERTION_PRUNING=0 ablation
-/// path for benchmarks.
-InsertionResult BestInsertionReference(const Vehicle& vehicle,
-                                       const Order& order, Seconds now_s,
-                                       const DistanceOracle& oracle);
-
-/// Whether BestInsertion uses the pruned/incremental search (default) or
-/// the reference search. Initialized once from the AR_INSERTION_PRUNING
-/// environment variable ("0" disables); the setter exists for tests and
-/// ablation harnesses and is safe to call between dispatch rounds.
-bool InsertionPruningEnabled();
-void SetInsertionPruningEnabled(bool enabled);
 
 /// Quick necessary condition used for exact spatial pruning: a dispatch can
 /// only be valid if the vehicle can reach the origin and complete the trip

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <queue>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace auctionride {
 
@@ -218,100 +218,6 @@ ContractionHierarchy::ContractionHierarchy(const RoadNetwork* network,
                         out_adj[u].end());
     up_in_arcs_.insert(up_in_arcs_.end(), in_adj[u].begin(), in_adj[u].end());
   }
-}
-
-ContractionHierarchy::Query::Query(const ContractionHierarchy* ch) : ch_(ch) {
-  ARIDE_ACHECK(ch != nullptr);
-  const auto n = static_cast<std::size_t>(ch->num_nodes_);
-  dist_fwd_.assign(n, kInfDistance);
-  dist_bwd_.assign(n, kInfDistance);
-  gen_fwd_.assign(n, 0);
-  gen_bwd_.assign(n, 0);
-}
-
-double ContractionHierarchy::Query::ShortestDistance(NodeId source,
-                                                     NodeId target) {
-  ARIDE_DCHECK(source >= 0 && source < ch_->num_nodes_);
-  ARIDE_DCHECK(target >= 0 && target < ch_->num_nodes_);
-  if (source == target) return 0;
-  ++generation_;
-  ARIDE_ACHECK(generation_ != 0);
-
-  auto dist = [this](std::vector<double>& d, std::vector<uint32_t>& g,
-                     NodeId node) -> double& {
-    if (g[node] != generation_) {
-      g[node] = generation_;
-      d[node] = kInfDistance;
-    }
-    return d[node];
-  };
-
-  MinQueue fwd, bwd;
-  dist(dist_fwd_, gen_fwd_, source) = 0;
-  dist(dist_bwd_, gen_bwd_, target) = 0;
-  fwd.push({0, source});
-  bwd.push({0, target});
-  double best = kInfDistance;
-  // Search-effort metric, accumulated locally: one registry update per
-  // query, not per settled node.
-  int64_t settled = 0;
-
-  // Stall-on-demand: `u` is stalled when some higher-ranked node w already
-  // reached by this search offers a strictly shorter path into u over a
-  // downward arc w -> u (forward search; w <- u for the backward one). Those
-  // arcs are exactly the opposite side's upward arcs of u. A stalled u's
-  // tentative distance is not its true one, so no shortest up-down path
-  // passes through it and its arcs need not be relaxed. It is still checked
-  // as a meeting point, which is harmless: its two distances belong to real
-  // paths, so their sum never undercuts the shortest one.
-  auto relax_side = [&](MinQueue& queue, std::vector<double>& my_dist,
-                        std::vector<uint32_t>& my_gen,
-                        std::vector<double>& other_dist,
-                        std::vector<uint32_t>& other_gen,
-                        const std::vector<int64_t>& begin,
-                        const std::vector<UpArc>& arcs,
-                        const std::vector<int64_t>& stall_begin,
-                        const std::vector<UpArc>& stall_arcs) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist(my_dist, my_gen, u)) return;
-    ++settled;
-    if (other_gen[u] == generation_ && other_dist[u] != kInfDistance) {
-      best = std::min(best, d + other_dist[u]);
-    }
-    for (int64_t i = stall_begin[u]; i < stall_begin[u + 1]; ++i) {
-      const UpArc& a = stall_arcs[static_cast<std::size_t>(i)];
-      if (my_gen[a.head] == generation_ && my_dist[a.head] + a.weight < d) {
-        return;
-      }
-    }
-    for (int64_t i = begin[u]; i < begin[u + 1]; ++i) {
-      const UpArc& a = arcs[static_cast<std::size_t>(i)];
-      const double nd = d + a.weight;
-      if (nd < dist(my_dist, my_gen, a.head)) {
-        dist(my_dist, my_gen, a.head) = nd;
-        queue.push({nd, a.head});
-      }
-    }
-  };
-
-  while (!fwd.empty() || !bwd.empty()) {
-    const double f_top = fwd.empty() ? kInfDistance : fwd.top().dist;
-    const double b_top = bwd.empty() ? kInfDistance : bwd.top().dist;
-    if (std::min(f_top, b_top) >= best) break;
-    if (f_top <= b_top) {
-      relax_side(fwd, dist_fwd_, gen_fwd_, dist_bwd_, gen_bwd_,
-                 ch_->up_out_begin_, ch_->up_out_arcs_, ch_->up_in_begin_,
-                 ch_->up_in_arcs_);
-    } else {
-      relax_side(bwd, dist_bwd_, gen_bwd_, dist_fwd_, gen_fwd_,
-                 ch_->up_in_begin_, ch_->up_in_arcs_, ch_->up_out_begin_,
-                 ch_->up_out_arcs_);
-    }
-  }
-  OBS_COUNTER_ADD("roadnet.ch.settled_nodes", settled);
-  OBS_COUNTER_INC("roadnet.ch.queries");
-  return best;
 }
 
 }  // namespace auctionride

@@ -6,18 +6,14 @@
 // nodes. The result is a pair of *upward* search graphs: UpOut(v) holds the
 // arcs v->w to more important nodes, UpIn(v) the arcs w->v from them.
 //
-// Production queries do not search these graphs: HubLabels (hub_labels.h)
+// Nothing queries these graphs directly: HubLabels (hub_labels.h)
 // precomputes every node's upward search once and answers a query with a
-// two-list merge. ContractionHierarchy::Query, the classic bidirectional
-// upward search that meets in the middle, is kept as the reference the
-// label tests compare against; create one Query per thread for concurrent
-// use.
+// two-list merge.
 
 #ifndef AUCTIONRIDE_ROADNET_CONTRACTION_HIERARCHY_H_
 #define AUCTIONRIDE_ROADNET_CONTRACTION_HIERARCHY_H_
 
 #include <cstdint>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -62,33 +58,7 @@ class ContractionHierarchy {
             up_in_arcs_.data() + up_in_begin_[v + 1]};
   }
 
-  /// Per-thread reference query context (bidirectional upward search with
-  /// stall-on-demand).
-  class Query {
-   public:
-    explicit Query(const ContractionHierarchy* ch);
-
-    /// Exact shortest distance in meters; kInfDistance if unreachable.
-    double ShortestDistance(NodeId source, NodeId target);
-
-   private:
-    struct QueueEntry {
-      double dist;
-      NodeId node;
-      bool operator>(const QueueEntry& o) const { return dist > o.dist; }
-    };
-    using MinQueue = std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                                         std::greater<QueueEntry>>;
-
-    const ContractionHierarchy* ch_;
-    std::vector<double> dist_fwd_, dist_bwd_;
-    std::vector<uint32_t> gen_fwd_, gen_bwd_;
-    uint32_t generation_ = 0;
-  };
-
  private:
-  friend class Query;
-
   NodeId num_nodes_ = 0;
   int64_t num_shortcuts_ = 0;
   std::vector<int32_t> rank_;  // contraction order; higher = more important

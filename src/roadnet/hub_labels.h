@@ -9,10 +9,11 @@
 // forward(s)[h] + backward(t)[h]: the highest node of a shortest s-t path
 // is in both.
 //
-// Each label distance is the sum the CH query itself forms, arc weights
-// added left to right from the node, so every answer is bit-identical to
-// ContractionHierarchy::Query. (Deriving a label from its neighbours'
-// labels would sum in another order and change the bits.)
+// Each label distance is the sum a bidirectional CH query forms, arc
+// weights added left to right from the node, so every answer is
+// bit-identical to that query (roadnet_test keeps an unstalled one as the
+// reference). Deriving a label from its neighbours' labels would sum in
+// another order and change the bits.
 //
 // Labels are pruned while they are built. Levels run top-down (a node's
 // level is one more than the deepest of its upward neighbours, so every

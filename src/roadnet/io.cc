@@ -16,12 +16,6 @@ std::string FormatNumber(double v) {
   return buf;
 }
 
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != s.c_str();
-}
-
 bool ParseInt(const std::string& s, int64_t* out) {
   const auto result =
       std::from_chars(s.data(), s.data() + s.size(), *out);
@@ -74,20 +68,26 @@ StatusOr<RoadNetwork> LoadNetworkCsv(const std::string& path) {
         return Status::InvalidArgument(line + ": node needs id,x,y");
       }
       NodeRec rec;
-      if (!ParseInt(row[1], &rec.id) || !ParseDouble(row[2], &rec.p.x) ||
-          !ParseDouble(row[3], &rec.p.y)) {
-        return Status::InvalidArgument(line + ": bad node fields");
+      if (!ParseInt(row[1], &rec.id)) {
+        return Status::InvalidArgument(line + ": bad node id");
       }
+      // A non-finite coordinate would zero min_detour_ratio() and with it
+      // every geometric pruning bound.
+      Status parsed = ParseFiniteDouble(row[2], line, "x", &rec.p.x);
+      if (parsed.ok()) parsed = ParseFiniteDouble(row[3], line, "y", &rec.p.y);
+      if (!parsed.ok()) return parsed;
       nodes.push_back(rec);
     } else if (row[0] == "edge") {
       if (row.size() != 4) {
         return Status::InvalidArgument(line + ": edge needs from,to,length");
       }
       EdgeRec rec;
-      if (!ParseInt(row[1], &rec.from) || !ParseInt(row[2], &rec.to) ||
-          !ParseDouble(row[3], &rec.length)) {
-        return Status::InvalidArgument(line + ": bad edge fields");
+      if (!ParseInt(row[1], &rec.from) || !ParseInt(row[2], &rec.to)) {
+        return Status::InvalidArgument(line + ": bad edge endpoints");
       }
+      const Status parsed =
+          ParseFiniteDouble(row[3], line, "length", &rec.length);
+      if (!parsed.ok()) return parsed;
       if (rec.length < 0) {
         return Status::InvalidArgument(line + ": negative edge length");
       }

@@ -19,19 +19,15 @@ uint64_t NextOracleId() {
 
 }  // namespace
 
-DistanceOracle::DistanceOracle(const RoadNetwork* network, Backend backend,
-                               double speed_mps)
+DistanceOracle::DistanceOracle(const RoadNetwork* network, double speed_mps)
     : id_(NextOracleId()),
       network_(network),
       speed_mps_(speed_mps) {
   ARIDE_ACHECK(network != nullptr);
   ARIDE_ACHECK(network->built());
   ARIDE_ACHECK(speed_mps > 0);
-  if (backend == Backend::kContractionHierarchy) {
-    const ContractionHierarchy ch(network);
-    labels_ = std::make_unique<HubLabels>(ch);
-  }
-  // Relative safety margin: the backends sum edge lengths with round-to-
+  labels_ = std::make_unique<HubLabels>(ContractionHierarchy(network));
+  // Relative safety margin: the labels sum edge lengths with round-to-
   // nearest adds, and LowerBoundDistance rounds its product once, so each
   // side can differ from the exact real value by a handful of ulps. Shaving
   // 1e-9 (~ 2^-30, millions of ulps) off the ratio keeps the bound strictly
@@ -149,30 +145,12 @@ inline FrontEntry& FrontSlot(uint64_t oracle_id, uint64_t key) {
 int64_t DistanceOracle::ThreadQueryCount() { return tl_thread_queries; }
 
 double DistanceOracle::ComputeUncached(NodeId source, NodeId target) const {
-  if (labels_ != nullptr) {
-    // A label merge takes under a microsecond and runs ~10^6 times per
-    // round, so it is timed one in 1024: one in 16 would take the
-    // histogram mutex tens of thousands of times per round.
-    OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 1024);
-    ARIDE_SP_COUNT_LABEL_QUERY();
-    return labels_->Distance(source, target);
-  }
-  OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 16);
-  std::unique_ptr<DijkstraSearch> search;
-  {
-    MutexLock lock(pool_mu_);
-    if (!dijkstra_pool_.empty()) {
-      search = std::move(dijkstra_pool_.back());
-      dijkstra_pool_.pop_back();
-    }
-  }
-  if (search == nullptr) search = std::make_unique<DijkstraSearch>(network_);
-  const double d = search->ShortestDistance(source, target);
-  {
-    MutexLock lock(pool_mu_);
-    dijkstra_pool_.push_back(std::move(search));
-  }
-  return d;
+  // A label merge takes under a microsecond and runs ~10^6 times per round,
+  // so it is timed one in 1024: one in 16 would take the histogram mutex
+  // tens of thousands of times per round.
+  OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 1024);
+  ARIDE_SP_COUNT_LABEL_QUERY();
+  return labels_->Distance(source, target);
 }
 
 double DistanceOracle::FrontOrCompute(NodeId source, NodeId target,

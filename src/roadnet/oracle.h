@@ -4,9 +4,8 @@
 // The paper (§III-A) treats the inter-location distances purely as inputs
 // with per-query cost O(q); this oracle makes q small with hub labels built
 // from a contraction hierarchy (hub_labels.h): a cold query is one merge of
-// two sorted lists of ~60 entries, bit-identical to the CH query. A plain
-// Dijkstra backend is kept as the reference implementation for correctness
-// tests and ablations.
+// two sorted lists of ~60 entries. Tests compare it against DijkstraSearch
+// (roadnet/dijkstra.h), which stays outside the query path.
 //
 // One cache level: every non-trivial lookup first probes a small
 // direct-mapped front cache owned by the calling thread (no locks, no
@@ -17,8 +16,7 @@
 // immutable labels.
 //
 // Thread-safety: Distance()/TravelTime() may be called concurrently; the
-// Dijkstra backend pools its search contexts internally, and the statistics
-// are striped counters.
+// labels are immutable and the statistics are striped counters.
 
 #ifndef AUCTIONRIDE_ROADNET_ORACLE_H_
 #define AUCTIONRIDE_ROADNET_ORACLE_H_
@@ -27,13 +25,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
-#include "common/mutex.h"
 #include "common/striped_counter.h"
 #include "common/units.h"
-#include "common/thread_annotations.h"
-#include "roadnet/dijkstra.h"
 #include "roadnet/graph.h"
 #include "roadnet/hub_labels.h"
 
@@ -44,20 +38,25 @@ constexpr double kDefaultSpeedMps = 30.0 * 1000.0 / 3600.0;
 
 class DistanceOracle {
  public:
-  enum class Backend { kContractionHierarchy, kDijkstra };
-
-  /// The network must outlive the oracle. Building with the CH backend runs
+  /// The network must outlive the oracle. Construction runs the
   /// preprocessing (contraction, then hub labels) up front.
-  DistanceOracle(const RoadNetwork* network, Backend backend,
-                 double speed_mps = kDefaultSpeedMps);
+  explicit DistanceOracle(const RoadNetwork* network,
+                          double speed_mps = kDefaultSpeedMps);
+
+  /// A tag, not a setting: hub labels are the only backend. It exists only
+  /// for the benchmark harness under perfbench/, which is changed together
+  /// with the benchmark; every other caller uses the constructor above.
+  enum class Backend { kContractionHierarchy };
+  DistanceOracle(const RoadNetwork* network, Backend /*tag*/)
+      : DistanceOracle(network) {}
 
   DistanceOracle(const DistanceOracle&) = delete;
   DistanceOracle& operator=(const DistanceOracle&) = delete;
 
   /// Shortest road distance in meters; kInfDistance if unreachable. Raw
-  /// double by design: this is the geometry boundary — the label/Dijkstra
-  /// backends and front cache below it are pure graph code. Economic
-  /// callers wrap the result in Meters at the call site.
+  /// double by design: this is the geometry boundary — the labels and the
+  /// front cache below it are pure graph code. Economic callers wrap the
+  /// result in Meters at the call site.
   double Distance(NodeId source, NodeId target) const;
 
   /// A (source, target) pair for DistanceBatch().
@@ -79,7 +78,7 @@ class DistanceOracle {
   /// straight-line distance scaled by the network's min-detour ratio (see
   /// RoadNetwork::min_detour_ratio()), shrunk by a relative safety margin of
   /// 1e-9 so that floating-point rounding — in this product, in the ratio
-  /// precompute, and in the path sums inside the backends — can never push
+  /// precompute, and in the path sums inside the labels — can never push
   /// the bound above the double Distance() actually returns. Pure
   /// arithmetic: no graph search, no cache traffic, not counted as a query.
   double LowerBoundDistance(NodeId source, NodeId target) const {
@@ -100,7 +99,7 @@ class DistanceOracle {
   MetersPerSecond speed_mps() const { return MetersPerSecond(speed_mps_); }
   const RoadNetwork& network() const { return *network_; }
 
-  /// Cumulative query statistics (for the ablation bench). num_queries()
+  /// Cumulative query statistics. num_queries()
   /// counts only non-trivial queries (source != target) — the ones that
   /// reach the cache — so hit rate is hits/queries without bias from
   /// trivial zero-distance answers, which are counted separately. Cache hits
@@ -133,15 +132,9 @@ class DistanceOracle {
   const RoadNetwork* network_;
   double speed_mps_;
   double lb_scale_ = 0;
-  // CH backend only: hub labels of a contraction hierarchy, which is
-  // dropped once they are built.
+  // Hub labels of a contraction hierarchy, which is dropped once they are
+  // built.
   std::unique_ptr<HubLabels> labels_;
-
-  // Dijkstra backend only: pool of per-thread search contexts, lazily
-  // grown.
-  mutable Mutex pool_mu_;
-  mutable std::vector<std::unique_ptr<DijkstraSearch>> dijkstra_pool_
-      ARIDE_GUARDED_BY(pool_mu_);
 
   mutable StripedCounter num_queries_;
   mutable StripedCounter num_cache_hits_;

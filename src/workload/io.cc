@@ -1,6 +1,5 @@
 #include "workload/io.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_set>
@@ -17,33 +16,10 @@ std::string Num(double v) {
   return buf;
 }
 
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != s.c_str();
-}
-
 bool ParseInt(const std::string& s, long* out) {
   char* end = nullptr;
   *out = std::strtol(s.c_str(), &end, 10);
   return end != nullptr && *end == '\0' && end != s.c_str();
-}
-
-// Parses a double that must be finite. strtod happily accepts "nan"/"inf",
-// and a NaN bid or valuation silently poisons every downstream comparison
-// (heap ordering, payments, utilities) — reject it at the boundary with a
-// message naming the exact field.
-Status ParseFiniteDouble(const std::string& s, const std::string& line,
-                         const char* field, double* out) {
-  if (!ParseDouble(s, out)) {
-    return Status::InvalidArgument(line + ": " + field + " '" + s +
-                                   "' is not a number");
-  }
-  if (!std::isfinite(*out)) {
-    return Status::InvalidArgument(line + ": " + field + " '" + s +
-                                   "' must be finite");
-  }
-  return Status::Ok();
 }
 
 Status ParseIntField(const std::string& s, const std::string& line,

@@ -59,12 +59,13 @@ TEST(BannedApiGolden, FiresOnExactLines) {
       {"banned-api", 14},  // std::rand
       {"banned-api", 15},  // srand
       {"banned-api", 16},  // system_clock
+      {"banned-api", 23},  // std::getenv
   };
   EXPECT_EQ(got, want);
 }
 
 TEST(BannedApiGolden, OutsideSrcOnlyGlobalBansApply) {
-  // Under a bench/ path the stdout/assert bans don't apply, but the
+  // Under a bench/ path the stdout/assert/getenv bans don't apply, but the
   // nondeterminism bans (rand, system_clock) still do.
   const auto got = LintFixture("banned_api.cc", "bench/banned_api.cc");
   const std::vector<std::pair<std::string, int>> want = {

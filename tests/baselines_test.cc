@@ -17,7 +17,7 @@ using testutil::MakeVehicle;
 
 TEST(FcfsTest, ServesInIssueOrder) {
   RoadNetwork net = testutil::LineNetwork(16, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {
       MakeOrder(0, 2, 6, /*bid=*/5, oracle),   // negative utility solo
       MakeOrder(1, 2, 6, /*bid=*/40, oracle),  // would win any auction
@@ -43,7 +43,7 @@ TEST(FcfsTest, ServesInIssueOrder) {
 
 TEST(FcfsTest, ServeAllDispatchesNegativeUtility) {
   RoadNetwork net = testutil::LineNetwork(16, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {MakeOrder(0, 2, 12, /*bid=*/5, oracle)};
   std::vector<Vehicle> vehicles = {MakeVehicle(0, 2)};
   AuctionInstance in;
@@ -56,7 +56,7 @@ TEST(FcfsTest, ServeAllDispatchesNegativeUtility) {
 
 TEST(FcfsTest, PicksMinimumInsertionVehicle) {
   RoadNetwork net = testutil::LineNetwork(20, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {MakeOrder(0, 10, 12, /*bid=*/20, oracle)};
   std::vector<Vehicle> vehicles = {MakeVehicle(0, 3), MakeVehicle(1, 9)};
   AuctionInstance in;
@@ -82,7 +82,7 @@ TEST(FcfsTest, HigherDispatchCountLowerUtilityThanAuction) {
   options.spacing_m = 500;
   options.seed = 3;
   RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&grid);
   std::vector<Order> orders;
   for (int j = 0; j < 20; ++j) {
     NodeId s = 0;

@@ -73,7 +73,7 @@ TEST(EngineStressTest, ConcurrentSubmissionWithRebalancer) {
   // 12x12 lattice, orders clustered far from the vehicles so the
   // rebalancer has real work while producers race the round loop.
   RoadNetwork net = testutil::LatticeNetwork(12, 12, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const auto nodes = static_cast<uint64_t>(net.num_nodes());
 
   Rng rng(99);

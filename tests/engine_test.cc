@@ -70,7 +70,7 @@ TEST(IngestQueueTest, DrainReturnsEverythingPushedOnce) {
 
 TEST(EngineTest, RoundClockAdvancesByRoundDuration) {
   RoadNetwork net = testutil::LatticeNetwork(6, 6, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders;  // empty catalog: rounds still tick
   std::vector<VehicleSpawn> vehicles;
 
@@ -91,7 +91,7 @@ TEST(EngineTest, RoundClockAdvancesByRoundDuration) {
 
 TEST(EngineDeathTest, SubmitOrderRejectsNodesOutsideTheNetwork) {
   RoadNetwork net = testutil::LatticeNetwork(4, 4, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {testutil::MakeOrder(0, 0, 5, 20.0, oracle)};
   std::vector<VehicleSpawn> vehicles;
   // Pool-free, so the death test forks a single-threaded process.
@@ -115,7 +115,7 @@ TEST(EngineTest, RebalancerMigratesIdleVehiclesTowardDemand) {
   // Vehicles all spawn in the left half, every order originates in the
   // right half: the rebalancer must move idle supply across the boundary.
   RoadNetwork net = testutil::LatticeNetwork(12, 6, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
 
   std::vector<Order> orders;
   Rng rng(3);

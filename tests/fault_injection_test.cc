@@ -30,8 +30,7 @@ class FaultInjectionTest : public ::testing::Test {
     options.spacing_m = 600;
     options.seed = 4;
     net_ = BuildGridNetwork(options);
-    oracle_ = std::make_unique<DistanceOracle>(
-        &net_, DistanceOracle::Backend::kContractionHierarchy);
+    oracle_ = std::make_unique<DistanceOracle>(&net_);
     nearest_ = std::make_unique<NearestNodeIndex>(&net_, 600);
   }
 

@@ -20,8 +20,7 @@ class GreedyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     net_ = testutil::LineNetwork(20, 1000);
-    oracle_ = std::make_unique<DistanceOracle>(
-        &net_, DistanceOracle::Backend::kDijkstra);
+    oracle_ = std::make_unique<DistanceOracle>(&net_);
   }
 
   AuctionInstance Instance() {
@@ -106,7 +105,7 @@ TEST_F(GreedyTest, PruningOnAndOffAgree) {
   options.spacing_m = 400;
   options.seed = 8;
   RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&grid);
   std::vector<Order> orders;
   std::vector<Vehicle> vehicles;
   for (int j = 0; j < 15; ++j) {
@@ -183,7 +182,7 @@ TEST_P(GreedyApproximationTest, WithinTheoremBound) {
   options.spacing_m = 600;
   options.seed = GetParam() + 100;
   RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&grid);
   std::vector<Order> orders;
   std::vector<Vehicle> vehicles;
   const int m = 5;
@@ -285,7 +284,7 @@ TEST_P(GreedyReferenceTest, OptimizedMatchesNaiveSequence) {
   options.spacing_m = 500;
   options.seed = GetParam() + 200;
   RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&grid);
   std::vector<Order> orders;
   std::vector<Vehicle> vehicles;
   const int m = 4 + static_cast<int>(rng.UniformInt(uint64_t{10}));

@@ -1,31 +1,29 @@
 // Losslessness of the pruned/incremental insertion search.
 //
-// The pruned BestInsertion must be indistinguishable — bit for bit — from
-// the brute-force reference at every level: per order-vehicle pair (same
-// feasibility, same ΔD, same plan), per dispatcher (same assignments and
-// totals with pruning on vs. off, serial and pooled), and per mechanism
-// (same payments). Plus the certificates the pruning rests on: the
-// min-detour lower bound must be admissible, and the pruned.* counters must
-// reconcile with the attempt counters on every exit path.
+// BestInsertion must be indistinguishable — bit for bit — from the
+// brute-force reference (insertion_reference.h) on every plan a dispatcher
+// can hand it: per order-vehicle pair of the fuzz scenarios (same
+// feasibility, same ΔD, same plan, and never more oracle queries), on the
+// chained plans Greedy's re-insertions and PlanPack's 3-order chains build,
+// on deep committed plans, and on plans that do not walk at all. Plus the
+// certificates the pruning rests on: the min-detour lower bound must be
+// admissible, and the pruned.* counters must reconcile with the attempt
+// counters on every exit path.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "auction/baselines.h"
 #include "auction/greedy.h"
-#include "auction/matching.h"
-#include "auction/mechanism.h"
-#include "auction/rank.h"
 #include "common/rng.h"
-#include "exec/thread_pool.h"
+#include "insertion_reference.h"
 #include "obs/metrics.h"
 #include "planner/insertion.h"
+#include "roadnet/dijkstra.h"
 #include "testutil.h"
 
 namespace auctionride {
@@ -36,19 +34,6 @@ using testutil::FuzzScenario;
 using testutil::LatticeNetwork;
 using testutil::MakeOrder;
 using testutil::MakeVehicle;
-
-// Restores the process-wide pruning toggle on scope exit so test order
-// cannot leak state.
-class PruningGuard {
- public:
-  explicit PruningGuard(bool enabled) : saved_(InsertionPruningEnabled()) {
-    SetInsertionPruningEnabled(enabled);
-  }
-  ~PruningGuard() { SetInsertionPruningEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 void ExpectSameInsertion(const InsertionResult& pruned,
                          const InsertionResult& ref, std::string_view what) {
@@ -67,55 +52,34 @@ void ExpectSameInsertion(const InsertionResult& pruned,
   }
 }
 
-void ExpectSameDispatch(const DispatchResult& a, const DispatchResult& b,
-                        std::string_view what) {
-  ASSERT_EQ(a.assignments.size(), b.assignments.size()) << what;
-  for (std::size_t i = 0; i < a.assignments.size(); ++i) {
-    EXPECT_EQ(a.assignments[i].order, b.assignments[i].order) << what;
-    EXPECT_EQ(a.assignments[i].vehicle, b.assignments[i].vehicle) << what;
-    EXPECT_EQ(a.assignments[i].cost, b.assignments[i].cost) << what;
-    EXPECT_EQ(a.assignments[i].utility, b.assignments[i].utility) << what;
-  }
-  ASSERT_EQ(a.updated_plans.size(), b.updated_plans.size()) << what;
-  for (std::size_t i = 0; i < a.updated_plans.size(); ++i) {
-    EXPECT_EQ(a.updated_plans[i].first, b.updated_plans[i].first) << what;
-    const std::vector<PlanStop>& ap = a.updated_plans[i].second;
-    const std::vector<PlanStop>& bp = b.updated_plans[i].second;
-    ASSERT_EQ(ap.size(), bp.size()) << what;
-    for (std::size_t s = 0; s < ap.size(); ++s) {
-      EXPECT_EQ(ap[s].node, bp[s].node) << what;
-      EXPECT_EQ(ap[s].order, bp[s].order) << what;
-      EXPECT_EQ(ap[s].type, bp[s].type) << what;
-      EXPECT_EQ(ap[s].deadline_s, bp[s].deadline_s) << what;
-    }
-  }
-  EXPECT_EQ(a.total_utility, b.total_utility) << what;
-  EXPECT_EQ(a.total_delta_delivery_m, b.total_delta_delivery_m) << what;
-}
-
 class InsertionPruneProperty : public ::testing::TestWithParam<uint64_t> {};
 
 // Every order-vehicle pair of every fuzz scenario: the pruned search and
-// the reference search agree bitwise, and the runtime toggle's "off" path
-// really is the reference.
+// the reference search agree bitwise, and the pruned search never issues
+// more oracle queries than the reference (strictly fewer over a scenario).
 TEST_P(InsertionPruneProperty, PrunedMatchesReferencePerPair) {
   const FuzzScenario sc = BuildFuzzScenario(GetParam());
+  int64_t pruned_total = 0;
+  int64_t reference_total = 0;
   for (const Vehicle& v : sc.vehicles) {
     for (const Order& o : sc.orders) {
+      int64_t before = DistanceOracle::ThreadQueryCount();
       const InsertionResult ref =
           BestInsertionReference(v, o, sc.now_s, *sc.oracle);
-      {
-        PruningGuard on(true);
-        ExpectSameInsertion(BestInsertion(v, o, sc.now_s, *sc.oracle), ref,
-                            "pruning on");
-      }
-      {
-        PruningGuard off(false);
-        ExpectSameInsertion(BestInsertion(v, o, sc.now_s, *sc.oracle), ref,
-                            "pruning off");
-      }
+      const int64_t reference_queries =
+          DistanceOracle::ThreadQueryCount() - before;
+      before = DistanceOracle::ThreadQueryCount();
+      ExpectSameInsertion(BestInsertion(v, o, sc.now_s, *sc.oracle), ref,
+                          "per pair");
+      const int64_t pruned_queries =
+          DistanceOracle::ThreadQueryCount() - before;
+      EXPECT_LE(pruned_queries, reference_queries)
+          << "vehicle " << v.id << " order " << o.id;
+      pruned_total += pruned_queries;
+      reference_total += reference_queries;
     }
   }
+  EXPECT_LT(pruned_total, reference_total);
 }
 
 // The geometric certificate: the lower bound never exceeds the road
@@ -132,59 +96,52 @@ TEST_P(InsertionPruneProperty, LowerBoundIsAdmissible) {
   }
 }
 
-// Dispatcher level: every dispatcher produces identical results with
-// pruning on and off, serially and on an 8-thread pool; the end-to-end
-// mechanisms produce identical payments.
-TEST_P(InsertionPruneProperty, DispatchersIdenticalPruningOnOff) {
-  const FuzzScenario sc = BuildFuzzScenario(GetParam());
-  const AuctionInstance in = sc.Instance();
-
-  DispatchResult greedy_off, rank_off, matching_off, fcfs_off;
-  {
-    PruningGuard off(false);
-    greedy_off = GreedyDispatch(in);
-    rank_off = RankDispatch(in).result;
-    matching_off = MatchingDispatch(in);
-    fcfs_off = FcfsDispatch(in, /*serve_all=*/false);
-  }
-  {
-    PruningGuard on(true);
-    ExpectSameDispatch(GreedyDispatch(in), greedy_off, "greedy");
-    ExpectSameDispatch(RankDispatch(in).result, rank_off, "rank");
-    ExpectSameDispatch(MatchingDispatch(in), matching_off, "matching");
-    ExpectSameDispatch(FcfsDispatch(in, /*serve_all=*/false), fcfs_off,
-                       "fcfs");
-    ThreadPool pool(8);
-    AuctionInstance pooled = sc.Instance();
-    pooled.dispatch_pool = &pool;
-    ExpectSameDispatch(GreedyDispatch(pooled), greedy_off, "greedy@8");
-    ExpectSameDispatch(RankDispatch(pooled).result, rank_off, "rank@8");
-  }
-
-  for (MechanismKind kind : {MechanismKind::kGreedy, MechanismKind::kRank}) {
-    MechanismOutcome off_outcome;
-    {
-      PruningGuard off(false);
-      off_outcome = RunMechanism(kind, in);
-    }
-    PruningGuard on(true);
-    const MechanismOutcome on_outcome = RunMechanism(kind, in);
-    ExpectSameDispatch(on_outcome.dispatch, off_outcome.dispatch,
-                       MechanismName(kind));
-    ASSERT_EQ(on_outcome.payments.size(), off_outcome.payments.size());
-    for (std::size_t i = 0; i < on_outcome.payments.size(); ++i) {
-      EXPECT_EQ(on_outcome.payments[i].order, off_outcome.payments[i].order);
-      EXPECT_EQ(on_outcome.payments[i].payment,
-                off_outcome.payments[i].payment)
-          << MechanismName(kind) << " i=" << i;
-    }
-    EXPECT_EQ(on_outcome.platform_utility, off_outcome.platform_utility);
-    EXPECT_EQ(on_outcome.requester_utility, off_outcome.requester_utility);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Sweep, InsertionPruneProperty,
                          ::testing::Range(uint64_t{1}, uint64_t{30}));
+
+// Multi-order plans: apply the reference's best insertion of one order,
+// then of a second, and compare the two searches on every further order at
+// each depth. These are the plans Greedy's re-insertions and PlanPack's
+// 3-order chains pass to BestInsertion. One test sweeps all fuzz seeds so
+// it can require that chains of every depth occur somewhere.
+TEST(InsertionPruneChainTest, PrunedMatchesReferenceOnChainedPlans) {
+  int depth3_compared = 0;
+  for (uint64_t seed = 1; seed < 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const FuzzScenario sc = BuildFuzzScenario(seed);
+    const auto compare = [&sc](const Vehicle& v, const Order& o,
+                               std::string_view what) {
+      const InsertionResult ref =
+          BestInsertionReference(v, o, sc.now_s, *sc.oracle);
+      ExpectSameInsertion(BestInsertion(v, o, sc.now_s, *sc.oracle), ref,
+                          what);
+      return ref;
+    };
+    for (const Vehicle& v : sc.vehicles) {
+      for (const Order& first : sc.orders) {
+        const InsertionResult one = compare(v, first, "depth 1");
+        if (!one.feasible) continue;
+        Vehicle v1 = v;
+        v1.plan.stops = one.new_plan;
+        for (const Order& second : sc.orders) {
+          if (second.id == first.id) continue;
+          const InsertionResult two = compare(v1, second, "depth 2");
+          if (!two.feasible) continue;
+          Vehicle v2 = v1;
+          v2.plan.stops = two.new_plan;
+          for (const Order& third : sc.orders) {
+            if (third.id == first.id || third.id == second.id) continue;
+            compare(v2, third, "depth 3");
+            ++depth3_compared;
+          }
+        }
+      }
+    }
+  }
+  // Two-order plans must actually occur or the test proves nothing beyond
+  // the per-pair one.
+  EXPECT_GT(depth3_compared, 0);
+}
 
 // Deep committed plans (6 stops) with mixed tight/loose deadlines exercise
 // the row-break, capacity-prune, and window-prune paths far harder than the
@@ -192,7 +149,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, InsertionPruneProperty,
 // tight through generous patience factors.
 TEST(InsertionPruneDeepPlanTest, MatchesReferenceOnDeepPlans) {
   const RoadNetwork net = LatticeNetwork(8, 8, 500);
-  const DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  const DistanceOracle oracle(&net);
   const Seconds now{100};
 
   Vehicle v = MakeVehicle(0, /*node=*/9, /*capacity=*/4);
@@ -229,7 +186,6 @@ TEST(InsertionPruneDeepPlanTest, MatchesReferenceOnDeepPlans) {
                                   gamma);
         const InsertionResult ref =
             BestInsertionReference(v, o, now, oracle);
-        PruningGuard on(true);
         const InsertionResult pruned = BestInsertion(v, o, now, oracle);
         ExpectSameInsertion(pruned, ref, "deep plan");
         if (ref.feasible) ++feasible_seen;
@@ -243,8 +199,7 @@ TEST(InsertionPruneDeepPlanTest, MatchesReferenceOnDeepPlans) {
 // Counter reconciliation on every exit path of BestInsertion.
 TEST(InsertionPruneCountersTest, CapacityRejectedCountsSeparately) {
   const RoadNetwork net = LatticeNetwork(4, 4, 500);
-  const DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
-  PruningGuard on(true);
+  const DistanceOracle oracle(&net);
   obs::MetricRegistry::Global().ResetAll();
 
   Vehicle full = MakeVehicle(0, 0, /*capacity=*/1);
@@ -270,8 +225,7 @@ TEST(InsertionPruneCountersTest, CapacityRejectedCountsSeparately) {
 
 TEST(InsertionPruneCountersTest, WindowPrunePaysZeroQueries) {
   const RoadNetwork net = LatticeNetwork(8, 8, 1000);
-  const DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
-  PruningGuard on(true);
+  const DistanceOracle oracle(&net);
   obs::MetricRegistry::Global().ResetAll();
 
   // Idle vehicle in one corner, order in the far corner with patience far
@@ -296,11 +250,61 @@ TEST(InsertionPruneCountersTest, WindowPrunePaysZeroQueries) {
   EXPECT_EQ(at("planner.insertion.pruned.candidates"), 1);
 }
 
+// A committed plan that does not walk makes every candidate infeasible:
+// each one keeps the committed stops in order, so it meets the same
+// unreachable leg or the same missed deadline. The search must say so
+// without finding anything the reference would not, and count every
+// candidate as attempted and infeasible.
+class UnwalkablePlanTest : public ::testing::Test {
+ protected:
+  void ExpectAllInfeasible(const Vehicle& v, const Order& o) {
+    const std::size_t n = v.plan.stops.size();
+    const auto total_pairs = static_cast<int64_t>((n + 1) * (n + 2) / 2);
+    obs::MetricRegistry::Global().ResetAll();
+    const InsertionResult pruned = BestInsertion(v, o, now_, oracle_);
+    ExpectSameInsertion(pruned, BestInsertionReference(v, o, now_, oracle_),
+                        "unwalkable plan");
+    EXPECT_FALSE(pruned.feasible);
+    const auto counters = obs::MetricRegistry::Global().Snapshot().counters;
+    const auto at = [&counters](const std::string& name) {
+      const auto it = counters.find(name);
+      return it == counters.end() ? int64_t{0} : it->second;
+    };
+    EXPECT_EQ(at("planner.insertion.attempts"), total_pairs);
+    EXPECT_EQ(at("planner.insertion.infeasible"), total_pairs);
+  }
+
+  const RoadNetwork net_ = testutil::TwoComponentNetwork();
+  const DistanceOracle oracle_{&net_};
+  const Seconds now_{100};
+};
+
+TEST_F(UnwalkablePlanTest, UnreachableCommittedLeg) {
+  // In component B, committed to a drop-off in component A, which B cannot
+  // reach; the new order itself stays inside B.
+  Vehicle v = MakeVehicle(0, /*node=*/3);
+  v.plan.stops.push_back(
+      {4, testutil::kCommittedBase, StopType::kPickup, Seconds(0)});
+  v.plan.stops.push_back(
+      {1, testutil::kCommittedBase, StopType::kDropoff, Seconds(1e9)});
+  ASSERT_EQ(DijkstraSearch(&net_).ShortestDistance(4, 1), kInfDistance);
+  ExpectAllInfeasible(v, MakeOrder(1, 3, 4, 20.0, oracle_, 5.0));
+}
+
+TEST_F(UnwalkablePlanTest, CommittedDeadlineAlreadyPassed) {
+  // An onboard rider whose drop-off deadline lies before the round time.
+  Vehicle v = MakeVehicle(0, /*node=*/0);
+  v.onboard = 1;
+  v.in_delivery = true;
+  v.plan.stops.push_back(
+      {2, testutil::kCommittedBase, StopType::kDropoff, now_ - Seconds(50)});
+  ExpectAllInfeasible(v, MakeOrder(1, 1, 2, 20.0, oracle_, 5.0));
+}
+
 // Across a full dispatch sweep the pruned.* taxonomy must reconcile:
 // candidates = window + capacity + deadline, and no counter can exceed the
 // infeasible attempts it is a subset of.
 TEST(InsertionPruneCountersTest, TaxonomyReconcilesAcrossDispatch) {
-  PruningGuard on(true);
   obs::MetricRegistry::Global().ResetAll();
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const FuzzScenario sc = BuildFuzzScenario(seed);

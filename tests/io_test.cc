@@ -98,6 +98,42 @@ TEST(NetworkIoTest, RejectsDanglingEdges) {
   EXPECT_FALSE(LoadNetworkCsv(path).ok());
 }
 
+// strtod accepts "nan" and "inf"; the loader must reject both with a
+// Status. A NaN length would trip RoadNetwork::AddEdge's length check and
+// abort, an infinite one is no road, and a NaN coordinate zeroes the
+// min-detour ratio and with it every geometric pruning bound.
+StatusCode LoadTwoNodeNetwork(const char* name, const std::string& x1,
+                              const std::string& length) {
+  const std::string path = TempPath(name);
+  {
+    StatusOr<CsvWriter> writer = CsvWriter::Open(path);
+    EXPECT_TRUE(writer.ok());
+    writer->WriteRow({"node", "0", "0", "0"});
+    writer->WriteRow({"node", "1", x1, "0"});
+    writer->WriteRow({"edge", "0", "1", length});
+    EXPECT_TRUE(writer->Close().ok());
+  }
+  return LoadNetworkCsv(path).status().code();
+}
+
+TEST(NetworkIoTest, AcceptsFiniteFields) {
+  EXPECT_EQ(LoadTwoNodeNetwork("finite.csv", "100", "100"), StatusCode::kOk);
+}
+
+TEST(NetworkIoTest, RejectsNonFiniteEdgeLengths) {
+  EXPECT_EQ(LoadTwoNodeNetwork("nan_length.csv", "100", "nan"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadTwoNodeNetwork("inf_length.csv", "100", "inf"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(NetworkIoTest, RejectsNonFiniteCoordinates) {
+  EXPECT_EQ(LoadTwoNodeNetwork("nan_coord.csv", "nan", "100"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadTwoNodeNetwork("inf_coord.csv", "-inf", "100"),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(NetworkIoTest, RejectsUnbuiltSave) {
   RoadNetwork net;
   net.AddNode({0, 0});

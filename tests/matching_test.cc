@@ -120,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatchingPropertyTest,
 
 TEST(MatchingDispatchTest, OneRiderPerVehicle) {
   RoadNetwork net = testutil::LineNetwork(20, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {
       MakeOrder(0, 2, 6, /*bid=*/30, oracle),
       MakeOrder(1, 3, 7, /*bid=*/28, oracle),
@@ -146,7 +146,7 @@ TEST(MatchingDispatchTest, BeatsGreedyOnAssignmentConflicts) {
   // Greedy's myopic max-pair choice can strand the second order; the
   // matching finds the globally better assignment.
   RoadNetwork net = testutil::LineNetwork(30, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   // Vehicle 0 at 10 serves either order; vehicle 1 at 0 only reaches order
   // A (origin 8) within its wasted-time budget, not order B (origin 12).
   std::vector<Order> orders = {

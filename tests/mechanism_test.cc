@@ -44,8 +44,7 @@ Scenario RandomScenario(uint64_t seed, int m, int n) {
   options.spacing_m = 500;
   options.seed = seed + 7;
   sc.net = BuildGridNetwork(options);
-  sc.oracle = std::make_unique<DistanceOracle>(
-      &sc.net, DistanceOracle::Backend::kDijkstra);
+  sc.oracle = std::make_unique<DistanceOracle>(&sc.net);
   Rng rng(seed);
   for (int j = 0; j < m; ++j) {
     NodeId s = 0;

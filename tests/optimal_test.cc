@@ -18,7 +18,7 @@ using testutil::MakeVehicle;
 
 TEST(ExactBestPlanTest, SingleOrderEqualsShortestPath) {
   RoadNetwork net = testutil::LineNetwork(10, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0);
   const Order o = MakeOrder(1, 2, 7, 20, oracle);
   const ExactPlanResult exact = ExactBestPlan(v, {&o}, Seconds(0), oracle);
@@ -30,7 +30,7 @@ TEST(ExactBestPlanTest, FindsInterleavingInsertionMisses) {
   // A case where insertion order matters: the exact planner may reorder
   // everything, so its Δ is never worse than PlanPack's.
   RoadNetwork net = testutil::LatticeNetwork(8, 8, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0);
   const Order a = MakeOrder(1, 9, 45, 20, oracle, 3.0);
   const Order b = MakeOrder(2, 18, 36, 20, oracle, 3.0);
@@ -42,7 +42,7 @@ TEST(ExactBestPlanTest, FindsInterleavingInsertionMisses) {
 
 TEST(ExactBestPlanTest, CapacityBound) {
   RoadNetwork net = testutil::LineNetwork(10, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0, /*capacity=*/1);
   const Order a = MakeOrder(1, 1, 3, 10, oracle);
   const Order b = MakeOrder(2, 2, 4, 10, oracle);
@@ -52,7 +52,7 @@ TEST(ExactBestPlanTest, CapacityBound) {
 
 TEST(OptimalDispatchTest, EmptyInstance) {
   RoadNetwork net = testutil::LineNetwork(4, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders;
   std::vector<Vehicle> vehicles;
   AuctionInstance in;
@@ -66,7 +66,7 @@ TEST(OptimalDispatchTest, EmptyInstance) {
 
 TEST(OptimalDispatchTest, LeavesNegativeUtilityOrdersOut) {
   RoadNetwork net = testutil::LineNetwork(16, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {MakeOrder(0, 2, 14, /*bid=*/5, oracle)};
   std::vector<Vehicle> vehicles = {MakeVehicle(0, 2)};
   AuctionInstance in;
@@ -80,7 +80,7 @@ TEST(OptimalDispatchTest, LeavesNegativeUtilityOrdersOut) {
 
 TEST(OptimalDispatchTest, FindsJointlyProfitablePack) {
   RoadNetwork net = testutil::LineNetwork(24, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {
       MakeOrder(0, 4, 16, /*bid=*/20, oracle),
       MakeOrder(1, 5, 15, /*bid=*/20, oracle),
@@ -108,7 +108,7 @@ TEST_P(OptimalDominanceTest, OptimumDominatesHeuristics) {
   options.spacing_m = 600;
   options.seed = GetParam() + 40;
   RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&grid);
 
   std::vector<Order> orders;
   std::vector<Vehicle> vehicles;

@@ -39,8 +39,7 @@ class Figure1Test : public ::testing::Test {
     net_.AddBidirectionalEdge(kE2, kE1, kUnit);
     net_.AddBidirectionalEdge(kS3, kE3, kUnit);
     net_.Build();
-    oracle_ = std::make_unique<DistanceOracle>(
-        &net_, DistanceOracle::Backend::kDijkstra);
+    oracle_ = std::make_unique<DistanceOracle>(&net_);
   }
 
   Seconds Te() const { return Meters(kUnit) / oracle_->speed_mps(); }
@@ -105,7 +104,7 @@ TEST_F(Figure1Test, ValidAlternativeDispatchesR1AndR3) {
 
 TEST(PlanEvalTest, CapacityViolationIsInfeasible) {
   RoadNetwork net = testutil::LineNetwork(8, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Vehicle v = MakeVehicle(0, 0, /*capacity=*/1);
   Order a = MakeOrder(1, 1, 6, 10, oracle);
   Order b = MakeOrder(2, 2, 5, 10, oracle);
@@ -122,7 +121,7 @@ TEST(PlanEvalTest, CapacityViolationIsInfeasible) {
 
 TEST(PlanEvalTest, OnboardRiderCountsAgainstCapacity) {
   RoadNetwork net = testutil::LineNetwork(8, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Vehicle v = MakeVehicle(0, 0, /*capacity=*/2);
   v.onboard = 2;  // full: two riders already in the car
   Order a = MakeOrder(1, 1, 6, 10, oracle);
@@ -135,7 +134,7 @@ TEST(PlanEvalTest, OnboardRiderCountsAgainstCapacity) {
 
 TEST(PlanEvalTest, DeliveryCountsEverythingOnceInDelivery) {
   RoadNetwork net = testutil::LineNetwork(10, 100);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Vehicle v = MakeVehicle(0, 2);
   v.onboard = 1;  // already delivering
   v.extra_distance_m = Meters(40);
@@ -154,7 +153,7 @@ TEST(PlanEvalTest, DeliveryCountsEverythingOnceInDelivery) {
 
 TEST(PlanEvalTest, EmptyPlanIsFeasibleWithZeroDistance) {
   RoadNetwork net = testutil::LineNetwork(3, 100);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 1);
   const PlanEvaluation eval = EvaluatePlan(v, {}, Seconds(0), oracle);
   EXPECT_TRUE(eval.feasible);
@@ -164,7 +163,7 @@ TEST(PlanEvalTest, EmptyPlanIsFeasibleWithZeroDistance) {
 
 TEST(InsertionTest, SingleOrderIntoIdleVehicle) {
   RoadNetwork net = testutil::LineNetwork(10, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0);
   const Order o = MakeOrder(1, 2, 6, 20, oracle);
   const InsertionResult ins = BestInsertion(v, o, Seconds(0), oracle);
@@ -178,7 +177,7 @@ TEST(InsertionTest, SingleOrderIntoIdleVehicle) {
 
 TEST(InsertionTest, InfeasibleWhenThetaTooTight) {
   RoadNetwork net = testutil::LineNetwork(10, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0);
   Order o = MakeOrder(1, 5, 7, 20, oracle);
   // Approach needs 5000 m; wt = 5000/speed > θ.
@@ -188,7 +187,7 @@ TEST(InsertionTest, InfeasibleWhenThetaTooTight) {
 
 TEST(InsertionTest, SharedRideReducesMarginalCost) {
   RoadNetwork net = testutil::LineNetwork(10, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Vehicle v = MakeVehicle(0, 0);
   const Order a = MakeOrder(1, 1, 8, 20, oracle);
   const InsertionResult first = BestInsertion(v, a, Seconds(0), oracle);
@@ -205,7 +204,7 @@ TEST(InsertionTest, SharedRideReducesMarginalCost) {
 
 TEST(InsertionTest, RespectsExistingRiderDeadline) {
   RoadNetwork net = testutil::LineNetwork(20, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Vehicle v = MakeVehicle(0, 1);  // at r_a's origin: no approach waste
   Order a = MakeOrder(1, 1, 5, 20, oracle, /*gamma=*/1.2);
   const InsertionResult first = BestInsertion(v, a, Seconds(0), oracle);
@@ -224,7 +223,7 @@ TEST(InsertionTest, RespectsExistingRiderDeadline) {
 
 TEST(InsertionTest, FullVehicleRejects) {
   RoadNetwork net = testutil::LineNetwork(5, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Vehicle v = MakeVehicle(0, 0, /*capacity=*/1);
   v.onboard = 1;
   const Order o = MakeOrder(1, 1, 3, 20, oracle);
@@ -233,7 +232,7 @@ TEST(InsertionTest, FullVehicleRejects) {
 
 TEST(InsertionTest, MaxPickupRadius) {
   RoadNetwork net = testutil::LineNetwork(5, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Order o = MakeOrder(1, 1, 3, 20, oracle);
   o.max_wasted_time_s = Seconds(120);
   EXPECT_DOUBLE_EQ(MaxPickupRadiusM(o, MetersPerSecond(10.0)).value(), 1200);
@@ -241,7 +240,7 @@ TEST(InsertionTest, MaxPickupRadius) {
 
 TEST(PackPlannerTest, PairOnSharedCorridor) {
   RoadNetwork net = testutil::LineNetwork(12, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0);
   const Order a = MakeOrder(1, 1, 9, 20, oracle);
   const Order b = MakeOrder(2, 2, 8, 20, oracle);
@@ -260,7 +259,7 @@ TEST(PackPlannerTest, MatchesExactPlanOnSmallCases) {
   options.spacing_m = 500;
   options.seed = 12;
   RoadNetwork net = BuildGridNetwork(options);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Rng rng(5);
   int feasible_cases = 0;
   for (int trial = 0; trial < 30; ++trial) {
@@ -308,7 +307,7 @@ TEST_P(InsertionPropertyTest, PlanStructureAndDeltaConsistency) {
   options.spacing_m = 500;
   options.seed = GetParam() + 300;
   RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&grid);
 
   auto random_node = [&]() {
     return static_cast<NodeId>(
@@ -379,7 +378,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InsertionPropertyTest,
 
 TEST(PackPlannerTest, RejectsOverCapacity) {
   RoadNetwork net = testutil::LineNetwork(10, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0, /*capacity=*/2);
   const Order a = MakeOrder(1, 1, 4, 10, oracle);
   const Order b = MakeOrder(2, 2, 5, 10, oracle);
@@ -410,7 +409,7 @@ class CorruptedLegSource final : public LegSource {
 
 TEST(PlanEvalTest, NanLegRejectedWithoutPoisoningAccumulators) {
   RoadNetwork net = testutil::LineNetwork(10, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0);
   const Order a = MakeOrder(1, 2, 6, 10, oracle);
   const std::vector<PlanStop> plan = {
@@ -452,7 +451,7 @@ TEST(PlanEvalTest, NanLegRejectedWithoutPoisoningAccumulators) {
 // like a drop-off deadline.
 TEST(PlanEvalTest, PickupDeadlineContract) {
   RoadNetwork net = testutil::LineNetwork(10, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0);
   // γ = 10: the drop-off deadline is far looser than the 5000 m approach,
   // so feasibility below is decided by the pickup deadline alone.

@@ -48,8 +48,7 @@ RandomScenario MakeScenario(uint64_t seed, int m, int n) {
   options.spacing_m = 500;
   options.seed = seed + 1000;
   sc.net = BuildGridNetwork(options);
-  sc.oracle = std::make_unique<DistanceOracle>(
-      &sc.net, DistanceOracle::Backend::kDijkstra);
+  sc.oracle = std::make_unique<DistanceOracle>(&sc.net);
   Rng rng(seed);
   for (int j = 0; j < m; ++j) {
     NodeId s = 0;
@@ -243,7 +242,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Deterministic corridor scenario with a known critical payment.
 TEST(GPriTest, SecondPriceOnSingleSeatContention) {
   RoadNetwork net = testutil::LineNetwork(12, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {
       MakeOrder(0, 2, 6, /*bid=*/30, oracle),  // cost 12, u = 18
       MakeOrder(1, 2, 6, /*bid=*/20, oracle),  // cost 12, u = 8
@@ -262,7 +261,7 @@ TEST(GPriTest, SecondPriceOnSingleSeatContention) {
 
 TEST(GPriTest, UncontestedWinnerPaysCost) {
   RoadNetwork net = testutil::LineNetwork(12, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {MakeOrder(0, 2, 6, /*bid=*/30, oracle)};
   std::vector<Vehicle> vehicles = {MakeVehicle(0, 2)};
   AuctionInstance in;
@@ -276,7 +275,7 @@ TEST(GPriTest, UncontestedWinnerPaysCost) {
 
 TEST(DnWTest, UncontestedWinnerPaysCost) {
   RoadNetwork net = testutil::LineNetwork(12, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {MakeOrder(0, 2, 6, /*bid=*/30, oracle)};
   std::vector<Vehicle> vehicles = {MakeVehicle(0, 2)};
   AuctionInstance in;
@@ -293,7 +292,7 @@ TEST(DnWTest, UncontestedWinnerPaysCost) {
 // interval walk must consider every pack and return the cheapest way in.
 TEST(DnWTest, MultiplePacksContainingPricedRequester) {
   RoadNetwork net = testutil::LineNetwork(20, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   // r_0 shares a corridor with r_1 and r_2, who both want to pack with it;
   // two vehicles so two packs can be dispatched.
   std::vector<Order> orders = {
@@ -369,7 +368,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DnWStressTest,
 
 TEST(DnWTest, VehicleContentionYieldsReplacementPrice) {
   RoadNetwork net = testutil::LineNetwork(16, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   // Two distant requesters (cannot share), one vehicle with one seat.
   std::vector<Order> orders = {
       MakeOrder(0, 2, 6, /*bid=*/30, oracle),    // cost 12, u = 18

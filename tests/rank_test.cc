@@ -20,8 +20,7 @@ class RankTest : public ::testing::Test {
  protected:
   void SetUp() override {
     net_ = testutil::LineNetwork(24, 1000);
-    oracle_ = std::make_unique<DistanceOracle>(
-        &net_, DistanceOracle::Backend::kDijkstra);
+    oracle_ = std::make_unique<DistanceOracle>(&net_);
   }
 
   AuctionInstance Instance() {
@@ -167,7 +166,7 @@ TEST_P(RankPropertyTest, RandomInstancesAreConsistent) {
   options.spacing_m = 500;
   options.seed = GetParam() * 3 + 1;
   RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&grid);
 
   std::vector<Order> orders;
   std::vector<Vehicle> vehicles;
@@ -234,7 +233,7 @@ TEST(RankClusteringTest, ClusteredDispatchIsValidAndComparable) {
   options.spacing_m = 500;
   options.seed = 6;
   RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&grid);
   std::vector<Order> orders;
   std::vector<Vehicle> vehicles;
   for (int j = 0; j < 60; ++j) {

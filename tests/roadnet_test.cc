@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <queue>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -96,8 +100,9 @@ TEST(DijkstraTest, UnreachableReturnsInfinity) {
   EXPECT_TRUE(search.ShortestPath(0, 1).empty());
 }
 
-// Property sweep: contraction hierarchies must reproduce Dijkstra exactly on
-// randomized grid networks of varying size and irregularity.
+// Property sweep: hub labels built from a contraction hierarchy must
+// reproduce Dijkstra on randomized grid networks of varying size and
+// irregularity.
 struct ChCase {
   int columns;
   int rows;
@@ -117,9 +122,7 @@ TEST_P(ContractionHierarchyPropertyTest, MatchesDijkstra) {
   options.removal_fraction = c.removal;
   options.seed = c.seed;
   RoadNetwork net = BuildGridNetwork(options);
-  ContractionHierarchy ch(&net);
-  ContractionHierarchy::Query query(&ch);
-  const HubLabels labels(ch);
+  const HubLabels labels{ContractionHierarchy(&net)};
   DijkstraSearch reference(&net);
   Rng rng(c.seed * 7 + 1);
   for (int i = 0; i < 150; ++i) {
@@ -128,8 +131,6 @@ TEST_P(ContractionHierarchyPropertyTest, MatchesDijkstra) {
     const NodeId t = static_cast<NodeId>(rng.UniformInt(
         static_cast<uint64_t>(net.num_nodes())));
     const double expected = reference.ShortestDistance(s, t);
-    ASSERT_NEAR(query.ShortestDistance(s, t), expected, 1e-6)
-        << "s=" << s << " t=" << t;
     ASSERT_NEAR(labels.Distance(s, t), expected, 1e-6)
         << "s=" << s << " t=" << t;
   }
@@ -142,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ChCase{25, 12, 0.15, 5}));
 
 // Directed correctness: lattices with extra one-way arcs make distances
-// asymmetric; CH must still match Dijkstra in both directions.
+// asymmetric; the labels must still match Dijkstra in both directions.
 class ContractionHierarchyDirectedTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -175,9 +176,7 @@ TEST_P(ContractionHierarchyDirectedTest, OneWayStreets) {
   }
   net.Build();
 
-  ContractionHierarchy ch(&net);
-  ContractionHierarchy::Query query(&ch);
-  const HubLabels labels(ch);
+  const HubLabels labels{ContractionHierarchy(&net)};
   DijkstraSearch reference(&net);
   int asymmetric = 0;
   for (int i = 0; i < 120; ++i) {
@@ -188,8 +187,6 @@ TEST_P(ContractionHierarchyDirectedTest, OneWayStreets) {
     const double forward = reference.ShortestDistance(s, t);
     const double backward = reference.ShortestDistance(t, s);
     if (std::abs(forward - backward) > 1e-9) ++asymmetric;
-    ASSERT_NEAR(query.ShortestDistance(s, t), forward, 1e-6);
-    ASSERT_NEAR(query.ShortestDistance(t, s), backward, 1e-6);
     ASSERT_NEAR(labels.Distance(s, t), forward, 1e-6);
     ASSERT_NEAR(labels.Distance(t, s), backward, 1e-6);
   }
@@ -202,7 +199,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContractionHierarchyDirectedTest,
 TEST(OracleTest, ConcurrentQueriesMatchSerial) {
   RoadNetwork net = BuildGridNetwork(
       {.columns = 12, .rows = 12, .spacing_m = 300, .seed = 77});
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kContractionHierarchy);
+  DistanceOracle oracle(&net);
   DijkstraSearch reference(&net);
 
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -235,9 +232,66 @@ TEST(OracleTest, ConcurrentQueriesMatchSerial) {
             static_cast<int64_t>(got.size()));
 }
 
+// The reference the hub labels are checked against: the bidirectional CH
+// query without stall-on-demand or early exit. It runs an exhaustive upward
+// Dijkstra from s over UpOut and one from t over UpIn, and returns the
+// minimum of the two distances summed over the nodes both reach.
+class ChQueryReference {
+ public:
+  explicit ChQueryReference(const ContractionHierarchy* ch)
+      : ch_(ch), fwd_(ch->num_nodes()), bwd_(ch->num_nodes()) {}
+
+  double Distance(NodeId s, NodeId t) {
+    if (s == t) return 0;
+    Search(s, &ContractionHierarchy::UpOut, &fwd_);
+    Search(t, &ContractionHierarchy::UpIn, &bwd_);
+    double best = kInfDistance;
+    for (const NodeId v : fwd_.reached) {
+      best = std::min(best, fwd_.dist[v] + bwd_.dist[v]);
+    }
+    return best;
+  }
+
+ private:
+  struct Side {
+    explicit Side(NodeId n)
+        : dist(static_cast<std::size_t>(n), kInfDistance) {}
+    std::vector<double> dist;
+    std::vector<NodeId> reached;
+  };
+  using Arcs = std::span<const ContractionHierarchy::UpArc> (
+      ContractionHierarchy::*)(NodeId) const;
+
+  void Search(NodeId root, Arcs arcs, Side* side) {
+    for (const NodeId v : side->reached) side->dist[v] = kInfDistance;
+    side->reached.assign(1, root);
+    side->dist[root] = 0;
+    queue_.push({0, root});
+    while (!queue_.empty()) {
+      const auto [d, u] = queue_.top();
+      queue_.pop();
+      if (d > side->dist[u]) continue;
+      for (const ContractionHierarchy::UpArc& a : (ch_->*arcs)(u)) {
+        double& dist = side->dist[a.head];
+        if (d + a.weight >= dist) continue;
+        if (dist == kInfDistance) side->reached.push_back(a.head);
+        dist = d + a.weight;
+        queue_.push({dist, a.head});
+      }
+    }
+  }
+
+  const ContractionHierarchy* ch_;
+  Side fwd_;
+  Side bwd_;
+  std::priority_queue<std::pair<double, NodeId>,
+                      std::vector<std::pair<double, NodeId>>, std::greater<>>
+      queue_;
+};
+
 // FNV-1a over the IEEE bits of 200k seeded distances on the Beijing-like
-// network, pinned from the CH query without stall-on-demand. Neither
-// stalling nor hub labels may change a single bit.
+// network, pinned from the CH query without stall-on-demand. Neither the
+// reference nor the hub labels may change a single bit.
 uint64_t DistanceDigest(const std::function<double(NodeId, NodeId)>& distance,
                         NodeId num_nodes) {
   Rng rng(20190408);
@@ -259,11 +313,11 @@ uint64_t DistanceDigest(const std::function<double(NodeId, NodeId)>& distance,
 TEST(ContractionHierarchyTest, BeijingDistancesMatchPinnedDigest) {
   const RoadNetwork net = BuildBeijingLikeNetwork(7);
   ContractionHierarchy ch(&net);
-  ContractionHierarchy::Query query(&ch);
+  ChQueryReference query(&ch);
   const HubLabels labels(ch);
   EXPECT_EQ(net.num_nodes(), 6400);
   const auto ch_distance = [&](NodeId s, NodeId t) {
-    return query.ShortestDistance(s, t);
+    return query.Distance(s, t);
   };
   const auto label_distance = [&](NodeId s, NodeId t) {
     return labels.Distance(s, t);
@@ -279,7 +333,7 @@ TEST(ContractionHierarchyTest, BeijingDistancesMatchPinnedDigest) {
 TEST(HubLabelsTest, BitIdenticalToChQuery) {
   const RoadNetwork net = BuildBeijingLikeNetwork(3);
   ContractionHierarchy ch(&net);
-  ContractionHierarchy::Query query(&ch);
+  ChQueryReference query(&ch);
   const HubLabels labels(ch);
   Rng rng(31);
   const auto num_nodes = static_cast<uint64_t>(net.num_nodes());
@@ -288,7 +342,7 @@ TEST(HubLabelsTest, BitIdenticalToChQuery) {
     const auto s = static_cast<NodeId>(rng.UniformInt(num_nodes));
     const auto t = static_cast<NodeId>(rng.UniformInt(num_nodes));
     if (std::bit_cast<uint64_t>(labels.Distance(s, t)) !=
-        std::bit_cast<uint64_t>(query.ShortestDistance(s, t))) {
+        std::bit_cast<uint64_t>(query.Distance(s, t))) {
       ++mismatches;
     }
   }
@@ -307,10 +361,8 @@ TEST(ContractionHierarchyDeathTest, NullNetworkFailsTheCheck) {
 TEST(OracleTest, FrontCacheKeepsOraclesApart) {
   const RoadNetwork short_net = testutil::LineNetwork(20, 100);
   const RoadNetwork long_net = testutil::LineNetwork(20, 250);
-  const DistanceOracle short_oracle(&short_net,
-                                    DistanceOracle::Backend::kDijkstra);
-  const DistanceOracle long_oracle(&long_net,
-                                   DistanceOracle::Backend::kDijkstra);
+  const DistanceOracle short_oracle(&short_net);
+  const DistanceOracle long_oracle(&long_net);
   for (int pass = 0; pass < 3; ++pass) {
     for (NodeId s = 0; s < 20; ++s) {
       for (NodeId t = 0; t < 20; ++t) {
@@ -338,14 +390,12 @@ TEST(OracleTest, FrontCacheKeepsOraclesApart) {
 TEST(OracleTest, RecreatedOracleReturnsFreshValues) {
   const RoadNetwork first_net = testutil::LineNetwork(12, 100);
   const RoadNetwork second_net = testutil::LineNetwork(12, 300);
-  auto oracle = std::make_unique<DistanceOracle>(
-      &first_net, DistanceOracle::Backend::kDijkstra);
+  auto oracle = std::make_unique<DistanceOracle>(&first_net);
   for (NodeId t = 0; t < 12; ++t) {
     ASSERT_DOUBLE_EQ(oracle->Distance(0, t), 100.0 * t);
   }
   oracle.reset();
-  oracle = std::make_unique<DistanceOracle>(
-      &second_net, DistanceOracle::Backend::kDijkstra);
+  oracle = std::make_unique<DistanceOracle>(&second_net);
   for (NodeId t = 0; t < 12; ++t) {
     EXPECT_DOUBLE_EQ(oracle->Distance(0, t), 300.0 * t) << "t=" << t;
   }
@@ -354,11 +404,30 @@ TEST(OracleTest, RecreatedOracleReturnsFreshValues) {
 
 TEST(ContractionHierarchyTest, HandlesLineGraph) {
   RoadNetwork net = testutil::LineNetwork(30, 100);
-  ContractionHierarchy ch(&net);
-  ContractionHierarchy::Query query(&ch);
-  EXPECT_DOUBLE_EQ(query.ShortestDistance(0, 29), 2900);
-  EXPECT_DOUBLE_EQ(query.ShortestDistance(29, 0), 2900);
-  EXPECT_DOUBLE_EQ(query.ShortestDistance(15, 15), 0);
+  const DistanceOracle oracle(&net);
+  EXPECT_DOUBLE_EQ(oracle.Distance(0, 29), 2900);
+  EXPECT_DOUBLE_EQ(oracle.Distance(29, 0), 2900);
+  EXPECT_DOUBLE_EQ(oracle.Distance(15, 15), 0);
+}
+
+// Unreachable pairs: on a network that is not strongly connected the
+// oracle answers kInfDistance exactly where Dijkstra does, on every ordered
+// pair.
+TEST(OracleTest, DisconnectedPairsMatchDijkstra) {
+  const RoadNetwork net = testutil::TwoComponentNetwork();
+  const DistanceOracle oracle(&net);
+  DijkstraSearch reference(&net);
+  int unreachable = 0;
+  for (NodeId s = 0; s < net.num_nodes(); ++s) {
+    for (NodeId t = 0; t < net.num_nodes(); ++t) {
+      const double expected = reference.ShortestDistance(s, t);
+      EXPECT_EQ(oracle.Distance(s, t), expected) << "s=" << s << " t=" << t;
+      if (expected == kInfDistance) ++unreachable;
+    }
+  }
+  // B -> A (2 x 3 pairs) and every pair with exactly one end at node 5.
+  EXPECT_EQ(unreachable, 6 + 2 * 5);
+  EXPECT_EQ(oracle.Distance(0, 4), 4000);  // across the one-way arc
 }
 
 TEST(AStarTest, MatchesDijkstraOnLine) {
@@ -498,24 +567,25 @@ TEST(BuilderTest, BeijingLikeCoversPaperArea) {
   EXPECT_TRUE(net.IsStronglyConnected());
 }
 
-TEST(OracleTest, ChAndDijkstraBackendsAgree) {
+TEST(OracleTest, MatchesDijkstraSearch) {
   RoadNetwork net = BuildGridNetwork(
       {.columns = 10, .rows = 10, .spacing_m = 250, .seed = 21});
-  DistanceOracle ch_oracle(&net, DistanceOracle::Backend::kContractionHierarchy);
-  DistanceOracle dj_oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
+  DijkstraSearch reference(&net);
   Rng rng(2);
   for (int i = 0; i < 100; ++i) {
     const NodeId s = static_cast<NodeId>(rng.UniformInt(
         static_cast<uint64_t>(net.num_nodes())));
     const NodeId t = static_cast<NodeId>(rng.UniformInt(
         static_cast<uint64_t>(net.num_nodes())));
-    EXPECT_NEAR(ch_oracle.Distance(s, t), dj_oracle.Distance(s, t), 1e-6);
+    EXPECT_NEAR(oracle.Distance(s, t), reference.ShortestDistance(s, t),
+                1e-6);
   }
 }
 
 TEST(OracleTest, CachesRepeatQueries) {
   RoadNetwork net = testutil::LineNetwork(20, 100);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   EXPECT_DOUBLE_EQ(oracle.Distance(0, 19), 1900);
   const int64_t hits_before = oracle.num_cache_hits();
   EXPECT_DOUBLE_EQ(oracle.Distance(0, 19), 1900);
@@ -524,8 +594,7 @@ TEST(OracleTest, CachesRepeatQueries) {
 
 TEST(OracleTest, TravelTimeUsesSpeed) {
   RoadNetwork net = testutil::LineNetwork(3, 500);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra,
-                        /*speed_mps=*/10.0);
+  DistanceOracle oracle(&net, /*speed_mps=*/10.0);
   EXPECT_DOUBLE_EQ(oracle.TravelTime(0, 2).value(), 100.0);
 }
 
@@ -560,7 +629,7 @@ TEST(RoadNetworkTest, MinDetourRatioZeroWithoutPositiveEuclidEdges) {
 
 TEST(OracleTest, LowerBoundScaleTracksRatioWithSafetyMargin) {
   RoadNetwork net = testutil::LineNetwork(6, 400);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   EXPECT_DOUBLE_EQ(oracle.lower_bound_scale(),
                    net.min_detour_ratio() * (1.0 - 1e-9));
   // The bound on a concrete pair: scale × euclid, and admissible.
@@ -576,7 +645,7 @@ TEST(OracleTest, LowerBoundAdmissibleOnGridNetworks) {
   options.seed = 12345;
   RoadNetwork net = BuildGridNetwork(options);
   EXPECT_GT(net.min_detour_ratio(), 0.0);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   Rng rng(99);
   const auto num_nodes = static_cast<uint64_t>(net.num_nodes());
   for (int trial = 0; trial < 500; ++trial) {
@@ -594,9 +663,6 @@ TEST(OracleTest, LowerBoundAdmissibleOnGridNetworks) {
 // query one oracle (front-cache slots depend on the oracle's id) from two
 // threads (each thread owns its front cache), so both see identical cache
 // states and each pass's counts must match exactly.
-class OracleBatchTest
-    : public ::testing::TestWithParam<DistanceOracle::Backend> {};
-
 struct OracleCounts {
   int64_t queries = 0;
   int64_t hits = 0;
@@ -609,14 +675,13 @@ OracleCounts CountsOf(const DistanceOracle& oracle) {
           oracle.num_trivial_queries()};
 }
 
-void ExpectBatchMatchesSequential(DistanceOracle::Backend backend,
-                                  int grid_side, int num_random_pairs) {
+void ExpectBatchMatchesSequential(int grid_side, int num_random_pairs) {
   GridNetworkOptions options;
   options.columns = grid_side;
   options.rows = grid_side;
   options.seed = 4242;
   RoadNetwork net = BuildGridNetwork(options);
-  const DistanceOracle oracle(&net, backend);
+  const DistanceOracle oracle(&net);
 
   std::vector<DistanceOracle::NodePair> pairs;
   Rng rng(7);
@@ -680,22 +745,17 @@ void ExpectBatchMatchesSequential(DistanceOracle::Backend backend,
   EXPECT_GT(batch_second.hits, batch_first.hits);
 }
 
-TEST_P(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {
-  ExpectBatchMatchesSequential(GetParam(), /*grid_side=*/6,
+TEST(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {
+  ExpectBatchMatchesSequential(/*grid_side=*/6,
                                /*num_random_pairs=*/40);
 }
 
 // More distinct pairs than a thread's front cache has slots: entries evict
 // each other, so the two passes mix cache hits and computes.
-TEST_P(OracleBatchTest, BatchMatchesSequentialBeyondFrontCache) {
+TEST(OracleBatchTest, BatchMatchesSequentialBeyondFrontCache) {
   constexpr int kPairs = 3 * DistanceOracle::kFrontCacheSlots;
-  ExpectBatchMatchesSequential(GetParam(), /*grid_side=*/14, kPairs);
+  ExpectBatchMatchesSequential(/*grid_side=*/14, kPairs);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, OracleBatchTest,
-                         ::testing::Values(
-                             DistanceOracle::Backend::kDijkstra,
-                             DistanceOracle::Backend::kContractionHierarchy));
 
 }  // namespace
 }  // namespace auctionride

@@ -49,7 +49,7 @@ TEST(ScenariosTest, GeneratedScenariosDiffer) {
   net_options.spacing_m = 800;
   net_options.seed = 5;
   RoadNetwork net = BuildGridNetwork(net_options);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kContractionHierarchy);
+  DistanceOracle oracle(&net);
   NearestNodeIndex nearest(&net, 800);
 
   const Workload suburban = GenerateWorkload(

@@ -62,6 +62,21 @@ inline RoadNetwork LatticeNetwork(int cols, int rows,
   return net;
 }
 
+/// A network that is not strongly connected: component A (nodes 0-1-2, a
+/// bidirectional line) reaches component B (nodes 3-4, bidirectional) only
+/// over the one-way arc 2 -> 3, and node 5 has no arcs at all. Edges are
+/// 1000 m and straight, so the min-detour ratio is 1.
+inline RoadNetwork TwoComponentNetwork() {
+  RoadNetwork net;
+  for (int i = 0; i < 6; ++i) net.AddNode({i * 1000.0, 0});
+  net.AddBidirectionalEdge(0, 1, 1000);
+  net.AddBidirectionalEdge(1, 2, 1000);
+  net.AddEdge(2, 3, 1000);
+  net.AddBidirectionalEdge(3, 4, 1000);
+  net.Build();
+  return net;
+}
+
 /// Order factory: θ defaults generous so feasibility is driven by the test.
 inline Order MakeOrder(OrderId id, NodeId origin, NodeId destination,
                        double bid, const DistanceOracle& oracle,
@@ -124,8 +139,7 @@ inline FuzzScenario BuildFuzzScenario(uint64_t seed) {
                                           rng.UniformInt(uint64_t{4}));
   net_options.seed = seed * 31 + 7;
   sc.net = BuildGridNetwork(net_options);
-  sc.oracle = std::make_unique<DistanceOracle>(
-      &sc.net, DistanceOracle::Backend::kDijkstra);
+  sc.oracle = std::make_unique<DistanceOracle>(&sc.net);
   const auto num_nodes = static_cast<uint64_t>(sc.net.num_nodes());
   auto random_node = [&] {
     return static_cast<NodeId>(rng.UniformInt(num_nodes));

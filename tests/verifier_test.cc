@@ -43,8 +43,7 @@ Scenario RandomScenario(uint64_t seed) {
   options.spacing_m = 500;
   options.seed = seed + 17;
   sc.net = BuildGridNetwork(options);
-  sc.oracle = std::make_unique<DistanceOracle>(
-      &sc.net, DistanceOracle::Backend::kDijkstra);
+  sc.oracle = std::make_unique<DistanceOracle>(&sc.net);
   Rng rng(seed);
   const int m = 6 + static_cast<int>(rng.UniformInt(uint64_t{8}));
   for (int j = 0; j < m; ++j) {
@@ -123,7 +122,7 @@ TEST(VerifierTest, DetectsUtilityTampering) {
 
 TEST(VerifierTest, DetectsInfeasiblePlanInjection) {
   RoadNetwork net = testutil::LineNetwork(10, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {MakeOrder(0, 2, 6, /*bid=*/20, oracle)};
   std::vector<Vehicle> vehicles = {MakeVehicle(0, 1)};
   AuctionInstance in;
@@ -141,7 +140,7 @@ TEST(VerifierTest, DetectsInfeasiblePlanInjection) {
 
 TEST(VerifierTest, DetectsDroppedExistingRider) {
   RoadNetwork net = testutil::LineNetwork(12, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {MakeOrder(0, 2, 6, /*bid=*/30, oracle)};
   std::vector<Vehicle> vehicles = {MakeVehicle(0, 1)};
   // The vehicle already carries order 99.
@@ -167,7 +166,7 @@ TEST(VerifierTest, DetectsDroppedExistingRider) {
 // sorted/stable drains in verifier.cc.
 TEST(VerifierTest, FirstDroppedRiderReportIsPlanOrder) {
   RoadNetwork net = testutil::LineNetwork(12, 1000);
-  DistanceOracle oracle(&net, DistanceOracle::Backend::kDijkstra);
+  DistanceOracle oracle(&net);
   std::vector<Order> orders = {MakeOrder(0, 2, 6, /*bid=*/30, oracle)};
   std::vector<Vehicle> vehicles = {MakeVehicle(0, 1)};
   // The vehicle already carries orders 99 and 7, in that stop order.
@@ -237,8 +236,7 @@ TEST(VerifierTest, EpsilonExactZeroRejectsAnyDrift) {
   // verifies even at epsilon = 0 and one ulp of drift is rejected.
   Scenario sc;
   sc.net = testutil::LineNetwork(10, 1000);
-  sc.oracle = std::make_unique<DistanceOracle>(
-      &sc.net, DistanceOracle::Backend::kDijkstra);
+  sc.oracle = std::make_unique<DistanceOracle>(&sc.net);
   sc.orders = {MakeOrder(0, 2, 7, /*bid=*/25, *sc.oracle)};
   sc.vehicles = {MakeVehicle(0, 1)};
   const AuctionInstance in = sc.Instance();
@@ -258,8 +256,7 @@ TEST(VerifierTest, EpsilonExactZeroRejectsAnyDrift) {
 TEST(VerifierTest, RankPackWithNegativeMemberUtility) {
   Scenario sc;
   sc.net = testutil::LineNetwork(12, 1000);
-  sc.oracle = std::make_unique<DistanceOracle>(
-      &sc.net, DistanceOracle::Backend::kDijkstra);
+  sc.oracle = std::make_unique<DistanceOracle>(&sc.net);
   // Two riders share the identical 0 -> 8 trip; the vehicle is at the
   // origin. Packing them is optimal: pack utility = 30 + 1 − 3.0·8 = 7,
   // solo A = 30 − 24 = 6. The even cost share of 12 sinks member B

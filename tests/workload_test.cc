@@ -23,8 +23,7 @@ class WorkloadTest : public ::testing::Test {
     options.spacing_m = 800;
     options.seed = 5;
     net_ = BuildGridNetwork(options);
-    oracle_ = std::make_unique<DistanceOracle>(
-        &net_, DistanceOracle::Backend::kContractionHierarchy);
+    oracle_ = std::make_unique<DistanceOracle>(&net_);
     nearest_ = std::make_unique<NearestNodeIndex>(&net_, 800);
   }
 

@@ -185,8 +185,8 @@ bool WriteSarif(const fs::path& out_path,
 void PrintRules() {
   std::printf(
       "banned-api           std::rand/srand, system_clock, assert() or\n"
-      "                     <cassert>, bare printf/std::cout/std::cerr in "
-      "src/\n"
+      "                     <cassert>, bare printf/std::cout/std::cerr/getenv "
+      "in src/\n"
       "float-eq             raw ==/!= touching bid/price/payment/utility/"
       "cost\n"
       "guard-style          include guards must be AUCTIONRIDE_<PATH>_H_\n"

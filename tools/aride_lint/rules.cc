@@ -75,6 +75,13 @@ void CheckBannedApi(const FileInfo& f, std::vector<Diagnostic>* out) {
            out);
       continue;
     }
+    if (t.text == "getenv" && called && !member_access) {
+      Emit(f, t.line, kRuleBannedApi,
+           "library code reads no environment; the caller (an example, a "
+           "bench or a test) reads it and passes the value in",
+           out);
+      continue;
+    }
     if (t.text == "cout" || t.text == "cerr") {
       Emit(f, t.line, kRuleBannedApi,
            "std::" + t.text + " in library code; use AR_LOG "

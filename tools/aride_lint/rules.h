@@ -3,7 +3,8 @@
 // and examples lives in docs/ANALYSIS.md.
 //
 //   banned-api           std::rand/srand, system_clock, assert()/<cassert>,
-//                        bare printf / std::cout / std::cerr in src/
+//                        bare printf / std::cout / std::cerr / getenv in
+//                        src/
 //   float-eq             raw ==/!= where an operand names a money quantity
 //                        (bid/price/payment/utility/cost/...)
 //   guard-style          include guards must be AUCTIONRIDE_<PATH>_H_

@@ -20,4 +20,5 @@ void FixtureBannedApi() {
   std::printf("ok\n");  // NOLINT-ARIDE(banned-api)
   // NOLINTNEXTLINE-ARIDE(banned-api)
   std::cout << 3;
+  (void)std::getenv("HOME");
 }
