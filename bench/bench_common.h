@@ -53,8 +53,9 @@ inline int ScaledVehicles(int paper_count = 7000) {
 
 /// Dispatch-parallelism knob: AR_DISPATCH_THREADS. Unset or 0 = hardware
 /// concurrency, negative = serial dispatch, positive = that many workers.
-/// Dispatch results are bit-identical across all settings; only wall time
-/// changes.
+/// Simulations pass it as the engine's thread count, which sizes the one
+/// pool dispatch and pricing run on. Results are bit-identical across all
+/// settings; only wall time changes.
 inline int DispatchThreadsEnv() {
   static const int threads = [] {
     const char* env = std::getenv("AR_DISPATCH_THREADS");
@@ -125,7 +126,7 @@ inline SimResult RunSim(MechanismKind mechanism, const WorkloadOptions& wl,
       GenerateWorkload(wl, *world.oracle, *world.nearest);
   EngineOptions options = sim_options;
   options.mechanism = mechanism;
-  options.dispatch_threads = DispatchThreadsEnv();
+  options.engine_threads = DispatchThreadsEnv();
   options.faults = FaultOptionsFromEnv(options.seed);
   return RunSimulation(world.oracle.get(), workload, options);
 }

@@ -16,6 +16,9 @@
 //        --trnd S --duration S --mechanism greedy|rank --seed N
 //        --round-budget-ms MS (service mode: wall-clock anytime budget per
 //        auction round; also settable via AR_ROUND_BUDGET_MS, flag wins)
+// --threads sizes the engine's one pool, which runs the shard round tasks
+// and, nested inside them, each shard's dispatch and pricing (0 = hardware
+// concurrency, negative = all serial).
 //
 // A load validation run at paper-plus scale (sustains >= 50k concurrent
 // pending orders across 8 shards, no FCFS fallback on fault-free rounds):

@@ -25,7 +25,7 @@ DispatchResult FcfsDispatch(const AuctionInstance& instance, bool serve_all) {
         {static_cast<int32_t>(i),
          instance.oracle->network().position(vehicles[i].next_node)});
   }
-  const GridIndex index(std::move(items), /*cell_size_m=*/1000);
+  const GridIndex index(std::move(items), kVehicleGridCellM);
 
   // Issue order = id order (the workload renumbers by issue time).
   std::vector<std::size_t> sequence(orders.size());

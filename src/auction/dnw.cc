@@ -320,18 +320,13 @@ std::vector<Payment> DnWPriceAll(const AuctionInstance& instance,
                                  ThreadPool* pool) {
   const DnWPricer pricer(instance, artifacts);
   std::vector<Payment> payments(dispatch.assignments.size());
-  auto price_one = [&](std::size_t i) {
+  ParallelForOrSerial(pool, payments.size(), [&](std::size_t i) {
     // Reused across this thread's orders (and calls): the walk leaves its
     // flags cleared, so only the first order on a thread allocates.
     thread_local WalkScratch scratch;
     const OrderId id = dispatch.assignments[i].order;
     payments[i] = {id, pricer.Price(id, &scratch)};
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(payments.size(), price_one);
-  } else {
-    for (std::size_t i = 0; i < payments.size(); ++i) price_one(i);
-  }
+  });
   return payments;
 }
 

@@ -51,21 +51,15 @@ std::vector<Payment> GPriPriceAll(const AuctionInstance& instance,
                                   const DispatchResult& dispatch,
                                   ThreadPool* pool) {
   std::vector<Payment> payments(dispatch.assignments.size());
-  // When pricing runs on a pool, the per-order dispatch re-runs execute
-  // inside its workers; a nested ParallelFor there would deadlock in Wait()
-  // (the caller's own task still counts as in-flight), so strip the
-  // dispatch pool from the instance the re-runs see.
+  // Pricing on `pool` spreads over the winners, which already fill it; the
+  // per-winner dispatch re-runs stay serial rather than split that work
+  // a second time.
   AuctionInstance priced_instance = instance;
   if (pool != nullptr) priced_instance.dispatch_pool = nullptr;
-  auto price_one = [&](std::size_t i) {
+  ParallelForOrSerial(pool, payments.size(), [&](std::size_t i) {
     const OrderId id = dispatch.assignments[i].order;
     payments[i] = {id, GPriPriceOrder(priced_instance, id)};
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(payments.size(), price_one);
-  } else {
-    for (std::size_t i = 0; i < payments.size(); ++i) price_one(i);
-  }
+  });
   return payments;
 }
 

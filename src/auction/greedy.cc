@@ -96,8 +96,7 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
     items.push_back({static_cast<int32_t>(i),
                      in.oracle->network().position(vehicles[i].next_node)});
   }
-  const GridIndex vehicle_index(std::move(items),
-                                in.config.vehicle_grid_cell_m);
+  const GridIndex vehicle_index(std::move(items), kVehicleGridCellM);
   const CandidateSource candidates(in, vehicle_index);
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;

@@ -120,7 +120,7 @@ DispatchResult MatchingDispatch(const AuctionInstance& instance) {
         {static_cast<int32_t>(i),
          instance.oracle->network().position(vehicles[i].next_node)});
   }
-  const GridIndex index(std::move(items), /*cell_size_m=*/1000);
+  const GridIndex index(std::move(items), kVehicleGridCellM);
 
   std::vector<std::vector<double>> weights(
       orders.size(), std::vector<double>(vehicles.size(), -kInf));

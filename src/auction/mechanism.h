@@ -99,8 +99,8 @@ struct MechanismOptions {
 /// applied internally.
 /// `pricing_pool` parallelizes per-order pricing (§V-C); `dispatch_pool`
 /// parallelizes dispatch candidate generation (overrides
-/// instance.dispatch_pool when non-null). The two may be the same pool:
-/// GPri strips the dispatch pool from its re-runs when pricing is pooled.
+/// instance.dispatch_pool when non-null). The two may be the same pool, and
+/// the call may itself run inside a task of that pool.
 MechanismOutcome RunMechanism(MechanismKind kind,
                               const AuctionInstance& instance,
                               const MechanismOptions& options = {},

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "auction/anytime.h"
@@ -13,7 +12,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "exec/deadline.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "planner/pack_planner.h"
@@ -72,13 +70,13 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
                      in.oracle->network().position(vehicles[i].next_node)});
   }
   if (items.empty()) return nearest;
-  const GridIndex index(std::move(items), in.config.vehicle_grid_cell_m);
+  const GridIndex index(std::move(items), kVehicleGridCellM);
 
   const auto resolve_knn = [&](std::size_t j) {
     Meters best_dist{kInf};
     const Point origin = in.oracle->network().position(orders[j].origin);
     const std::vector<int32_t> knn =
-        index.KNearest(origin, in.config.nearest_vehicle_candidates);
+        index.KNearest(origin, kNearestVehicleCandidates);
     for (int32_t v : knn) {
       const Vehicle& veh = vehicles[static_cast<std::size_t>(v)];
       const Meters d =
@@ -295,7 +293,7 @@ bool GeneratePacks(const AuctionInstance& in,
                   orders[static_cast<std::size_t>(j)].origin)});
     }
     indexes.push_back(std::make_unique<GridIndex>(
-        std::move(items), in.config.pack_origin_cell_m));
+        std::move(items), kPackOriginCellM));
     for (int32_t j : group) tasks.push_back({j, indexes.back().get()});
   }
 
@@ -323,19 +321,11 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
   const std::vector<Order>& orders = *in.orders;
   const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
 
-  // Clustered rounds (paper §V-E) always ran pack generation on a pool;
-  // keep that behavior with a local pool when no dispatch pool is injected.
   const int m = static_cast<int>(orders.size());
   const bool clustered = in.config.cluster_threshold > 0 &&
                          m >= in.config.cluster_threshold &&
                          in.config.cluster_target_size > 0;
-  ThreadPool* pool = in.dispatch_pool;
-  std::unique_ptr<ThreadPool> local_pool;
-  if (pool == nullptr && clustered) {
-    local_pool =
-        std::make_unique<ThreadPool>(std::thread::hardware_concurrency());
-    pool = local_pool.get();
-  }
+  ThreadPool* const pool = in.dispatch_pool;
 
   Deadline* const dl = in.deadline;
   RankRunResult run;

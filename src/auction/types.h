@@ -43,9 +43,6 @@ struct AuctionConfig {
   // Candidate co-requesters per order in pack generation (restricted
   // enumeration; see DESIGN.md substitution table).
   int pack_candidate_limit = 12;
-  // Euclidean pre-filter size when resolving each requester's nearest
-  // vehicle by road distance.
-  int nearest_vehicle_candidates = 8;
   // When the number of requesters reaches this threshold, pack generation
   // clusters orders into groups of ~cluster_target_size and searches packs
   // within groups (paper §V-E optimization). 0 disables clustering.
@@ -55,16 +52,20 @@ struct AuctionConfig {
   // Exact spatial pruning of requester-vehicle pairs (see
   // planner::MaxPickupRadiusM). Disabled only by the ablation bench.
   bool use_spatial_pruning = true;
-
-  // Cell size of the per-round vehicle grid index (meters). One knob for
-  // both Greedy's pair pruning and Rank's nearest-vehicle resolution, so
-  // pruning radius and index resolution cannot drift apart.
-  // Grid cells are spatial-index tuning knobs consumed by the raw-double
-  // geometry layer (src/spatial/), which sits below the unit wall.
-  double vehicle_grid_cell_m = 1000;  // NOLINT-ARIDE(raw-unit-double)
-  // Cell size of Rank's per-group co-requester origin index (meters).
-  double pack_origin_cell_m = 800;  // NOLINT-ARIDE(raw-unit-double)
 };
+
+// Spatial-index tuning shared by every dispatcher. Grid cells are consumed
+// by the raw-double geometry layer (src/spatial/), which sits below the
+// unit wall.
+// Cell size of the per-round vehicle grid index (meters). One value for
+// Greedy's pair pruning, Rank's nearest-vehicle resolution, FCFS and
+// matching, so pruning radius and index resolution cannot drift apart.
+inline constexpr double kVehicleGridCellM = 1000;
+// Cell size of Rank's per-group co-requester origin index (meters).
+inline constexpr double kPackOriginCellM = 800;
+// Euclidean pre-filter size when Rank resolves each requester's nearest
+// vehicle by road distance.
+inline constexpr int kNearestVehicleCandidates = 8;
 
 /// One dispatch round's input. Orders carry the (possibly deducted) bids the
 /// algorithms optimize; vehicles are snapshots whose plans the algorithms
@@ -78,9 +79,7 @@ struct AuctionInstance {
   // Worker pool for parallel dispatch candidate generation (Greedy's pair
   // sweep, Rank's per-requester pack search). nullptr = serial. Results are
   // bit-identical either way: workers only fill disjoint slots and the
-  // merge into shared state happens serially in a fixed order. Must not
-  // point at a pool this dispatch itself runs on (nested ThreadPool::Wait
-  // deadlocks) — see GPriPriceAll.
+  // merge into shared state happens serially in a fixed order.
   ThreadPool* dispatch_pool = nullptr;
   // Cooperative compute budget for this dispatch (nullptr = unlimited).
   // Dispatchers run budgeted sweeps in deterministic batches, charge

@@ -18,11 +18,6 @@ namespace auctionride {
 struct Engine::Shard {
   std::unique_ptr<ShardWorld> world;
   IngestQueue queue;
-  // Per-shard mechanism pools (single-shard configuration only — the
-  // multi-shard engine runs each shard's mechanism serially inside its
-  // round task; the parallelism budget belongs to the shard fan-out).
-  std::unique_ptr<ThreadPool> pricing_pool;
-  std::unique_ptr<ThreadPool> dispatch_pool;
 
   // Round-task output slots, merged serially in shard order.
   EffectBatch fault_fx;
@@ -80,25 +75,6 @@ Engine::Engine(const DistanceOracle* oracle, const std::vector<Order>* orders,
         static_cast<uint64_t>(s) * 0x9e3779b97f4a7c15ULL;
     shard->world = std::make_unique<ShardWorld>(
         oracle_, orders_, &ledger_, world_options, shard_seed);
-    if (options_.num_shards == 1) {
-      // A single shard owns the whole mechanism parallelism budget.
-      if (options_.run_pricing) {
-        const int threads =
-            options_.pricing_threads > 0
-                ? options_.pricing_threads
-                : static_cast<int>(std::thread::hardware_concurrency());
-        shard->pricing_pool = std::make_unique<ThreadPool>(
-            static_cast<std::size_t>(std::max(1, threads)));
-      }
-      if (options_.dispatch_threads >= 0) {
-        const int threads =
-            options_.dispatch_threads > 0
-                ? options_.dispatch_threads
-                : static_cast<int>(std::thread::hardware_concurrency());
-        shard->dispatch_pool = std::make_unique<ThreadPool>(
-            static_cast<std::size_t>(std::max(1, threads)));
-      }
-    }
     shards_.push_back(std::move(shard));
   }
   for (const VehicleSpawn& spawn : vehicles) {
@@ -109,7 +85,7 @@ Engine::Engine(const DistanceOracle* oracle, const std::vector<Order>* orders,
   warm_enabled_ = options_.faults.round_budget_s > 0 ||
                   options_.service_round_budget_ms > 0;
 
-  if (options_.engine_threads >= 0 && options_.num_shards > 1) {
+  if (options_.engine_threads >= 0) {
     const int threads =
         options_.engine_threads > 0
             ? options_.engine_threads
@@ -195,9 +171,11 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
         mech_options.budget.budget_s = options_.service_round_budget_ms / 1e3;
         mech_options.budget.wall_clock = true;
       }
+      // Dispatch and pricing fan out over the pool this shard task may
+      // itself be running on.
       const MechanismOutcome outcome =
           RunMechanism(options_.mechanism, instance, mech_options,
-                       sh.pricing_pool.get(), sh.dispatch_pool.get());
+                       engine_pool_.get(), engine_pool_.get());
 
       if (options_.verify_dispatch) {
         const Status verified = VerifyMechanismOutcome(instance, outcome);

@@ -9,10 +9,10 @@
 // toward demand with a deterministic fixed-order handoff.
 //
 // Rounds are lockstep: StepRound() fans the shard tasks out over the
-// engine's exec::ThreadPool, then merges their buffered EffectBatches
-// serially in ascending shard order — so a given seed and configuration
-// produce bit-identical results at any engine thread count
-// (docs/ENGINE.md).
+// engine's exec::ThreadPool — the same pool each shard's dispatch and
+// pricing nest on — then merges their buffered EffectBatches serially in
+// ascending shard order, so a given seed and configuration produce
+// bit-identical results at any engine thread count (docs/ENGINE.md).
 //
 // Clients drive the engine: the paper's round-based simulation
 // (sim/simulator.h) and the replay/load-generator CLI
@@ -54,12 +54,9 @@ struct EngineOptions {
   // Pricing (GPri/DnW) is much more expensive than dispatch; the
   // dispatch-only experiments (Figs 3-5, 8) turn it off.
   bool run_pricing = false;
-  // Workers for parallel pricing. 0 = hardware concurrency. Single-shard
-  // only: a multi-shard engine prices serially inside each shard task.
+  // Inert: engine_threads sizes the one pool that dispatch and pricing run
+  // on. Kept only because perfbench/harness still assigns them.
   int pricing_threads = 0;
-  // Workers for parallel dispatch candidate generation (results are
-  // bit-identical to serial). 0 = hardware concurrency; negative = serial.
-  // Single-shard only, like pricing_threads.
   int dispatch_threads = 0;
 
   // Re-validate every round's outcome with VerifyMechanismOutcome
@@ -78,9 +75,11 @@ struct EngineOptions {
 
   // --- Sharding knobs ---
   int num_shards = 1;
-  // Workers of the pool the shard round tasks run on. 0 = hardware
-  // concurrency, negative = serial on the caller thread. Never changes
-  // results: shard tasks are independent and merges are serial fixed-order.
+  // Workers of the engine's one pool, on which the shard round tasks fan
+  // out and each shard's dispatch and pricing run. 0 = hardware
+  // concurrency, negative = everything serial on the caller thread. Never
+  // changes results: shard tasks are independent, merges are serial
+  // fixed-order, and dispatch and pricing are bit-identical to serial.
   int engine_threads = 0;
   // Cross-shard rebalance cadence (rounds); 0 disables. Idle vehicles are
   // migrated from surplus to deficit shards every period, lowest vehicle id

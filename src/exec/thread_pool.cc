@@ -2,13 +2,48 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace auctionride {
+
+// One ParallelFor call's state. fn is dereferenced only by a thread that
+// claimed a chunk, and the call returns only once every claimed chunk has
+// finished; a helper that pops its entry after that finds no chunk left and
+// touches nothing but `next` (its shared_ptr keeps the Loop alive).
+struct ThreadPool::Loop {
+  Loop(std::size_t n, std::size_t chunk,
+       const std::function<void(std::size_t)>* fn)
+      : fn(fn), n(n), chunk(chunk), unfinished((n + chunk - 1) / chunk) {}
+
+  // Claims and runs chunks until none is left, then retires them from the
+  // completion count in one step.
+  void RunChunks() ARIDE_EXCLUDES(mu) {
+    std::size_t ran = 0;
+    for (;;) {
+      const std::size_t begin =
+          next.fetch_add(chunk, std::memory_order_relaxed);
+      if (begin >= n) break;
+      const std::size_t end = std::min(n, begin + chunk);
+      for (std::size_t i = begin; i < end; ++i) (*fn)(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    MutexLock lock(mu);
+    unfinished -= ran;
+    if (unfinished == 0) done.NotifyAll();
+  }
+
+  const std::function<void(std::size_t)>* const fn;
+  const std::size_t n;
+  const std::size_t chunk;
+  std::atomic<std::size_t> next{0};
+  Mutex mu;
+  CondVar done;
+  std::size_t unfinished ARIDE_GUARDED_BY(mu);  // chunks not yet run
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   num_threads = std::max<std::size_t>(1, num_threads);
@@ -23,29 +58,8 @@ ThreadPool::~ThreadPool() {
     MutexLock lock(mu_);
     shutting_down_ = true;
   }
-  task_available_.NotifyAll();
+  work_available_.NotifyAll();
   for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  ARIDE_ACHECK(task != nullptr);
-  std::size_t depth = 0;
-  {
-    MutexLock lock(mu_);
-    ARIDE_ACHECK(!shutting_down_);
-    tasks_.push_back(std::move(task));
-    ++in_flight_;
-    depth = tasks_.size();
-  }
-  OBS_COUNTER_INC("threadpool.tasks_submitted");
-  OBS_GAUGE_MAX("threadpool.queue_depth.peak", static_cast<double>(depth));
-  OBS_TRACE_COUNTER("threadpool.queue_depth", static_cast<double>(depth));
-  task_available_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mu_);
-  while (in_flight_ != 0) all_done_.Wait(mu_);
 }
 
 void ThreadPool::ParallelFor(std::size_t n,
@@ -53,19 +67,28 @@ void ThreadPool::ParallelFor(std::size_t n,
   if (n == 0) return;
   const std::size_t num_chunks =
       std::min(n, num_threads() * 4);  // small over-decomposition
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    Submit([next, chunk, n, &fn] {
-      for (;;) {
-        const std::size_t begin = next->fetch_add(chunk);
-        if (begin >= n) return;
-        const std::size_t end = std::min(n, begin + chunk);
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-      }
-    });
+  const auto loop = std::make_shared<Loop>(
+      n, (n + num_chunks - 1) / num_chunks, &fn);
+  Loop& own = *loop;
+  // The caller runs chunks too, so at most one helper per other chunk.
+  const std::size_t helpers = std::min(num_threads(), (n - 1) / own.chunk);
+  if (helpers > 0) {
+    std::size_t depth = 0;
+    {
+      MutexLock lock(mu_);
+      ARIDE_ACHECK(!shutting_down_);
+      helpers_.insert(helpers_.end(), helpers, loop);
+      depth = helpers_.size();
+    }
+    OBS_COUNTER_ADD("threadpool.tasks_submitted",
+                    static_cast<int64_t>(helpers));
+    OBS_GAUGE_MAX("threadpool.queue_depth.peak", static_cast<double>(depth));
+    OBS_TRACE_COUNTER("threadpool.queue_depth", static_cast<double>(depth));
+    for (std::size_t h = 0; h < helpers; ++h) work_available_.NotifyOne();
   }
-  Wait();
+  own.RunChunks();
+  MutexLock lock(own.mu);
+  while (own.unfinished != 0) own.done.Wait(own.mu);
 }
 
 void ParallelForOrSerial(ThreadPool* pool, std::size_t n,
@@ -80,26 +103,18 @@ void ParallelForOrSerial(ThreadPool* pool, std::size_t n,
 void ThreadPool::WorkerLoop() {
   obs::Tracer::SetThreadName("pool-worker");
   for (;;) {
-    std::function<void()> task;
+    std::shared_ptr<Loop> loop;
     {
       MutexLock lock(mu_);
       // Explicit loop rather than the predicate overload: a wait predicate
       // is a lambda the thread-safety analysis treats as a separate
       // function, which would not see mu_ held.
-      while (!shutting_down_ && tasks_.empty()) task_available_.Wait(mu_);
-      if (tasks_.empty()) {
-        if (shutting_down_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
+      while (!shutting_down_ && helpers_.empty()) work_available_.Wait(mu_);
+      if (helpers_.empty()) return;  // shutting down
+      loop = std::move(helpers_.front());
+      helpers_.pop_front();
     }
-    task();
-    {
-      MutexLock lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.NotifyAll();
-    }
+    loop->RunChunks();
   }
 }
 

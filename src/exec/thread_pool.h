@@ -1,6 +1,12 @@
 // Fixed-size worker pool used for parallel order pricing (§V-C of the paper:
 // "we use multiple threads where each one prices one requester") and for the
 // clustered pack-generation of the scalability experiment (§V-E).
+//
+// ParallelFor nests: a task may call ParallelFor on the pool it runs on, and
+// several threads may call it at once. Each call keeps its own completion
+// count; the calling thread claims chunks of its own loop until none is
+// left, then waits only for the chunks other threads have already claimed,
+// which are running. So no call ever waits on queued work.
 
 #ifndef AUCTIONRIDE_EXEC_THREAD_POOL_H_
 #define AUCTIONRIDE_EXEC_THREAD_POOL_H_
@@ -8,6 +14,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -25,26 +32,24 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Must not be called after the destructor has begun.
-  void Submit(std::function<void()> task) ARIDE_EXCLUDES(mu_);
-
-  /// Blocks until every submitted task has finished executing.
-  void Wait() ARIDE_EXCLUDES(mu_);
-
-  /// Runs fn(i) for i in [0, n), distributing chunks over the pool, and
-  /// blocks until all complete. fn must be safe to invoke concurrently.
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Runs fn(i) for i in [0, n) on the calling thread and the pool's
+  /// workers, and returns when all complete. fn must be safe to invoke
+  /// concurrently; it may itself call ParallelFor on this pool.
+  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn)
+      ARIDE_EXCLUDES(mu_);
 
   std::size_t num_threads() const { return workers_.size(); }
 
  private:
+  struct Loop;  // one ParallelFor call
+
   void WorkerLoop() ARIDE_EXCLUDES(mu_);
 
   Mutex mu_;
-  CondVar task_available_;
-  CondVar all_done_;
-  std::deque<std::function<void()>> tasks_ ARIDE_GUARDED_BY(mu_);
-  std::size_t in_flight_ ARIDE_GUARDED_BY(mu_) = 0;
+  CondVar work_available_;
+  // One entry per worker a ParallelFor call asked to help; a worker that
+  // pops an entry claims chunks of that call's loop.
+  std::deque<std::shared_ptr<Loop>> helpers_ ARIDE_GUARDED_BY(mu_);
   bool shutting_down_ ARIDE_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;  // written only before workers start
 };
@@ -52,9 +57,7 @@ class ThreadPool {
 /// Runs fn(i) for i in [0, n): on `pool` when it is non-null and n >= 2,
 /// serially (ascending i) otherwise. fn must produce results that do not
 /// depend on execution order — callers rely on the two paths being
-/// bit-identical. Must not be invoked from inside a task running on `pool`:
-/// ParallelFor's Wait() would deadlock (in_flight_ never reaches zero while
-/// the caller's own task is still counted).
+/// bit-identical.
 void ParallelForOrSerial(ThreadPool* pool, std::size_t n,
                          const std::function<void(std::size_t)>& fn);
 

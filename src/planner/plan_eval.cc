@@ -49,10 +49,4 @@ PlanEvaluation EvaluatePlan(const Vehicle& vehicle,
                       OracleLegSource(oracle));
 }
 
-Meters CurrentDeliveryDistance(const Vehicle& vehicle, Seconds now_s,
-                               const DistanceOracle& oracle) {
-  return EvaluatePlan(vehicle, vehicle.plan.stops, now_s, oracle)
-      .delivery_distance_m;
-}
-
 }  // namespace auctionride

@@ -156,10 +156,6 @@ PlanEvaluation EvaluatePlan(const Vehicle& vehicle,
                             MetersPerSecond speed_mps,
                             const LegSource& legs);
 
-/// Delivery distance of the vehicle's current plan (convenience wrapper).
-Meters CurrentDeliveryDistance(const Vehicle& vehicle, Seconds now_s,
-                               const DistanceOracle& oracle);
-
 }  // namespace auctionride
 
 #endif  // AUCTIONRIDE_PLANNER_PLAN_EVAL_H_

@@ -145,9 +145,9 @@ TEST_F(AnytimeDispatchTest, TruncationIsBitIdenticalAcrossThreadCounts) {
        {MechanismKind::kRank, MechanismKind::kGreedy}) {
     SCOPED_TRACE(std::string(MechanismName(mechanism)));
     EngineOptions serial = TruncatingStorm(mechanism);
-    serial.dispatch_threads = -1;
+    serial.engine_threads = -1;
     EngineOptions threaded = serial;
-    threaded.dispatch_threads = 8;
+    threaded.engine_threads = 8;
     const SimResult a = RunOnce(serial);
     const SimResult b = RunOnce(threaded);
     EXPECT_GT(a.truncated_rounds, 0);
@@ -279,9 +279,9 @@ TEST_F(AnytimeDispatchTest, WarmStartSurvivesFaultChurn) {
     EngineOptions serial = TruncatingStorm(mechanism);
     serial.faults.breakdown_prob_per_round = 0.05;
     serial.faults.cancel_prob_per_round = 0.3;
-    serial.dispatch_threads = -1;
+    serial.engine_threads = -1;
     EngineOptions threaded = serial;
-    threaded.dispatch_threads = 8;
+    threaded.engine_threads = 8;
     const SimResult a = RunOnce(serial);
     const SimResult b = RunOnce(threaded);
     EXPECT_GT(a.orders_stranded + a.orders_cancelled, 0);

@@ -108,16 +108,6 @@ TEST(SampleSetTest, ExactQuantiles) {
   EXPECT_NEAR(s.Quantile(0.5), 50.0, 1.0);
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(257);
@@ -125,17 +115,6 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   for (const auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
   }
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { ++counter; });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { ++counter; });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
 }
 
 TEST(LoggingTest, CheckFailureAborts) {

@@ -104,13 +104,24 @@ TEST_P(DispatchDeterminismTest, RankMatchesSerial) {
   }
 }
 
+void ExpectSamePayments(const MechanismOutcome& serial,
+                        const MechanismOutcome& pooled, int threads) {
+  ExpectSameDispatch(serial.dispatch, pooled.dispatch, threads);
+  ASSERT_EQ(serial.payments.size(), pooled.payments.size());
+  for (std::size_t i = 0; i < serial.payments.size(); ++i) {
+    EXPECT_EQ(serial.payments[i].order, pooled.payments[i].order);
+    EXPECT_EQ(serial.payments[i].payment, pooled.payments[i].payment)
+        << "threads=" << threads << " i=" << i;
+  }
+}
+
 // End to end: pooled dispatch + pooled pricing must reproduce the serial
-// mechanism's payments exactly. Exercises GPri's deadlock guard (its pricing
-// workers re-run Greedy with the dispatch pool stripped).
+// mechanism's payments exactly, GPri's per-winner Greedy re-runs included.
 TEST_P(DispatchDeterminismTest, MechanismPaymentsMatchSerial) {
   const FuzzScenario sc = BuildFuzzScenario(GetParam());
   const AuctionInstance in = sc.Instance();
   for (MechanismKind kind : {MechanismKind::kGreedy, MechanismKind::kRank}) {
+    SCOPED_TRACE(MechanismName(kind));
     const MechanismOutcome serial =
         RunMechanism(kind, in, {}, /*pricing_pool=*/nullptr,
                      /*dispatch_pool=*/nullptr);
@@ -119,33 +130,36 @@ TEST_P(DispatchDeterminismTest, MechanismPaymentsMatchSerial) {
       ThreadPool dispatch_pool(static_cast<std::size_t>(threads));
       const MechanismOutcome parallel =
           RunMechanism(kind, in, {}, &pricing_pool, &dispatch_pool);
-      ExpectSameDispatch(serial.dispatch, parallel.dispatch, threads);
-      ASSERT_EQ(serial.payments.size(), parallel.payments.size())
-          << MechanismName(kind) << " threads=" << threads;
-      for (std::size_t i = 0; i < serial.payments.size(); ++i) {
-        EXPECT_EQ(serial.payments[i].order, parallel.payments[i].order);
-        EXPECT_EQ(serial.payments[i].payment, parallel.payments[i].payment)
-            << MechanismName(kind) << " threads=" << threads << " i=" << i;
-      }
+      ExpectSamePayments(serial, parallel, threads);
       EXPECT_EQ(serial.platform_utility, parallel.platform_utility);
       EXPECT_EQ(serial.requester_utility, parallel.requester_utility);
     }
   }
 }
 
-// Sharing one pool for pricing and dispatch must not deadlock (GPri strips
-// the dispatch pool from its re-runs) and still matches serial.
+// One pool for pricing and dispatch, as an engine passes it: the mechanism
+// matches serial when called from outside the pool, and when called from
+// inside the pool's own tasks (an engine's shard round tasks), where every
+// dispatch and pricing loop nests on the pool its caller occupies.
 TEST_P(DispatchDeterminismTest, SharedPoolDoesNotDeadlock) {
   const FuzzScenario sc = BuildFuzzScenario(GetParam());
   const AuctionInstance in = sc.Instance();
-  const MechanismOutcome serial = RunMechanism(MechanismKind::kGreedy, in);
-  ThreadPool pool(2);
-  const MechanismOutcome shared =
-      RunMechanism(MechanismKind::kGreedy, in, {}, &pool, &pool);
-  ExpectSameDispatch(serial.dispatch, shared.dispatch, 2);
-  ASSERT_EQ(serial.payments.size(), shared.payments.size());
-  for (std::size_t i = 0; i < serial.payments.size(); ++i) {
-    EXPECT_EQ(serial.payments[i].payment, shared.payments[i].payment);
+  for (MechanismKind kind : {MechanismKind::kGreedy, MechanismKind::kRank}) {
+    SCOPED_TRACE(MechanismName(kind));
+    const MechanismOutcome serial = RunMechanism(kind, in);
+    for (int threads : {1, 2}) {
+      ThreadPool pool(static_cast<std::size_t>(threads));
+      ExpectSamePayments(serial, RunMechanism(kind, in, {}, &pool, &pool),
+                         threads);
+      constexpr std::size_t kTasks = 3;
+      std::vector<MechanismOutcome> nested(kTasks);
+      pool.ParallelFor(kTasks, [&](std::size_t t) {
+        nested[t] = RunMechanism(kind, in, {}, &pool, &pool);
+      });
+      for (const MechanismOutcome& outcome : nested) {
+        ExpectSamePayments(serial, outcome, threads);
+      }
+    }
   }
 }
 

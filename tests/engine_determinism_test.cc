@@ -96,17 +96,15 @@ TEST_F(EngineDeterminismTest, MultiShardResultsIdenticalAtAnyThreadCount) {
     EngineOptions options = BaseOptions(MechanismKind::kRank, 7);
     options.num_shards = shards;
     options.engine_threads = 1;
-    options.dispatch_threads = 1;
     const SimResult baseline =
         RunSimulation(oracle_.get(), workload, options);
     EXPECT_EQ(baseline.orders_total, 60);
     EXPECT_EQ(baseline.orders_dispatched + baseline.orders_expired, 60);
 
-    // A multi-shard engine fans shard tasks over engine_threads; a single
-    // shard runs the mechanism on dispatch_threads. Neither may matter.
+    // The engine's one pool carries the shard fan-out and, nested inside
+    // it, every shard's dispatch and pricing. Its size may not matter.
     for (const int threads : {2, 8, -1}) {
       options.engine_threads = threads;
-      options.dispatch_threads = threads;
       const SimResult run = RunSimulation(oracle_.get(), workload, options);
       SCOPED_TRACE(::testing::Message()
                    << "shards=" << shards << " threads=" << threads);
@@ -122,10 +120,12 @@ TEST_F(EngineDeterminismTest, MultiShardStormProfileIsThreadCountInvariant) {
 
   options.num_shards = 4;
   options.rebalance_period_rounds = 2;
-  options.engine_threads = 1;
+  // Serial everywhere against pools of every size: priced Rank under storm
+  // faults nests dispatch and pricing inside the shard tasks.
+  options.engine_threads = -1;
   const SimResult baseline = RunSimulation(oracle_.get(), workload, options);
 
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     options.engine_threads = threads;
     const SimResult run = RunSimulation(oracle_.get(), workload, options);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);

@@ -114,23 +114,39 @@ TEST(EngineStressTest, ConcurrentSubmissionWithRebalancer) {
   Engine engine(&oracle, &orders, vehicles, options);
 
   constexpr int kProducers = 4;
+  std::vector<std::atomic<bool>> submitted(orders.size());
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&engine, &orders, p] {
+    producers.emplace_back([&engine, &orders, &submitted, p] {
       for (std::size_t i = static_cast<std::size_t>(p); i < orders.size();
            i += kProducers) {
         while (engine.now_s() < orders[i].issue_time_s) {
           std::this_thread::sleep_for(std::chrono::microseconds(20));
         }
         engine.SubmitOrder(orders[i]);
+        submitted[i].store(true, std::memory_order_release);
       }
     });
   }
 
   const Seconds horizon = orders.back().issue_time_s +
                           options.max_pending_s + options.round_duration_s;
+  std::size_t caught_up = 0;  // orders [0, caught_up) are submitted
   while (engine.now_s() < horizon) {
+    // The round loop leads the producers by at most one round. Rounds with
+    // nothing pending take microseconds, so an unbounded lead can run past
+    // every order's expiry before a producer wakes, and no order would
+    // ever wait in a shard. Orders issued within the last round still
+    // race this round's drain.
+    const Seconds due_by = engine.now_s() - options.round_duration_s;
+    while (caught_up < orders.size() &&
+           orders[caught_up].issue_time_s <= due_by) {
+      while (!submitted[caught_up].load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      ++caught_up;
+    }
     engine.StepRound();
   }
   for (std::thread& t : producers) t.join();

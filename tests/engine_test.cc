@@ -96,7 +96,7 @@ TEST(EngineDeathTest, SubmitOrderRejectsNodesOutsideTheNetwork) {
   std::vector<VehicleSpawn> vehicles;
   // Pool-free, so the death test forks a single-threaded process.
   EngineOptions options;
-  options.dispatch_threads = -1;
+  options.engine_threads = -1;
   options.run_pricing = false;
   Engine engine(&oracle, &orders, vehicles, options);
 

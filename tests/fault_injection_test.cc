@@ -85,9 +85,9 @@ TEST_F(FaultInjectionTest, ProfilesAreBitIdenticalAcrossThreadCounts) {
          {MechanismKind::kGreedy, MechanismKind::kRank}) {
       EngineOptions serial = BaseOptions(mechanism);
       serial.faults = FaultOptionsForProfile(profile, serial.seed);
-      serial.dispatch_threads = -1;
+      serial.engine_threads = -1;
       EngineOptions threaded = serial;
-      threaded.dispatch_threads = 8;
+      threaded.engine_threads = 8;
       const SimResult a = RunOnce(serial);
       const SimResult b = RunOnce(threaded);
       SCOPED_TRACE(std::string(FaultProfileName(profile)) + " / " +

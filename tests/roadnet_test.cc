@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <memory>
 #include <queue>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -694,55 +696,56 @@ void ExpectBatchMatchesSequential(int grid_side, int num_random_pairs) {
   pairs.push_back(pairs[0]);  // in-batch duplicate
   pairs.push_back(pairs[0]);  // and again
 
-  ThreadPool batched_thread(1);
-  ThreadPool sequential_thread(1);
-  std::vector<double> batch_out(pairs.size());
-  std::vector<double> sequential_out(pairs.size());
-  int64_t thread_queries = 0;
-  // Runs one pass of each kind on its thread; returns the counts each
-  // pass added.
-  auto run_passes = [&] {
-    const OracleCounts start = CountsOf(oracle);
-    batched_thread.Submit([&] {
-      const int64_t before = DistanceOracle::ThreadQueryCount();
-      oracle.DistanceBatch(pairs, batch_out);
-      thread_queries = DistanceOracle::ThreadQueryCount() - before;
-    });
-    batched_thread.Wait();
-    const OracleCounts mid = CountsOf(oracle);
-    sequential_thread.Submit([&] {
-      for (std::size_t i = 0; i < pairs.size(); ++i) {
-        sequential_out[i] = oracle.Distance(pairs[i].source, pairs[i].target);
+  // Each kind runs its two passes on a fresh thread of its own, so its
+  // second pass sees the front cache its first pass left. Returns the
+  // counts each pass added (no two passes overlap).
+  auto run_on_own_thread = [&](const std::function<void(int)>& pass) {
+    std::array<OracleCounts, 2> added;
+    std::thread([&] {
+      for (int p = 0; p < 2; ++p) {
+        const OracleCounts start = CountsOf(oracle);
+        pass(p);
+        const OracleCounts end = CountsOf(oracle);
+        added[p] = {end.queries - start.queries, end.hits - start.hits,
+                    end.trivial - start.trivial};
       }
-    });
-    sequential_thread.Wait();
-    const OracleCounts end = CountsOf(oracle);
-    return std::pair<OracleCounts, OracleCounts>{
-        {mid.queries - start.queries, mid.hits - start.hits,
-         mid.trivial - start.trivial},
-        {end.queries - mid.queries, end.hits - mid.hits,
-         end.trivial - mid.trivial}};
+    }).join();
+    return added;
   };
+  std::vector<std::vector<double>> batch_out(
+      2, std::vector<double>(pairs.size()));
+  std::vector<std::vector<double>> sequential_out(
+      2, std::vector<double>(pairs.size()));
+  std::array<int64_t, 2> thread_queries{};
+  const std::array<OracleCounts, 2> batch = run_on_own_thread([&](int p) {
+    const int64_t before = DistanceOracle::ThreadQueryCount();
+    oracle.DistanceBatch(pairs, batch_out[p]);
+    thread_queries[p] = DistanceOracle::ThreadQueryCount() - before;
+  });
+  const std::array<OracleCounts, 2> sequential =
+      run_on_own_thread([&](int p) {
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          sequential_out[p][i] =
+              oracle.Distance(pairs[i].source, pairs[i].target);
+        }
+      });
 
-  const auto [batch_first, sequential_first] = run_passes();
-  // Every pair charges the calling thread exactly one query, same as a
-  // Distance() loop would.
-  EXPECT_EQ(thread_queries, static_cast<int64_t>(pairs.size()));
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(batch_out[i], sequential_out[i]) << "pair " << i;
+  for (int p = 0; p < 2; ++p) {
+    // Every pair charges the calling thread exactly one query, same as a
+    // Distance() loop would.
+    EXPECT_EQ(thread_queries[p], static_cast<int64_t>(pairs.size()))
+        << "pass " << p;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(batch_out[p][i], sequential_out[p][i])
+          << "pass " << p << " pair " << i;
+    }
+    EXPECT_EQ(batch[p], sequential[p]) << "pass " << p;
   }
-  EXPECT_EQ(batch_first, sequential_first);
-  EXPECT_EQ(batch_first.queries + batch_first.trivial,
+  EXPECT_EQ(batch[0].queries + batch[0].trivial,
             static_cast<int64_t>(pairs.size()));
-
   // Second pass over the same pairs: a pair whose slot no other pair took
   // is now a cache hit, in both worlds.
-  const auto [batch_second, sequential_second] = run_passes();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(batch_out[i], sequential_out[i]) << "pair " << i;
-  }
-  EXPECT_EQ(batch_second, sequential_second);
-  EXPECT_GT(batch_second.hits, batch_first.hits);
+  EXPECT_GT(batch[1].hits, batch[0].hits);
 }
 
 TEST(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {

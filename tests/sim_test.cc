@@ -108,7 +108,7 @@ TEST_F(SimulatorTest, PricingProducesIndividuallyRationalPayments) {
   EngineOptions options;
   options.mechanism = MechanismKind::kRank;
   options.run_pricing = true;
-  options.pricing_threads = 2;
+  options.engine_threads = 2;
   const SimResult result = Run(options, 25, 20, /*seed=*/31);
   ASSERT_GT(result.orders_dispatched, 0);
   // IR aggregated: requesters never pay more than their valuations.

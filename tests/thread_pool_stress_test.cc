@@ -1,8 +1,8 @@
-// TSan-targeted stress tests for ThreadPool: concurrent submission from
-// many producer threads, tasks that submit tasks, Wait() racing against
-// active workers, ParallelFor nesting, and rapid construct/shutdown cycles
-// with work still queued — plus the sharded PackMemo that Rank's parallel
-// pack generation shares across pool workers. Run these under the tsan
+// TSan-targeted stress tests for ThreadPool: ParallelFor from several
+// threads at once, ParallelFor nested inside its own pool's tasks, callers
+// that must not wait on each other's loops, and rapid construct/shutdown
+// cycles with stale helper entries still queued — plus the sharded PackMemo
+// that Rank's parallel pack generation shares across pool workers. Run these under the tsan
 // preset (cmake --preset tsan) to get race detection; under asan they
 // double as lifetime checks on the task queue.
 
@@ -20,45 +20,6 @@
 
 namespace auctionride {
 namespace {
-
-TEST(ThreadPoolStressTest, ConcurrentSubmittersAndWaiters) {
-  ThreadPool pool(4);
-  std::atomic<int> executed{0};
-  constexpr int kProducers = 6;
-  constexpr int kTasksPerProducer = 200;
-
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&pool, &executed] {
-      for (int t = 0; t < kTasksPerProducer; ++t) {
-        pool.Submit([&executed] {
-          executed.fetch_add(1, std::memory_order_relaxed);
-        });
-        if (t % 50 == 0) pool.Wait();  // waiters race the other producers
-      }
-    });
-  }
-  for (std::thread& p : producers) p.join();
-  pool.Wait();
-  EXPECT_EQ(executed.load(), kProducers * kTasksPerProducer);
-}
-
-TEST(ThreadPoolStressTest, TasksSubmittingTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> executed{0};
-  constexpr int kRoots = 64;
-  for (int t = 0; t < kRoots; ++t) {
-    pool.Submit([&pool, &executed] {
-      executed.fetch_add(1, std::memory_order_relaxed);
-      pool.Submit([&executed] {
-        executed.fetch_add(1, std::memory_order_relaxed);
-      });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(executed.load(), 2 * kRoots);
-}
 
 TEST(ThreadPoolStressTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -88,22 +49,101 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForCalls) {
   EXPECT_EQ(sum.load(), 3L * (999L * 1000L / 2));
 }
 
-TEST(ThreadPoolStressTest, ShutdownDrainsQueuedTasks) {
-  // The destructor must let queued-but-unstarted tasks finish: repeated
-  // short-lived pools with a burst of queued work.
+TEST(ThreadPoolStressTest, ShutdownWithStaleHelpersQueued) {
+  // A call can return before the workers it asked for pop their entries
+  // (the caller ran every chunk itself); the destructor must drain those
+  // stale entries. Repeated short-lived pools with bursts of small loops.
   for (int round = 0; round < 50; ++round) {
     std::atomic<int> executed{0};
     {
       ThreadPool pool(2);
-      for (int t = 0; t < 100; ++t) {
-        pool.Submit([&executed] {
+      for (int t = 0; t < 20; ++t) {
+        pool.ParallelFor(10, [&executed](std::size_t) {
           executed.fetch_add(1, std::memory_order_relaxed);
         });
       }
-      // No Wait(): destruction races the workers through the backlog.
     }
-    EXPECT_EQ(executed.load(), 100) << "round " << round;
+    EXPECT_EQ(executed.load(), 200) << "round " << round;
   }
+}
+
+// ParallelFor nests: tasks call ParallelFor on the pool they run on, down
+// three levels, and every index of every level runs exactly once. With one
+// worker the nested calls find no free worker and run on their callers.
+void ExpectNestedParallelForCompletes(std::size_t threads) {
+  ThreadPool pool(threads);
+  constexpr std::size_t kOuter = 6;
+  constexpr std::size_t kMiddle = 7;
+  constexpr std::size_t kInner = 40;
+  std::vector<std::atomic<int>> hits(kOuter * kMiddle * kInner);
+  pool.ParallelFor(kOuter, [&](std::size_t i) {
+    pool.ParallelFor(kMiddle, [&](std::size_t j) {
+      pool.ParallelFor(kInner, [&](std::size_t k) {
+        hits[(i * kMiddle + j) * kInner + k].fetch_add(
+            1, std::memory_order_relaxed);
+      });
+    });
+  });
+  for (std::size_t x = 0; x < hits.size(); ++x) {
+    ASSERT_EQ(hits[x].load(), 1) << "threads=" << threads << " index " << x;
+  }
+}
+
+TEST(ThreadPoolNestingTest, NestedParallelForOnOneWorker) {
+  ExpectNestedParallelForCompletes(1);
+}
+
+TEST(ThreadPoolNestingTest, NestedParallelForOnFourWorkers) {
+  ExpectNestedParallelForCompletes(4);
+}
+
+TEST(ThreadPoolNestingTest, ConcurrentCallersWithNestedLoops) {
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 64;
+  constexpr int kCallers = 4;
+  std::atomic<long> sum{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &sum] {
+      pool.ParallelFor(kOuter, [&](std::size_t i) {
+        pool.ParallelFor(kInner, [&](std::size_t j) {
+          sum.fetch_add(static_cast<long>(i * kInner + j),
+                        std::memory_order_relaxed);
+        });
+      });
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  constexpr long kN = static_cast<long>(kOuter * kInner);
+  EXPECT_EQ(sum.load(), kCallers * (kN * (kN - 1) / 2));
+}
+
+TEST(ThreadPoolNestingTest, CallerWaitsOnlyForItsOwnLoop) {
+  // One call's chunks spin until released; a second call on the same pool
+  // must still finish, because it waits only for chunks of its own loop.
+  ThreadPool pool(4);
+  std::atomic<int> spinning{0};
+  std::atomic<bool> release{false};
+  std::thread blocker([&] {
+    pool.ParallelFor(2, [&](std::size_t) {
+      spinning.fetch_add(1, std::memory_order_relaxed);
+      while (!release.load(std::memory_order_relaxed)) {
+        std::this_thread::yield();
+      }
+    });
+  });
+  while (spinning.load(std::memory_order_relaxed) < 2) {
+    std::this_thread::yield();
+  }
+  std::atomic<int> executed{0};
+  pool.ParallelFor(100, [&executed](std::size_t) {
+    executed.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(executed.load(), 100);
+  release.store(true, std::memory_order_relaxed);
+  blocker.join();
 }
 
 TEST(PackMemoStressTest, ConcurrentLookupInsertOverlappingKeys) {
@@ -196,23 +236,6 @@ TEST(DeadlineStressTest, ConcurrentChargeAndPoll) {
   for (std::size_t t = kThreads; t < threads.size(); ++t) threads[t].join();
   EXPECT_EQ(dl.charged_ns(), int64_t{kThreads} * kChargesPerThread * 3);
   EXPECT_FALSE(dl.expired());
-}
-
-TEST(ThreadPoolStressTest, WaitFromMultipleThreads) {
-  ThreadPool pool(2);
-  std::atomic<int> executed{0};
-  for (int t = 0; t < 500; ++t) {
-    pool.Submit([&executed] {
-      executed.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  std::vector<std::thread> waiters;
-  waiters.reserve(4);
-  for (int w = 0; w < 4; ++w) {
-    waiters.emplace_back([&pool] { pool.Wait(); });
-  }
-  for (std::thread& w : waiters) w.join();
-  EXPECT_EQ(executed.load(), 500);
 }
 
 }  // namespace
