@@ -1,13 +1,10 @@
-// Ablations of the implementation's design choices (DESIGN.md §4):
-//   * exact spatial pruning of requester-vehicle pairs in Greedy,
-//   * the pack-candidate restriction K in Rank's pack generation.
-//
-// Pruning must not change utilities (it is exact); the K-restriction trades
-// utility for time and saturates quickly.
+// Ablation of a design choice (DESIGN.md §4): the pack-candidate
+// restriction K in Rank's pack generation, which trades utility for time
+// and saturates quickly. Greedy's spatial pruning has no switch to ablate:
+// PickupCandidateIndexTest pins that it is exact.
 
 #include <vector>
 
-#include "auction/greedy.h"
 #include "auction/rank.h"
 #include "bench_common.h"
 
@@ -34,25 +31,6 @@ SingleRoundInput MakeInput(int orders, int vehicles) {
   return input;
 }
 
-void BM_GreedyPruning(benchmark::State& state) {
-  const bool pruning = state.range(0) != 0;
-  const SingleRoundInput input = MakeInput(ScaledOrders() / 4,
-                                           ScaledVehicles() / 4);
-  AuctionInstance instance;
-  instance.orders = &input.orders;
-  instance.vehicles = &input.vehicles;
-  instance.oracle = SharedWorld().oracle.get();
-  instance.config = PaperAuction();
-  instance.config.use_spatial_pruning = pruning;
-  DispatchResult result;
-  for (auto _ : state) {
-    result = GreedyDispatch(instance);
-  }
-  state.counters["utility"] = result.total_utility.value();
-  state.counters["dispatched"] =
-      static_cast<double>(result.assignments.size());
-}
-
 void BM_PackCandidateLimit(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const SingleRoundInput input = MakeInput(ScaledOrders() / 4,
@@ -76,13 +54,6 @@ void BM_PackCandidateLimit(benchmark::State& state) {
 }  // namespace bench
 }  // namespace auctionride
 
-BENCHMARK(auctionride::bench::BM_GreedyPruning)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"pruning"})
-    ->Iterations(1)
-    ->Unit(benchmark::kSecond);
-
 BENCHMARK(auctionride::bench::BM_PackCandidateLimit)
     ->Arg(4)
     ->Arg(8)
@@ -96,6 +67,5 @@ int main(int argc, char** argv) {
   return auctionride::bench::BenchMain(
       "ablation",
       "Ablations",
-      "pruning and the CH oracle are exact (same utility, less time); "
       "pack-candidate K trades Rank utility for time", argc, argv);
 }

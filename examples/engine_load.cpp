@@ -15,7 +15,9 @@
 // Flags: --orders N --vehicles N --shards N --threads N --producers N
 //        --trnd S --duration S --mechanism greedy|rank --seed N
 //        --round-budget-ms MS (service mode: wall-clock anytime budget per
-//        auction round; also settable via AR_ROUND_BUDGET_MS, flag wins)
+//        auction round, i.e. faults.round_budget_s with wall_clock_budget;
+//        also settable via AR_ROUND_BUDGET_MS, flag wins; a fault profile's
+//        own budget wins over both)
 // --threads sizes the engine's one pool, which runs the shard round tasks
 // and, nested inside them, each shard's dispatch and pricing (0 = hardware
 // concurrency, negative = all serial).
@@ -110,7 +112,13 @@ int main(int argc, char** argv) {
   options.engine_threads = engine_threads;
   options.faults = FaultOptionsFromEnv(seed);
   options.verify_dispatch = options.faults.any();
-  options.service_round_budget_ms = round_budget_ms;
+  if (round_budget_ms > 0 && options.faults.round_budget_s <= 0) {
+    // Service mode: a real wall-clock budget, best-so-far at the deadline.
+    // Wall-clock rounds are not bit-reproducible, so verification stays
+    // keyed to the injected-fault profile.
+    options.faults.round_budget_s = round_budget_ms / 1e3;
+    options.faults.wall_clock_budget = true;
+  }
 
   Engine engine(&oracle, &workload.orders, workload.vehicles, options);
   std::printf(
@@ -195,7 +203,7 @@ int main(int argc, char** argv) {
   // round budgets (synthetic spike budgets or the service-mode wall clock),
   // so a fault-free, budget-free replay must never touch it (the CI soak
   // job greps for this line).
-  if (!options.faults.any() && options.service_round_budget_ms <= 0) {
+  if (!options.faults.any()) {
     ARIDE_ACHECK(stats.tier_counts[2] == 0)
         << "FCFS fallback engaged on a fault-free run";
     std::printf("fault-free run: no FCFS collapse (0 fcfs rounds)\n");

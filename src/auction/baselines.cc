@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "planner/insertion.h"
-#include "spatial/grid_index.h"
 
 namespace auctionride {
 
@@ -18,14 +17,7 @@ DispatchResult FcfsDispatch(const AuctionInstance& instance, bool serve_all) {
   std::vector<Vehicle> vehicles = *instance.vehicles;
   const MoneyPerMeter alpha_per_m{instance.config.alpha_d_per_km / 1000.0};
 
-  std::vector<GridIndex::Item> items;
-  items.reserve(vehicles.size());
-  for (std::size_t i = 0; i < vehicles.size(); ++i) {
-    items.push_back(
-        {static_cast<int32_t>(i),
-         instance.oracle->network().position(vehicles[i].next_node)});
-  }
-  const GridIndex index(std::move(items), kVehicleGridCellM);
+  const PickupCandidateIndex index(vehicles, *instance.oracle);
 
   // Issue order = id order (the workload renumbers by issue time).
   std::vector<std::size_t> sequence(orders.size());
@@ -40,19 +32,10 @@ DispatchResult FcfsDispatch(const AuctionInstance& instance, bool serve_all) {
 
   DispatchResult result;
   std::vector<char> vehicle_touched(vehicles.size(), 0);
+  std::vector<int32_t> candidates;
   for (std::size_t j : sequence) {
     const Order& order = orders[j];
-    std::vector<int32_t> candidates;
-    if (instance.config.use_spatial_pruning) {
-      candidates = index.WithinRadius(
-          instance.oracle->network().position(order.origin),
-          EuclideanPickupRadiusM(order, *instance.oracle));
-    } else {
-      candidates.resize(vehicles.size());
-      for (std::size_t i = 0; i < vehicles.size(); ++i) {
-        candidates[i] = static_cast<int32_t>(i);
-      }
-    }
+    index.WithinRadius(order, &candidates);
     Meters best_delta{std::numeric_limits<double>::infinity()};
     int best_vehicle = -1;
     InsertionResult best_insertion;

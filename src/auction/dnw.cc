@@ -14,29 +14,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// A pack participating in the pricing simulation.
-struct SimPack {
-  int32_t owner;               // requester whose Rank slot it occupies
-  const PackCandidate* pack;   // members/vehicle/utility (at original bids)
-};
-
 bool Conflicts(const PackCandidate& a, const PackCandidate& b) {
   if (a.vehicle == b.vehicle) return true;
   for (int32_t m : a.members) {
     if (b.Contains(m)) return true;
   }
   return false;
-}
-
-// Descending utility with the same deterministic tie-break as RankDispatch.
-// Mirrors RankDispatch's comparator, including the exact float ordering
-// (epsilon ties would break strict weak ordering). Owners are unique within
-// any simulated set, so this is a total order: merging two runs sorted by it
-// yields exactly the sorted union.
-bool RanksBefore(const SimPack& a, const SimPack& b) {
-  if (a.pack->utility > b.pack->utility) return true;
-  if (b.pack->utility > a.pack->utility) return false;
-  return a.owner < b.owner;
 }
 
 // A Rank pack containing the priced requester r_h (S_h, Algorithm 4
@@ -51,7 +34,7 @@ struct ShEntry {
 
 // An S_h owner's p' pack and the owner's position in the f-sorted S_h.
 struct Prime {
-  SimPack sp;
+  RankedPack sp;
   std::size_t sh_pos;
 };
 
@@ -74,10 +57,11 @@ struct WalkScratch {
   }
 };
 
-// Prices requesters of one Rank dispatch (Algorithm 4). Everything that does
-// not depend on the priced requester is built once: the base ranking of
-// every owner's best pack in Rank order, the order-id index, and for each
-// requester the owners whose best pack contains it (S_h).
+// Prices requesters of one Rank dispatch (Algorithm 4). The base ranking of
+// every owner's best pack is Rank's own (RankArtifacts::ranking). Everything
+// else that does not depend on the priced requester is built once: the
+// order-id index, and for each requester the owners whose best pack
+// contains it (S_h).
 class DnWPricer {
  public:
   DnWPricer(const AuctionInstance& instance, const RankArtifacts& artifacts)
@@ -92,9 +76,7 @@ class DnWPricer {
     owners_begin_.assign(m + 1, 0);
     for (std::size_t j = 0; j < m; ++j) {
       if (artifacts.best[j] < 0) continue;
-      const PackCandidate& best = BestPack(j);
-      ranking_.push_back({static_cast<int32_t>(j), &best});
-      for (int32_t member : best.members) {
+      for (int32_t member : BestPack(j).members) {
         ++owners_begin_[static_cast<std::size_t>(member) + 1];
       }
     }
@@ -103,13 +85,14 @@ class DnWPricer {
     }
     owners_.resize(static_cast<std::size_t>(owners_begin_[m]));
     std::vector<int32_t> fill(owners_begin_.begin(), owners_begin_.end() - 1);
-    for (const SimPack& sp : ranking_) {
-      for (int32_t member : sp.pack->members) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (artifacts.best[j] < 0) continue;
+      for (int32_t member : BestPack(j).members) {
         owners_[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(member)]++)] = sp.owner;
+            fill[static_cast<std::size_t>(member)]++)] =
+            static_cast<int32_t>(j);
       }
     }
-    std::sort(ranking_.begin(), ranking_.end(), RanksBefore);
   }
 
   Money Price(OrderId order_id, WalkScratch* scratch) const;
@@ -134,10 +117,15 @@ class DnWPricer {
                                 [static_cast<std::size_t>(artifacts_.best[j])];
   }
 
+  // The base ranking's pack at `pos`: the owner's best pack.
+  RankedPack Ranked(std::size_t pos) const {
+    const int32_t owner = artifacts_.ranking[pos];
+    return {owner, &BestPack(static_cast<std::size_t>(owner))};
+  }
+
   const AuctionInstance& instance_;
   const RankArtifacts& artifacts_;
   std::unordered_map<OrderId, int32_t> index_of_;  // lookups only
-  std::vector<SimPack> ranking_;  // every owner's best pack, Rank order
   std::vector<int32_t> owners_begin_;
   std::vector<int32_t> owners_;
 };
@@ -153,22 +141,22 @@ void DnWPricer::CriticalUtilities(std::size_t k,
   std::size_t unsettled = k;
   std::size_t next_base = 0;
   std::size_t next_prime = 0;
+  const std::vector<int32_t>& ranking = artifacts_.ranking;
   while (unsettled > 0) {
-    while (next_base < ranking_.size() &&
-           scratch->in_sh[static_cast<std::size_t>(
-               ranking_[next_base].owner)]) {
+    while (next_base < ranking.size() &&
+           scratch->in_sh[static_cast<std::size_t>(ranking[next_base])]) {
       ++next_base;
     }
     while (next_prime < primes.size() && primes[next_prime].sh_pos < k) {
       ++next_prime;
     }
-    const bool base_left = next_base < ranking_.size();
+    const bool base_left = next_base < ranking.size();
     const bool prime_left = next_prime < primes.size();
     if (!base_left && !prime_left) break;
-    const SimPack& sp =
-        !prime_left || (base_left && RanksBefore(ranking_[next_base],
+    const RankedPack sp =
+        !prime_left || (base_left && RanksBefore(Ranked(next_base),
                                                  primes[next_prime].sp))
-            ? ranking_[next_base++]
+            ? Ranked(next_base++)
             : primes[next_prime++].sp;
     const PackCandidate& g = *sp.pack;
     if (g.utility < min_utility) break;

@@ -1,7 +1,10 @@
 // GPri — order pricing for the greedy dispatch (Algorithm 2 of the paper).
 //
-// To price a dispatched requester r_h, Greedy is re-run on R \ {r_h}. The
-// payment is the minimum over:
+// To price a dispatched requester r_h, GreedyDispatch is re-run on R \ {r_h}
+// (the other orders in instance order), and its assignments are replayed
+// over copies of r_h's pickup candidates (PickupCandidateIndex) to recover
+// r_h's cheapest insertion cost before each step. The payment is the
+// minimum over:
 //   * r_h's cheapest insertion cost once every other dispatch has finished
 //     (dispatched without replacing anyone; requires feasibility then), and
 //   * for each dispatched r_jk, the smallest bid for r_h to replace it:

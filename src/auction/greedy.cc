@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "planner/insertion.h"
-#include "spatial/grid_index.h"
 
 namespace auctionride {
 
@@ -41,41 +40,10 @@ struct HeapLess {
   }
 };
 
-// Candidate vehicle source for the run: exact spatial pruning when enabled,
-// otherwise a single all-vehicles list built once and shared by every order
-// (the previous per-order rebuild was O(|R|·|V|) redundant allocations).
-class CandidateSource {
- public:
-  CandidateSource(const AuctionInstance& in, const GridIndex& vehicle_index)
-      : in_(in), vehicle_index_(vehicle_index) {
-    if (!in.config.use_spatial_pruning) {
-      all_vehicles_.resize(in.vehicles->size());
-      for (std::size_t i = 0; i < all_vehicles_.size(); ++i) {
-        all_vehicles_[i] = static_cast<int32_t>(i);
-      }
-    }
-  }
+}  // namespace
 
-  // Returns the candidates for `order`, using `*scratch` as backing storage
-  // when a grid query is needed. The returned reference is valid until the
-  // next call with the same scratch. Thread-safe with distinct scratches.
-  const std::vector<int32_t>& For(const Order& order,
-                                  std::vector<int32_t>* scratch) const {
-    if (!in_.config.use_spatial_pruning) return all_vehicles_;
-    const Point origin = in_.oracle->network().position(order.origin);
-    vehicle_index_.WithinRadius(
-        origin, EuclideanPickupRadiusM(order, *in_.oracle), scratch);
-    return *scratch;
-  }
-
- private:
-  const AuctionInstance& in_;
-  const GridIndex& vehicle_index_;
-  std::vector<int32_t> all_vehicles_;
-};
-
-DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
-                         GreedyTracedResult* traced) {
+DispatchResult GreedyDispatch(const AuctionInstance& in) {
+  OBS_TRACE_SPAN("auction.greedy.dispatch");
   ARIDE_ACHECK(in.orders != nullptr && in.vehicles != nullptr &&
            in.oracle != nullptr);
   WallTimer timer;
@@ -89,30 +57,12 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
   // deterministic batches, and expiry finalizes the partial dispatch built
   // so far.
 
-  // Vehicle spatial index for pair pruning.
-  std::vector<GridIndex::Item> items;
-  items.reserve(vehicles.size());
-  for (std::size_t i = 0; i < vehicles.size(); ++i) {
-    items.push_back({static_cast<int32_t>(i),
-                     in.oracle->network().position(vehicles[i].next_node)});
-  }
-  const GridIndex vehicle_index(std::move(items), kVehicleGridCellM);
-  const CandidateSource candidates(in, vehicle_index);
+  const PickupCandidateIndex candidates(vehicles, *in.oracle);
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;
   std::vector<uint32_t> veh_version(vehicles.size(), 0);
   std::vector<std::vector<int>> veh_candidates(vehicles.size());
   std::vector<char> dispatched(orders.size(), 0);
-
-  int excluded_idx = -1;
-  for (std::size_t j = 0; j < orders.size(); ++j) {
-    if (orders[j].id == excluded) {
-      excluded_idx = static_cast<int>(j);
-      break;
-    }
-  }
-  ARIDE_ACHECK(excluded == kInvalidOrder || excluded_idx >= 0)
-      << "excluded order not in the instance";
 
   auto pair_utility = [&](int order_idx, int veh_idx) -> Money {
     const InsertionResult ins = BestInsertion(
@@ -139,17 +89,18 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
   bool sweep_truncated = false;
   std::vector<std::pair<OrderId, VehicleId>> survivors;
   auto eval_order = [&](std::size_t j) -> int64_t {
-    if (static_cast<int>(j) == excluded_idx) return 0;
     return CountQueries([&] {
-      std::vector<int32_t> scratch;
-      for (int32_t v : candidates.For(orders[j], &scratch)) {
+      std::vector<int32_t> near;
+      candidates.WithinRadius(orders[j], &near);
+      for (int32_t v : near) {
         const Money u = pair_utility(static_cast<int>(j), v);
         if (u == Money(-kInf)) continue;
         seeds[j].push_back({u, v});
       }
     });
   };
-  auto seed_sweep = [&] {
+  {
+    OBS_TRACE_SPAN("auction.greedy.seed_sweep");
     OBS_SCOPED_TIMER("auction.dispatch.seed_sweep_s");
     // Warm-hinted orders first: under a cut, the budget goes to orders that
     // had surviving candidates a round ago.
@@ -183,46 +134,11 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
       }
       seeds[j] = {};  // release as we go; the sweep can be |R|·|V| pairs
     }
-  };
-  if (traced == nullptr) {
-    // Span only on the top-level dispatch path: GreedyDispatchExcluding runs
-    // once per priced order inside GPri and would flood the trace.
-    OBS_TRACE_SPAN("auction.greedy.seed_sweep");
-    seed_sweep();
-  } else {
-    seed_sweep();
   }
   OBS_COUNTER_ADD("auction.dispatch.seed_pairs", seed_pairs);
 
   // One-by-one dispatch (Algorithm 1 lines 7-16).
   DispatchResult result;
-
-  // Excluded requester's insertion-cost tracking (for GPri).
-  std::vector<int32_t> excluded_candidates;
-  std::vector<Money> excluded_cost;  // parallel to excluded_candidates
-  auto recompute_excluded_cost = [&](std::size_t slot) {
-    const int veh = excluded_candidates[slot];
-    const InsertionResult ins =
-        BestInsertion(vehicles[static_cast<std::size_t>(veh)],
-                      orders[static_cast<std::size_t>(excluded_idx)],
-                      in.now_s, *in.oracle);
-    excluded_cost[slot] =
-        ins.feasible ? alpha_per_m * ins.delta_delivery_m : Money(kInf);
-  };
-  if (excluded_idx >= 0) {
-    std::vector<int32_t> scratch;
-    excluded_candidates = candidates.For(
-        orders[static_cast<std::size_t>(excluded_idx)], &scratch);
-    excluded_cost.resize(excluded_candidates.size());
-    for (std::size_t s = 0; s < excluded_candidates.size(); ++s) {
-      recompute_excluded_cost(s);
-    }
-  }
-  auto current_h_cost = [&]() -> Money {
-    Money best{kInf};
-    for (Money c : excluded_cost) best = std::min(best, c);
-    return best;
-  };
 
   int64_t heap_pops = 0;
   int64_t stale_pops = 0;
@@ -272,11 +188,6 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
         << "order " << order.id;
     ARIDE_CHECK_GE(cost, Money(-1e-9)) << "order " << order.id;
 
-    if (traced != nullptr) {
-      traced->steps.push_back(
-          {order.id, order.bid, cost, current_h_cost()});
-    }
-
     vehicle.plan.stops = ins.new_plan;
     ++veh_version[static_cast<std::size_t>(top.veh_idx)];
     dispatched[static_cast<std::size_t>(top.order_idx)] = 1;
@@ -315,14 +226,6 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
       alive.push_back(other);
     }
     cands = std::move(alive);
-
-    if (excluded_idx >= 0) {
-      for (std::size_t s = 0; s < excluded_candidates.size(); ++s) {
-        if (excluded_candidates[s] == top.veh_idx) {
-          recompute_excluded_cost(s);
-        }
-      }
-    }
   }
 
   OBS_COUNTER_ADD("auction.greedy.heap_pops", heap_pops);
@@ -340,25 +243,7 @@ DispatchResult RunGreedy(const AuctionInstance& in, OrderId excluded,
                   static_cast<int64_t>(result.assignments.size()));
   result.surviving_pairs = std::move(survivors);
   result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
-  if (traced != nullptr) traced->h_cost_end = current_h_cost();
   return result;
-}
-
-}  // namespace
-
-DispatchResult GreedyDispatch(const AuctionInstance& instance) {
-  // Span here rather than in RunGreedy: GreedyDispatchExcluding runs once
-  // per priced order inside GPri and would flood the trace.
-  OBS_TRACE_SPAN("auction.greedy.dispatch");
-  return RunGreedy(instance, kInvalidOrder, nullptr);
-}
-
-GreedyTracedResult GreedyDispatchExcluding(const AuctionInstance& instance,
-                                           OrderId excluded) {
-  ARIDE_ACHECK(excluded != kInvalidOrder);
-  GreedyTracedResult traced;
-  traced.result = RunGreedy(instance, excluded, &traced);
-  return traced;
 }
 
 }  // namespace auctionride

@@ -11,15 +11,14 @@
 //    version, so stale entries (pushed before the vehicle's last update)
 //    are discarded on pop — semantically identical to Algorithm 1's
 //    re-computation at lines 12–15.
-//  * Pair initialization uses exact spatial pruning: a pair can only be
-//    valid if the vehicle lies within speed·θ_j of the origin by road (see
-//    planner::EuclideanPickupRadiusM for the straight-line radius the grid
-//    lookup uses), so only those vehicles are probed.
+//  * Pair initialization probes only the vehicles PickupCandidateIndex
+//    returns (planner/insertion.h): the others cannot reach the origin
+//    within the order's waiting time, so the pruning is exact.
+//  * GPri (gpri.h) prices a winner by running this dispatch again on the
+//    round's other orders and replaying its assignments.
 
 #ifndef AUCTIONRIDE_AUCTION_GREEDY_H_
 #define AUCTIONRIDE_AUCTION_GREEDY_H_
-
-#include <vector>
 
 #include "auction/types.h"
 
@@ -27,32 +26,6 @@ namespace auctionride {
 
 /// Runs Algorithm 1 on the instance.
 DispatchResult GreedyDispatch(const AuctionInstance& instance);
-
-/// One dispatch step of a Greedy run with an excluded ("priced") requester:
-/// the dispatched requester's bid and cost, and the excluded requester's
-/// cheapest insertion cost *immediately before* this dispatch (pool_jk in
-/// Algorithm 2). h_cost_before is +infinity when the excluded requester had
-/// no valid insertion left at that point.
-struct GreedyStepTrace {
-  OrderId order = kInvalidOrder;
-  Money bid;
-  Money cost;           // α_d·ΔD of the dispatch
-  Money h_cost_before;  // excluded requester's cheapest cost
-};
-
-struct GreedyTracedResult {
-  DispatchResult result;
-  std::vector<GreedyStepTrace> steps;
-  // The excluded requester's cheapest insertion cost after every dispatch
-  // finished (the "dispatch without replacing anyone" term of Algorithm 2);
-  // +infinity when infeasible.
-  Money h_cost_end;
-};
-
-/// Runs Algorithm 1 on the instance with `excluded` removed from the
-/// requester set, tracing the quantities Algorithm 2 (GPri) needs.
-GreedyTracedResult GreedyDispatchExcluding(const AuctionInstance& instance,
-                                           OrderId excluded);
 
 }  // namespace auctionride
 

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "planner/insertion.h"
-#include "spatial/grid_index.h"
 
 namespace auctionride {
 
@@ -113,29 +112,13 @@ DispatchResult MatchingDispatch(const AuctionInstance& instance) {
   const std::vector<Vehicle>& vehicles = *instance.vehicles;
   const MoneyPerMeter alpha_per_m{instance.config.alpha_d_per_km / 1000.0};
 
-  std::vector<GridIndex::Item> items;
-  items.reserve(vehicles.size());
-  for (std::size_t i = 0; i < vehicles.size(); ++i) {
-    items.push_back(
-        {static_cast<int32_t>(i),
-         instance.oracle->network().position(vehicles[i].next_node)});
-  }
-  const GridIndex index(std::move(items), kVehicleGridCellM);
+  const PickupCandidateIndex index(vehicles, *instance.oracle);
 
   std::vector<std::vector<double>> weights(
       orders.size(), std::vector<double>(vehicles.size(), -kInf));
+  std::vector<int32_t> candidates;
   for (std::size_t j = 0; j < orders.size(); ++j) {
-    std::vector<int32_t> candidates;
-    if (instance.config.use_spatial_pruning) {
-      candidates = index.WithinRadius(
-          instance.oracle->network().position(orders[j].origin),
-          EuclideanPickupRadiusM(orders[j], *instance.oracle));
-    } else {
-      candidates.resize(vehicles.size());
-      for (std::size_t i = 0; i < vehicles.size(); ++i) {
-        candidates[i] = static_cast<int32_t>(i);
-      }
-    }
+    index.WithinRadius(orders[j], &candidates);
     for (int32_t v : candidates) {
       const InsertionResult ins =
           BestInsertion(vehicles[static_cast<std::size_t>(v)], orders[j],

@@ -14,6 +14,7 @@
 #include "exec/deadline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "planner/insertion.h"
 #include "planner/pack_planner.h"
 #include "spatial/grid_index.h"
 
@@ -365,32 +366,23 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
 
   // Phase II: pack dispatch by utility ranking.
   OBS_TRACE_SPAN("auction.rank.dispatch");
-  struct RankedPack {
-    int32_t owner;  // requester whose best pack this is
-    const PackCandidate* pack;
+  const auto ranked = [&art](int32_t j) -> RankedPack {
+    const auto jj = static_cast<std::size_t>(j);
+    return {j, &art.candidates[jj][static_cast<std::size_t>(art.best[jj])]};
   };
-  std::vector<RankedPack> ranking;
-  ranking.reserve(orders.size());
   for (std::size_t j = 0; j < orders.size(); ++j) {
-    if (art.best[j] >= 0) {
-      ranking.push_back({static_cast<int32_t>(j),
-                         &art.candidates[j][static_cast<std::size_t>(
-                             art.best[j])]});
-    }
+    if (art.best[j] >= 0) art.ranking.push_back(static_cast<int32_t>(j));
   }
-  std::sort(ranking.begin(), ranking.end(),
-            [](const RankedPack& a, const RankedPack& b) {
-              // Exact float ordering: epsilon ties would break strict weak
-              // ordering; equal utilities fall through to the owner key.
-              if (a.pack->utility > b.pack->utility) return true;
-              if (b.pack->utility > a.pack->utility) return false;
-              return a.owner < b.owner;
+  std::sort(art.ranking.begin(), art.ranking.end(),
+            [&](int32_t a, int32_t b) {
+              return RanksBefore(ranked(a), ranked(b));
             });
 
   DispatchResult& result = run.result;
   std::vector<char> order_taken(orders.size(), 0);
   std::vector<char> vehicle_taken(in.vehicles->size(), 0);
-  for (const RankedPack& rp : ranking) {
+  for (const int32_t owner : art.ranking) {
+    const RankedPack rp = ranked(owner);
     if (rp.pack->utility < in.config.min_utility) break;  // sorted: all below
     if (vehicle_taken[static_cast<std::size_t>(rp.pack->vehicle)]) continue;
     bool conflict = false;

@@ -44,12 +44,30 @@ struct PackCandidate {
   }
 };
 
+/// A pack in Phase II's ranking, with the requester whose slot it occupies.
+struct RankedPack {
+  int32_t owner;  // requester index into the instance
+  const PackCandidate* pack;
+};
+
+/// Phase II's ranking order: descending utility, ties to the lower owner.
+/// The float ordering is exact (epsilon ties would break strict weak
+/// ordering). Owners are unique within a ranking, so this is a total order:
+/// merging two runs sorted by it yields exactly the sorted union.
+inline bool RanksBefore(const RankedPack& a, const RankedPack& b) {
+  if (a.pack->utility > b.pack->utility) return true;
+  if (b.pack->utility > a.pack->utility) return false;
+  return a.owner < b.owner;
+}
+
 struct RankArtifacts {
   // candidates[j]: all feasible packs evaluated for requester j (its
   // restricted pack universe). best[j]: index of the maximum-utility one,
   // -1 when none is feasible.
   std::vector<std::vector<PackCandidate>> candidates;
   std::vector<int32_t> best;
+  // The requesters with a best pack, in Phase II's ranking order.
+  std::vector<int32_t> ranking;
   // Nearest vehicle (index) of each requester, -1 when there are none.
   std::vector<int32_t> nearest_vehicle;
 };

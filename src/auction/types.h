@@ -48,19 +48,11 @@ struct AuctionConfig {
   // within groups (paper §V-E optimization). 0 disables clustering.
   int cluster_threshold = 5000;
   int cluster_target_size = 1000;
-
-  // Exact spatial pruning of requester-vehicle pairs (see
-  // planner::MaxPickupRadiusM). Disabled only by the ablation bench.
-  bool use_spatial_pruning = true;
 };
 
-// Spatial-index tuning shared by every dispatcher. Grid cells are consumed
-// by the raw-double geometry layer (src/spatial/), which sits below the
-// unit wall.
-// Cell size of the per-round vehicle grid index (meters). One value for
-// Greedy's pair pruning, Rank's nearest-vehicle resolution, FCFS and
-// matching, so pruning radius and index resolution cannot drift apart.
-inline constexpr double kVehicleGridCellM = 1000;
+// Rank's spatial-index tuning. Grid cells are consumed by the raw-double
+// geometry layer (src/spatial/), which sits below the unit wall; the
+// vehicle grid's cell is kVehicleGridCellM (planner/insertion.h).
 // Cell size of Rank's per-group co-requester origin index (meters).
 inline constexpr double kPackOriginCellM = 800;
 // Euclidean pre-filter size when Rank resolves each requester's nearest

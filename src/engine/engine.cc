@@ -82,8 +82,7 @@ Engine::Engine(const DistanceOracle* oracle, const std::vector<Order>* orders,
     shards_[static_cast<std::size_t>(s)]->world->AddVehicle(spawn);
   }
 
-  warm_enabled_ = options_.faults.round_budget_s > 0 ||
-                  options_.service_round_budget_ms > 0;
+  warm_enabled_ = options_.faults.round_budget_s > 0;
 
   if (options_.engine_threads >= 0) {
     const int threads =
@@ -166,10 +165,6 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
             OBS_COUNTER_INC("sim.faults.spike_rounds");
           }
         }
-      } else if (options_.service_round_budget_ms > 0) {
-        // Service mode: real wall-clock budget, best-so-far at the deadline.
-        mech_options.budget.budget_s = options_.service_round_budget_ms / 1e3;
-        mech_options.budget.wall_clock = true;
       }
       // Dispatch and pricing fan out over the pool this shard task may
       // itself be running on.

@@ -87,14 +87,6 @@ struct EngineOptions {
   int rebalance_period_rounds = 6;
   // Global cap on vehicle migrations per rebalance pass.
   int rebalance_max_moves = 64;
-  // Service-mode round budget: every auction round runs under a real
-  // wall-clock Deadline of this many milliseconds and finalizes best-so-far
-  // winners at expiry (anytime contract). <= 0 disables. Wall-clock budgets
-  // are not bit-reproducible — tests and the fault matrix use the synthetic
-  // faults.round_budget_s instead. When faults also configure a budget the
-  // fault budget wins (the fault matrix pins that path).
-  // Milliseconds knob mirrored into DispatchBudget::budget_s.
-  double service_round_budget_ms = 0;  // NOLINT-ARIDE(raw-unit-double)
 };
 
 /// Engine-maintained per-shard telemetry (plain counters + exact samples,

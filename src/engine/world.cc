@@ -396,23 +396,30 @@ void ShardWorld::ProcessArrivalStops(WorldVehicle* vehicle,
   if (v.plan.stops.empty()) v.in_delivery = false;
 }
 
+bool ShardWorld::FollowPathToward(WorldVehicle* vehicle, NodeId target) {
+  Vehicle& v = vehicle->state;
+  if (vehicle->leg_path.empty() ||
+      vehicle->leg_path[vehicle->path_pos] != v.next_node ||
+      vehicle->leg_path.back() != target) {
+    vehicle->leg_path = path_search_->ShortestPath(v.next_node, target);
+    vehicle->path_pos = 0;
+  }
+  if (vehicle->leg_path.empty()) return false;
+  if (vehicle->path_pos + 1 < vehicle->leg_path.size()) {
+    const NodeId next = vehicle->leg_path[vehicle->path_pos + 1];
+    v.extra_distance_m = Meters(EdgeLength(v.next_node, next));
+    v.next_node = next;
+    ++vehicle->path_pos;
+  }
+  return true;
+}
+
 void ShardWorld::StartNextLeg(WorldVehicle* vehicle) {
   Vehicle& v = vehicle->state;
   if (!v.plan.stops.empty()) {
-    const NodeId target = v.plan.stops.front().node;
-    if (vehicle->leg_path.empty() ||
-        vehicle->leg_path[vehicle->path_pos] != v.next_node ||
-        vehicle->leg_path.back() != target) {
-      vehicle->leg_path = path_search_->ShortestPath(v.next_node, target);
-      vehicle->path_pos = 0;
-      ARIDE_ACHECK(!vehicle->leg_path.empty()) << "stop unreachable";
-    }
-    if (vehicle->path_pos + 1 < vehicle->leg_path.size()) {
-      const NodeId next = vehicle->leg_path[vehicle->path_pos + 1];
-      v.extra_distance_m = Meters(EdgeLength(v.next_node, next));
-      v.next_node = next;
-      ++vehicle->path_pos;
-    }
+    const bool reachable =
+        FollowPathToward(vehicle, v.plan.stops.front().node);
+    ARIDE_ACHECK(reachable) << "stop unreachable";
     return;
   }
   // Rebalancer-directed relocation: drive toward the target region's center
@@ -422,26 +429,11 @@ void ShardWorld::StartNextLeg(WorldVehicle* vehicle) {
       vehicle->relocate_target = kInvalidNode;  // arrived
       vehicle->leg_path.clear();
       vehicle->path_pos = 0;
+    } else if (FollowPathToward(vehicle, vehicle->relocate_target)) {
+      return;
     } else {
-      const NodeId target = vehicle->relocate_target;
-      if (vehicle->leg_path.empty() ||
-          vehicle->leg_path[vehicle->path_pos] != v.next_node ||
-          vehicle->leg_path.back() != target) {
-        vehicle->leg_path = path_search_->ShortestPath(v.next_node, target);
-        vehicle->path_pos = 0;
-      }
-      if (vehicle->leg_path.empty()) {
-        // Unreachable target (disconnected pocket): give up, go idle.
-        vehicle->relocate_target = kInvalidNode;
-      } else {
-        if (vehicle->path_pos + 1 < vehicle->leg_path.size()) {
-          const NodeId next = vehicle->leg_path[vehicle->path_pos + 1];
-          v.extra_distance_m = Meters(EdgeLength(v.next_node, next));
-          v.next_node = next;
-          ++vehicle->path_pos;
-        }
-        return;
-      }
+      // Unreachable target (disconnected pocket): give up, go idle.
+      vehicle->relocate_target = kInvalidNode;
     }
   }
   // Idle: random walk over the road network.

@@ -177,6 +177,10 @@ class ShardWorld {
   void ProcessArrivalStops(WorldVehicle* vehicle, Seconds arrival_time_s,
                            EffectBatch* fx);
   void StartNextLeg(WorldVehicle* vehicle);
+  // Follows the shortest path toward `target` one edge, planning a new
+  // path unless the current one leads there from next_node. Returns false,
+  // leaving the vehicle in place, when `target` is unreachable.
+  bool FollowPathToward(WorldVehicle* vehicle, NodeId target);
   void AdvanceVehicle(WorldVehicle* vehicle, Seconds start_s, Seconds dt_s,
                       EffectBatch* fx);
   double EdgeLength(NodeId from, NodeId to) const;

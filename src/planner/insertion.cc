@@ -401,4 +401,30 @@ Meters EuclideanPickupRadiusM(const Order& order,
   return scale > 1.0 ? road_radius / scale : road_radius;
 }
 
+namespace {
+
+std::vector<GridIndex::Item> VehiclePositions(
+    const std::vector<Vehicle>& vehicles, const DistanceOracle& oracle) {
+  std::vector<GridIndex::Item> items;
+  items.reserve(vehicles.size());
+  for (std::size_t i = 0; i < vehicles.size(); ++i) {
+    items.push_back({static_cast<int32_t>(i),
+                     oracle.network().position(vehicles[i].next_node)});
+  }
+  return items;
+}
+
+}  // namespace
+
+PickupCandidateIndex::PickupCandidateIndex(
+    const std::vector<Vehicle>& vehicles, const DistanceOracle& oracle)
+    : oracle_(oracle),
+      grid_(VehiclePositions(vehicles, oracle), kVehicleGridCellM) {}
+
+void PickupCandidateIndex::WithinRadius(const Order& order,
+                                        std::vector<int32_t>* out) const {
+  grid_.WithinRadius(oracle_.network().position(order.origin),
+                     EuclideanPickupRadiusM(order, oracle_), out);
+}
+
 }  // namespace auctionride

@@ -38,6 +38,7 @@
 #include "model/vehicle.h"
 #include "planner/plan_eval.h"
 #include "roadnet/oracle.h"
+#include "spatial/grid_index.h"
 
 namespace auctionride {
 
@@ -74,6 +75,30 @@ Meters MaxPickupRadiusM(const Order& order, MetersPerSecond speed_mps);
 /// candidate sets only ever shrink, and only losslessly.
 Meters EuclideanPickupRadiusM(const Order& order,
                               const DistanceOracle& oracle);
+
+/// Cell size of the per-round vehicle grid (meters), shared by
+/// PickupCandidateIndex and Rank's nearest-vehicle lookup so the pickup
+/// radius and the index resolution cannot drift apart.
+inline constexpr double kVehicleGridCellM = 1000;
+
+/// The vehicles that may serve an order: a grid over a vehicle snapshot's
+/// next_node positions, queried within EuclideanPickupRadiusM of the
+/// order's origin. Exact: a vehicle left out has no feasible BestInsertion
+/// for the order (PickupCandidateIndexTest pins this on random instances).
+/// Build once per snapshot; queries are const and thread-safe.
+class PickupCandidateIndex {
+ public:
+  PickupCandidateIndex(const std::vector<Vehicle>& vehicles,
+                       const DistanceOracle& oracle);
+
+  /// Writes into `*out` (cleared first) the snapshot indices of the
+  /// vehicles within the pickup radius of `order`'s origin.
+  void WithinRadius(const Order& order, std::vector<int32_t>* out) const;
+
+ private:
+  const DistanceOracle& oracle_;
+  GridIndex grid_;
+};
 
 }  // namespace auctionride
 

@@ -97,49 +97,6 @@ TEST_F(GreedyTest, RespectsCapacityAcrossDispatches) {
   EXPECT_EQ(r.assignments.size(), 2u);
 }
 
-TEST_F(GreedyTest, PruningOnAndOffAgree) {
-  Rng rng(31);
-  GridNetworkOptions options;
-  options.columns = 10;
-  options.rows = 10;
-  options.spacing_m = 400;
-  options.seed = 8;
-  RoadNetwork grid = BuildGridNetwork(options);
-  DistanceOracle oracle(&grid);
-  std::vector<Order> orders;
-  std::vector<Vehicle> vehicles;
-  for (int j = 0; j < 15; ++j) {
-    NodeId s = 0;
-    NodeId e = 0;
-    while (s == e) {
-      s = static_cast<NodeId>(rng.UniformInt(
-          static_cast<uint64_t>(grid.num_nodes())));
-      e = static_cast<NodeId>(rng.UniformInt(
-          static_cast<uint64_t>(grid.num_nodes())));
-    }
-    orders.push_back(MakeOrder(j, s, e, rng.Uniform(10, 40), oracle, 1.8));
-  }
-  for (int i = 0; i < 6; ++i) {
-    vehicles.push_back(MakeVehicle(
-        i, static_cast<NodeId>(rng.UniformInt(
-               static_cast<uint64_t>(grid.num_nodes())))));
-  }
-  AuctionInstance in;
-  in.orders = &orders;
-  in.vehicles = &vehicles;
-  in.oracle = &oracle;
-  in.config.use_spatial_pruning = true;
-  const DispatchResult pruned = GreedyDispatch(in);
-  in.config.use_spatial_pruning = false;
-  const DispatchResult full = GreedyDispatch(in);
-  EXPECT_NEAR(pruned.total_utility.value(), full.total_utility.value(), 1e-9);
-  ASSERT_EQ(pruned.assignments.size(), full.assignments.size());
-  for (std::size_t i = 0; i < pruned.assignments.size(); ++i) {
-    EXPECT_EQ(pruned.assignments[i].order, full.assignments[i].order);
-    EXPECT_EQ(pruned.assignments[i].vehicle, full.assignments[i].vehicle);
-  }
-}
-
 TEST_F(GreedyTest, UpdatedPlansAreConsistentWithAssignments) {
   orders_.push_back(MakeOrder(0, 1, 9, /*bid=*/30, *oracle_));
   orders_.push_back(MakeOrder(1, 2, 8, /*bid=*/25, *oracle_));
@@ -153,21 +110,6 @@ TEST_F(GreedyTest, UpdatedPlansAreConsistentWithAssignments) {
   EXPECT_TRUE(tp.PrecedenceHolds());
   EXPECT_TRUE(tp.ContainsOrder(0));
   EXPECT_TRUE(tp.ContainsOrder(1));
-}
-
-TEST_F(GreedyTest, ExclusionLeavesOrderUndispatched) {
-  orders_.push_back(MakeOrder(0, 2, 6, /*bid=*/20, *oracle_));
-  orders_.push_back(MakeOrder(1, 3, 7, /*bid=*/22, *oracle_));
-  vehicles_.push_back(MakeVehicle(0, 1));
-  const GreedyTracedResult traced =
-      GreedyDispatchExcluding(Instance(), /*excluded=*/0);
-  EXPECT_FALSE(traced.result.IsDispatched(0));
-  EXPECT_TRUE(traced.result.IsDispatched(1));
-  ASSERT_EQ(traced.steps.size(), 1u);
-  EXPECT_EQ(traced.steps[0].order, 1);
-  // Before order 1's dispatch the vehicle is empty; r_0's cheapest cost is
-  // its solo delivery cost 3 yuan/km * 4 km.
-  EXPECT_NEAR(traced.steps[0].h_cost_before.value(), 12.0, 1e-9);
 }
 
 // Theorem III.1 sanity: greedy achieves at least the claimed approximation

@@ -482,5 +482,40 @@ TEST(PlanEvalTest, PickupDeadlineContract) {
                    .feasible);
 }
 
+// The pickup-radius rule is exact: on random rounds (riders on board,
+// accepted pickups and vehicles mid-edge included), every vehicle the index
+// leaves out has no feasible insertion. Every dispatcher and GPri probe only
+// the index's candidates, so a violation would silently drop a servable
+// vehicle from all of them.
+TEST(PickupCandidateIndexTest, LeavesOutOnlyInfeasibleVehicles) {
+  int64_t left_out = 0;
+  int64_t kept_feasible = 0;
+  std::vector<int32_t> near;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const testutil::FuzzScenario sc = testutil::BuildFuzzScenario(seed);
+    const PickupCandidateIndex index(sc.vehicles, *sc.oracle);
+    for (const Order& order : sc.orders) {
+      index.WithinRadius(order, &near);
+      std::vector<char> kept(sc.vehicles.size(), 0);
+      for (int32_t v : near) kept[static_cast<std::size_t>(v)] = 1;
+      for (std::size_t i = 0; i < sc.vehicles.size(); ++i) {
+        const bool feasible =
+            BestInsertion(sc.vehicles[i], order, sc.now_s, *sc.oracle)
+                .feasible;
+        if (kept[i]) {
+          kept_feasible += feasible ? 1 : 0;
+          continue;
+        }
+        ++left_out;
+        EXPECT_FALSE(feasible) << "seed " << seed << " order " << order.id
+                               << " vehicle " << i;
+      }
+    }
+  }
+  // Neither side of the rule is vacuous on this instance family.
+  EXPECT_GT(left_out, 0);
+  EXPECT_GT(kept_feasible, 0);
+}
+
 }  // namespace
 }  // namespace auctionride

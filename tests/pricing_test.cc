@@ -273,6 +273,41 @@ TEST(GPriTest, UncontestedWinnerPaysCost) {
   EXPECT_NEAR(GPriPriceOrder(in, 0).value(), 12.0, 1e-9);
 }
 
+// GPri re-runs Greedy without the priced order r_h and replays that run's
+// steps to read r_h's cheapest cost before each one (h_cost_before) and
+// after the last (h_cost_end).
+TEST(GPriTest, ReplaysTheRunWithoutThePricedOrder) {
+  RoadNetwork net = testutil::LineNetwork(20, 1000);
+  DistanceOracle oracle(&net);
+  std::vector<Order> orders = {
+      MakeOrder(0, 2, 6, /*bid=*/20, oracle),  // solo cost 12, u = 8
+      MakeOrder(1, 3, 7, /*bid=*/22, oracle),  // solo cost 12, u = 10
+  };
+  std::vector<Vehicle> vehicles = {MakeVehicle(0, 1)};
+  AuctionInstance in;
+  in.orders = &orders;
+  in.vehicles = &vehicles;
+  in.oracle = &oracle;
+  in.config.alpha_d_per_km = 3.0;
+  ASSERT_TRUE(GreedyDispatch(in).IsDispatched(0));
+  ASSERT_TRUE(GreedyDispatch(in).IsDispatched(1));
+  // Without r_0, order 1 dispatches while the vehicle is empty, so r_0's
+  // h_cost_before is its solo cost 12 and replacing order 1 takes
+  // 22 − 12 + 12 = 22. Riding along afterwards costs one extra km
+  // (h_cost_end = 3), which is the payment. Pricing r_1 is symmetric.
+  EXPECT_NEAR(GPriPriceOrder(in, 0).value(), 3.0, 1e-9);
+  EXPECT_NEAR(GPriPriceOrder(in, 1).value(), 3.0, 1e-9);
+
+  // With one seat, r_1 cannot ride along with order 0 (h_cost_end is
+  // infinite) and order 0 loses to it. The payment is the replacement bid
+  // 20 − 12 + h_cost_before, with r_1's 12-yuan h_cost_before.
+  vehicles[0].capacity = 1;
+  const DispatchResult one_seat = GreedyDispatch(in);
+  ASSERT_FALSE(one_seat.IsDispatched(0));
+  ASSERT_TRUE(one_seat.IsDispatched(1));
+  EXPECT_NEAR(GPriPriceOrder(in, 1).value(), 20.0, 1e-9);
+}
+
 TEST(DnWTest, UncontestedWinnerPaysCost) {
   RoadNetwork net = testutil::LineNetwork(12, 1000);
   DistanceOracle oracle(&net);

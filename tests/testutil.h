@@ -151,10 +151,11 @@ inline FuzzScenario BuildFuzzScenario(uint64_t seed) {
   sc.config.min_utility =
       Money(rng.Uniform() < 0.3 ? rng.Uniform(0.5, 3.0) : 0.0);
   sc.config.charge_ratio = rng.Uniform() < 0.3 ? rng.Uniform(0.05, 0.3) : 0.0;
-  // This draw once chose a nearest-vehicle mode that no longer exists; it
-  // is kept and discarded so every later parameter draws the same values.
+  // These draws once chose a nearest-vehicle mode and a spatial-pruning
+  // switch that no longer exist; they are kept and discarded so every later
+  // parameter draws the same values.
   static_cast<void>(rng.Uniform());
-  sc.config.use_spatial_pruning = rng.Uniform() < 0.8;
+  static_cast<void>(rng.Uniform());
 
   const int m = 6 + static_cast<int>(rng.UniformInt(uint64_t{10}));
   for (int j = 0; j < m; ++j) {
