@@ -193,7 +193,8 @@ int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
           orders[static_cast<std::size_t>(j)].origin),
       in.config.pack_candidate_limit, /*exclude_id=*/j);
 
-  // Enumerate subsets {j} ∪ S, S ⊆ partners, |S| <= max_pack − 1.
+  // Enumerate subsets {j} ∪ S, S ⊆ partners, |S| <= max_pack − 1, where
+  // max_pack <= kMaxPackSize = 3: singles, pairs and triples.
   std::vector<std::vector<int32_t>> member_sets;
   member_sets.push_back({j});
   if (max_pack >= 2) {
@@ -271,11 +272,12 @@ bool GeneratePacks(const AuctionInstance& in,
                    RankArtifacts* artifacts) {
   const std::vector<Order>& orders = *in.orders;
 
-  // Maximum pack size: the largest vehicle capacity (c̄, default 3).
+  // Maximum pack size: the largest vehicle capacity, capped at c̄.
   int max_pack = 1;
   for (const Vehicle& v : *in.vehicles) {
     max_pack = std::max(max_pack, v.capacity);
   }
+  max_pack = std::min(max_pack, kMaxPackSize);
 
   std::vector<std::unique_ptr<GridIndex>> indexes;
   indexes.reserve(groups.size());

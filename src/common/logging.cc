@@ -1,50 +1,10 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace auctionride {
-
-namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarning:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-  }
-  return "?";
-}
-}  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
 namespace internal_logging {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level), file_(file), line_(line) {}
-
-LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) <
-      g_log_level.load(std::memory_order_relaxed)) {
-    return;
-  }
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level_), file_, line_,
-               stream_.str().c_str());
-}
 
 FatalMessage::FatalMessage(const char* file, int line, const char* condition)
     : file_(file), line_(line), condition_(condition) {}

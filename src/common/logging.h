@@ -1,39 +1,14 @@
-// Minimal logging macros and the fatal-message machinery behind the
-// ARIDE_* check family (common/check.h). The check macros themselves live
-// in check.h — this header only provides AR_LOG and the internal classes.
+// The fatal-message machinery behind the ARIDE_* check family
+// (common/check.h). The check macros themselves live in check.h; library
+// code reports everything else by returning data to its caller.
 
 #ifndef AUCTIONRIDE_COMMON_LOGGING_H_
 #define AUCTIONRIDE_COMMON_LOGGING_H_
 
 #include <sstream>
-#include <string>
 
 namespace auctionride {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global log threshold; messages below it are dropped. Default: kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal_logging {
-
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
-
-  std::ostringstream& stream() { return stream_; }
-
- private:
-  LogLevel level_;
-  const char* file_;
-  int line_;
-  std::ostringstream stream_;
-};
 
 /// Aborts the process after flushing the streamed message.
 class FatalMessage {
@@ -60,10 +35,5 @@ struct Voidify {
 
 }  // namespace internal_logging
 }  // namespace auctionride
-
-#define AR_LOG(level)                                             \
-  ::auctionride::internal_logging::LogMessage(                    \
-      ::auctionride::LogLevel::k##level, __FILE__, __LINE__)      \
-      .stream()
 
 #endif  // AUCTIONRIDE_COMMON_LOGGING_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -24,19 +25,16 @@ struct Engine::Shard {
   EffectBatch pending_fx;
   EffectBatch auction_fx;
   EffectBatch advance_fx;
-  bool ran_auction = false;
   bool advance_busy = false;
-  DispatchTier tier = DispatchTier::kPrimary;
-  RoundRecord record;
+  // This round's auction record; empty when the shard ran no auction.
+  std::optional<RoundRecord> record;
   // Warm-start hints carried between this shard's rounds. Shard-local:
   // written only by this shard's round task and at serial barriers
   // (migration), so the cache is a pure function of the shard's own event
   // sequence at any engine thread count.
   WarmStartCache warm;
-  Money round_utility;
   Money platform_utility;
   Money requester_utility;
-  std::vector<Order> drain_buffer;
 
   ShardStats stats;
 };
@@ -118,14 +116,14 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
   sh.fault_fx = EffectBatch();
   sh.pending_fx = EffectBatch();
   sh.auction_fx = EffectBatch();
-  sh.ran_auction = false;
+  sh.record.reset();
 
-  // Drain ingestion into the pending pool (sorted by id — arrival
-  // interleaving across producer stripes cannot change the auction input).
-  sh.drain_buffer.clear();
-  const std::size_t drained = sh.queue.DrainTo(&sh.drain_buffer);
+  // Drain ingestion into the pending pool (sorted by id — the producers'
+  // arrival interleaving cannot change the auction input).
+  std::vector<Order> drained_orders;
+  const std::size_t drained = sh.queue.DrainTo(&drained_orders);
   sh.stats.ingested += drained;
-  sh.world->EnqueueBatch(std::move(sh.drain_buffer));
+  sh.world->EnqueueBatch(std::move(drained_orders));
   OBS_COUNTER_ADD("engine.orders.ingested", static_cast<int64_t>(drained));
 
   if (options_.faults.any()) {
@@ -180,9 +178,6 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
       sh.auction_fx = sh.world->ApplyOutcome(outcome.dispatch,
                                              outcome.payments, now_s,
                                              online_idx);
-      sh.ran_auction = true;
-      sh.tier = outcome.tier;
-      sh.round_utility = outcome.dispatch.total_utility;
       sh.platform_utility = outcome.platform_utility;
       sh.requester_utility = outcome.requester_utility;
       if (warm_enabled_) {
@@ -203,7 +198,7 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
         }
       }
 
-      RoundRecord record;
+      RoundRecord& record = sh.record.emplace();
       record.time_s = now_s;
       record.pending_orders = static_cast<int>(pass.submitted.size());
       record.online_vehicles = static_cast<int>(online.size());
@@ -218,7 +213,6 @@ void Engine::RunShardRound(std::size_t shard_index, Seconds now_s) {
       }
       record.truncated = outcome.truncated;
       record.shard = static_cast<int>(shard_index);
-      sh.record = record;
     }
   }
   const double elapsed = timer.ElapsedSeconds();
@@ -244,23 +238,25 @@ void Engine::StepRound() {
     Shard& sh = *shards_[s];
     ApplyEffects(sh.fault_fx, &result_);
     ApplyEffects(sh.pending_fx, &result_);
-    if (sh.ran_auction) {
+    if (sh.record) {
+      const RoundRecord& record = *sh.record;
+      const int tier = static_cast<int>(record.dispatch_tier);
       ApplyEffects(sh.auction_fx, &result_);
-      result_.total_utility += sh.round_utility;
+      result_.total_utility += record.round_utility;
       result_.platform_utility += sh.platform_utility;
       result_.requester_utility += sh.requester_utility;
-      if (sh.tier != DispatchTier::kPrimary) {
+      if (record.dispatch_tier != DispatchTier::kPrimary) {
         ++result_.degraded_rounds;
       }
-      if (sh.record.truncated) {
+      if (record.truncated) {
         ++result_.truncated_rounds;
         ++sh.stats.truncated_rounds;
         ++stats_.truncated_rounds;
       }
-      result_.rounds.push_back(sh.record);
+      result_.rounds.push_back(record);
       ++sh.stats.auction_rounds;
-      ++sh.stats.tier_counts[static_cast<int>(sh.tier)];
-      ++stats_.tier_counts[static_cast<int>(sh.tier)];
+      ++sh.stats.tier_counts[tier];
+      ++stats_.tier_counts[tier];
     }
     sh.stats.peak_queue_depth =
         std::max(sh.stats.peak_queue_depth, sh.queue.peak_depth());

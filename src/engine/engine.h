@@ -4,7 +4,8 @@
 // shard owns its vehicles, its slice of the pending-order pool, and an
 // auctioneer that runs batched RunMechanism rounds under exec/deadline.h
 // budgets with the Rank → Greedy → FCFS degradation ladder. Orders arrive
-// through per-shard MPSC ingestion queues (engine/ingest.h), routed by
+// through one MPSC ingestion queue per shard (engine/ingest.h: one locked
+// vector, drained and sorted by id at the start of each round), routed by
 // pickup location; a periodic cross-shard rebalancer migrates idle vehicles
 // toward demand with a deterministic fixed-order handoff.
 //

@@ -1,20 +1,19 @@
-// MPSC order-ingestion queue: many producer threads submit orders, one
-// consumer (the owning shard's round task) drains them at the start of each
-// dispatch round.
+// MPSC order-ingestion queue: producer threads submit orders, one consumer
+// (the owning shard's round task) drains them at the start of each dispatch
+// round.
 //
-// Producers are spread over a small set of cache-line-padded stripes, each a
-// tiny mutex + vector (lock hold time is one push_back), so concurrent
-// submitters rarely contend on the same lock. The drain locks stripes one at
-// a time in fixed order and the shard then sorts the merged batch by order
-// id before it enters the pending pool — which is what makes ingestion
-// deterministic: arrival interleaving across stripes cannot change the
-// round's auction input. Capability annotations (common/thread_annotations.h)
-// let Clang's thread-safety analysis check every access path.
+// One annotated mutex guards one vector; a push holds it for one push_back.
+// The drain hands over the whole vector and the shard sorts the batch by
+// order id before it enters the pending pool, so arrival interleaving
+// between producers cannot change the round's auction input. The queue is
+// unbounded; a bound would be a size check in Push under the same lock.
+// Capability annotations (common/thread_annotations.h) let Clang's
+// thread-safety analysis check every access path.
 
 #ifndef AUCTIONRIDE_ENGINE_INGEST_H_
 #define AUCTIONRIDE_ENGINE_INGEST_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -30,68 +29,38 @@ class IngestQueue {
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
 
-  /// Thread-safe. Stripes by a per-thread token so concurrent producers
-  /// mostly take disjoint locks.
-  void Push(const Order& order) {
-    Stripe& stripe = stripes_[ThreadStripe()];
-    {
-      MutexLock lock(stripe.mu);
-      stripe.buffer.push_back(order);
-    }
-    const std::size_t depth =
-        depth_.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Racy max is fine: telemetry, not accounting.
-    std::size_t peak = peak_depth_.load(std::memory_order_relaxed);
-    while (depth > peak &&
-           !peak_depth_.compare_exchange_weak(peak, depth,
-                                              std::memory_order_relaxed)) {
-    }
+  /// Thread-safe.
+  void Push(const Order& order) ARIDE_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    buffer_.push_back(order);
+    peak_depth_ = std::max(peak_depth_, buffer_.size());
   }
 
-  /// Consumer-side: appends every queued order to `out` (arbitrary
-  /// interleaving order — the shard sorts by id) and returns the count.
-  std::size_t DrainTo(std::vector<Order>* out) {
-    std::size_t drained = 0;
-    for (Stripe& stripe : stripes_) {
-      MutexLock lock(stripe.mu);
-      drained += stripe.buffer.size();
-      for (const Order& order : stripe.buffer) {
-        out->push_back(order);
-      }
-      stripe.buffer.clear();
-    }
-    depth_.fetch_sub(drained, std::memory_order_relaxed);
+  /// Consumer-side: appends every queued order to `out` in arrival order
+  /// (the shard sorts by id) and returns the count.
+  std::size_t DrainTo(std::vector<Order>* out) ARIDE_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    const std::size_t drained = buffer_.size();
+    out->insert(out->end(), buffer_.begin(), buffer_.end());
+    buffer_.clear();
     return drained;
   }
 
-  /// Approximate current depth (relaxed; telemetry only).
-  std::size_t depth() const {
-    return depth_.load(std::memory_order_relaxed);
+  /// Orders queued now.
+  std::size_t depth() const ARIDE_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return buffer_.size();
   }
   /// High-water mark of depth() over the queue's lifetime.
-  std::size_t peak_depth() const {
-    return peak_depth_.load(std::memory_order_relaxed);
+  std::size_t peak_depth() const ARIDE_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return peak_depth_;
   }
 
  private:
-  static constexpr std::size_t kStripes = 8;
-
-  struct alignas(64) Stripe {
-    Mutex mu;
-    std::vector<Order> buffer ARIDE_GUARDED_BY(mu);
-  };
-
-  static std::size_t ThreadStripe() {
-    // One token per thread, assigned round-robin on first use.
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t stripe =
-        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-    return stripe;
-  }
-
-  Stripe stripes_[kStripes];
-  std::atomic<std::size_t> depth_{0};
-  std::atomic<std::size_t> peak_depth_{0};
+  mutable Mutex mu_;
+  std::vector<Order> buffer_ ARIDE_GUARDED_BY(mu_);
+  std::size_t peak_depth_ ARIDE_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace auctionride

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "auction/warm_start.h"
 #include "common/check.h"
@@ -9,6 +10,18 @@
 #include "obs/trace.h"
 
 namespace auctionride {
+
+namespace {
+
+// Position of vehicle `id` in the id-sorted `vehicles`, or where it would go.
+std::vector<WorldVehicle>::iterator LowerBoundById(
+    std::vector<WorldVehicle>* vehicles, VehicleId id) {
+  return std::lower_bound(
+      vehicles->begin(), vehicles->end(), id,
+      [](const WorldVehicle& a, VehicleId key) { return a.state.id < key; });
+}
+
+}  // namespace
 
 std::string_view OrderEventKindName(OrderEventKind kind) {
   switch (kind) {
@@ -102,22 +115,7 @@ void ShardWorld::AddVehicle(const VehicleSpawn& spawn) {
   sv.state = spawn.vehicle;
   sv.online_s = spawn.online_s;
   sv.offline_s = spawn.offline_s;
-  const auto pos = std::lower_bound(
-      vehicles_.begin(), vehicles_.end(), sv.state.id,
-      [](const WorldVehicle& a, VehicleId id) { return a.state.id < id; });
-  ARIDE_ACHECK(pos == vehicles_.end() || pos->state.id != sv.state.id)
-      << "duplicate vehicle id " << sv.state.id;
-  vehicles_.insert(pos, std::move(sv));
-  RebuildVehicleIndex();
-}
-
-void ShardWorld::EnqueueOrder(const Order& order) {
-  const auto pos = std::lower_bound(
-      pending_.begin(), pending_.end(), order.id,
-      [](const Order& a, OrderId id) { return a.id < id; });
-  ARIDE_ACHECK(pos == pending_.end() || pos->id != order.id)
-      << "order " << order.id << " enqueued twice";
-  pending_.insert(pos, order);
+  InsertVehicle(std::move(sv), kInvalidNode);
 }
 
 void ShardWorld::EnqueueBatch(std::vector<Order> batch) {
@@ -153,11 +151,7 @@ void ShardWorld::RefundAndRequeue(OrderId order, Seconds now_s,
   --fx->dispatched_delta;
   fx->events.push_back({now_s, order, kind, kInvalidVehicle});
   // Back into this shard's pending pool with the original patience window.
-  EnqueueOrder((*orders_)[static_cast<std::size_t>(order)]);
-  const auto pos =
-      std::lower_bound(dispatched_here_.begin(), dispatched_here_.end(), order);
-  ARIDE_ACHECK(pos != dispatched_here_.end() && *pos == order);
-  dispatched_here_.erase(pos);
+  EnqueueBatch({(*orders_)[static_cast<std::size_t>(order)]});
 }
 
 EffectBatch ShardWorld::InjectFaults(const FaultPlan& plan, int round,
@@ -202,26 +196,27 @@ EffectBatch ShardWorld::InjectFaults(const FaultPlan& plan, int round,
     }
   }
 
-  // Cancellations: dispatched orders whose pickup has not happened yet,
-  // scanned in ascending order-id order (dispatched_here_ is sorted).
+  // Cancellations: dispatched orders whose pickup has not happened yet, in
+  // ascending order-id order. Such an order's pickup stop is still planned
+  // on its vehicle, and that vehicle is on this shard (breakdowns above
+  // cleared their plans; migration moves only idle vehicles).
   if (faults.cancel_prob_per_round > 0) {
-    // RefundAndRequeue mutates dispatched_here_; scan a snapshot.
-    const std::vector<OrderId> scan = dispatched_here_;
-    for (const OrderId order : scan) {
-      OrderLedgerEntry& rec = (*ledger_)[static_cast<std::size_t>(order)];
-      if (!rec.dispatched || rec.completed) continue;
-      if (!plan.OrderCancels(round, order)) continue;
-      ARIDE_ACHECK(rec.vehicle != kInvalidVehicle) << "order " << order;
-      WorldVehicle& sv = vehicles_[vehicle_index_by_id_.at(rec.vehicle)];
-      // Picked-up riders cannot withdraw: their pickup stop is gone.
-      bool has_pickup = false;
-      for (const PlanStop& stop : sv.state.plan.stops) {
-        if (stop.order == order && stop.type == StopType::kPickup) {
-          has_pickup = true;
-          break;
+    std::vector<std::pair<OrderId, std::size_t>> awaiting_pickup;
+    for (std::size_t i = 0; i < vehicles_.size(); ++i) {
+      for (const PlanStop& stop : vehicles_[i].state.plan.stops) {
+        if (stop.type == StopType::kPickup) {
+          awaiting_pickup.emplace_back(stop.order, i);
         }
       }
-      if (!has_pickup) continue;
+    }
+    std::sort(awaiting_pickup.begin(), awaiting_pickup.end());
+    for (const auto& [order, vehicle_idx] : awaiting_pickup) {
+      WorldVehicle& sv = vehicles_[vehicle_idx];
+      const OrderLedgerEntry& rec = (*ledger_)[static_cast<std::size_t>(order)];
+      ARIDE_ACHECK(rec.dispatched && !rec.completed &&
+                   rec.vehicle == sv.state.id)
+          << "order " << order << " planned on vehicle " << sv.state.id;
+      if (!plan.OrderCancels(round, order)) continue;
 
       std::erase_if(sv.state.plan.stops, [order](const PlanStop& stop) {
         return stop.order == order;
@@ -323,10 +318,6 @@ EffectBatch ShardWorld::ApplyOutcome(
     ARIDE_ACHECK(pos != pending_.end() && pos->id == a.order)
         << "dispatched order " << a.order << " not in this shard's pool";
     pending_.erase(pos);
-    const auto dpos =
-        std::lower_bound(dispatched_here_.begin(), dispatched_here_.end(),
-                         a.order);
-    dispatched_here_.insert(dpos, a.order);
   }
   for (const Payment& p : payments) {
     ARIDE_CHECK_GE(p.payment, Money(0)) << "order " << p.order;
@@ -516,22 +507,20 @@ std::size_t ShardWorld::IdleCount(Seconds now_s) const {
 }
 
 WorldVehicle ShardWorld::ExtractVehicle(VehicleId id) {
-  const std::size_t idx = vehicle_index_by_id_.at(id);
-  WorldVehicle out = std::move(vehicles_[idx]);
-  vehicles_.erase(vehicles_.begin() + static_cast<std::ptrdiff_t>(idx));
-  RebuildVehicleIndex();
+  const auto pos = LowerBoundById(&vehicles_, id);
+  ARIDE_ACHECK(pos != vehicles_.end() && pos->state.id == id)
+      << "vehicle " << id << " is not on this shard";
+  WorldVehicle out = std::move(*pos);
+  vehicles_.erase(pos);
   return out;
 }
 
 void ShardWorld::InsertVehicle(WorldVehicle vehicle, NodeId relocate_target) {
   vehicle.relocate_target = relocate_target;
-  const auto pos = std::lower_bound(
-      vehicles_.begin(), vehicles_.end(), vehicle.state.id,
-      [](const WorldVehicle& a, VehicleId id) { return a.state.id < id; });
+  const auto pos = LowerBoundById(&vehicles_, vehicle.state.id);
   ARIDE_ACHECK(pos == vehicles_.end() || pos->state.id != vehicle.state.id)
       << "duplicate vehicle id " << vehicle.state.id;
   vehicles_.insert(pos, std::move(vehicle));
-  RebuildVehicleIndex();
 }
 
 Meters ShardWorld::DeliveryDistanceSum() const {
@@ -540,13 +529,6 @@ Meters ShardWorld::DeliveryDistanceSum() const {
     sum += sv.state.delivery_distance_m;
   }
   return sum;
-}
-
-void ShardWorld::RebuildVehicleIndex() {
-  vehicle_index_by_id_.clear();
-  for (std::size_t i = 0; i < vehicles_.size(); ++i) {
-    vehicle_index_by_id_.emplace(vehicles_[i].state.id, i);
-  }
 }
 
 void FinalizeResult(const AuctionConfig& config,

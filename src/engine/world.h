@@ -14,13 +14,16 @@
 // shard-disjoint: an order's ledger entry is only touched by the shard that
 // currently owns its vehicle or its pending-pool slot, and ownership only
 // changes at serial barriers (dispatch application, migration, refund).
+//
+// Each shard fact has one copy: the id-sorted vehicle vector is the only
+// vehicle index (lookups are binary searches), and the vehicles' plans are
+// the only record of which dispatched orders still await pickup.
 
 #ifndef AUCTIONRIDE_ENGINE_WORLD_H_
 #define AUCTIONRIDE_ENGINE_WORLD_H_
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "auction/types.h"
@@ -119,8 +122,6 @@ class ShardWorld {
   /// Adds a vehicle, keeping the shard's vehicle list sorted by id.
   void AddVehicle(const VehicleSpawn& spawn);
 
-  /// Inserts one order into the pending pool at its id-sorted position.
-  void EnqueueOrder(const Order& order);
   /// Sorts `batch` by id and merges it into the pending pool.
   void EnqueueBatch(std::vector<Order> batch);
 
@@ -128,6 +129,8 @@ class ShardWorld {
   // --- distinct shards between serial barriers.
 
   /// Breakdowns (vehicle-id order) then cancellations (order-id order).
+  /// Cancellable orders are read off the plans: an order can withdraw
+  /// exactly while its pickup stop is still planned on a vehicle here.
   EffectBatch InjectFaults(const FaultPlan& plan, int round, Seconds now_s);
 
   /// Issue/expire/escalate pass over the pending pool in order-id order.
@@ -184,7 +187,6 @@ class ShardWorld {
   void AdvanceVehicle(WorldVehicle* vehicle, Seconds start_s, Seconds dt_s,
                       EffectBatch* fx);
   double EdgeLength(NodeId from, NodeId to) const;
-  void RebuildVehicleIndex();
 
   const DistanceOracle* oracle_;
   const std::vector<Order>* orders_;
@@ -194,14 +196,7 @@ class ShardWorld {
   std::unique_ptr<AStarSearch> path_search_;
 
   std::vector<WorldVehicle> vehicles_;  // sorted by vehicle id
-  // Live-vehicle lookup for fault handling (assignments carry VehicleIds).
-  std::unordered_map<VehicleId, std::size_t> vehicle_index_by_id_;
-  std::vector<Order> pending_;  // sorted by order id
-  // Orders dispatched on this shard and not yet refunded, sorted by id
-  // (completed entries linger and are skipped — the cancel scan checks the
-  // ledger). Gives the cancellation pass its id-order scan without
-  // touching other shards' ledger slices.
-  std::vector<OrderId> dispatched_here_;
+  std::vector<Order> pending_;           // sorted by order id
 };
 
 /// Shared end-of-run aggregation: driver utility, rider-experience means,

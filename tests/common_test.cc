@@ -127,13 +127,6 @@ TEST(LoggingTest, CheckPassesSilently) {
   SUCCEED();
 }
 
-TEST(LoggingTest, LogLevelRoundTrip) {
-  const LogLevel before = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  SetLogLevel(before);
-}
-
 TEST(TablePrinterTest, PrintsAllCells) {
   TablePrinter table({"name", "value"});
   table.AddRow({"alpha", "3.0"});

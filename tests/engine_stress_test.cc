@@ -56,7 +56,7 @@ TEST(IngestQueueStressTest, ConcurrentProducersLoseNothing) {
   consumer.join();
   queue.DrainTo(&drained);
 
-  // Every order arrives exactly once, regardless of stripe interleaving.
+  // Every order arrives exactly once, however the producers interleave.
   ASSERT_EQ(drained.size(), static_cast<std::size_t>(kTotal));
   EXPECT_EQ(queue.depth(), 0u);
   EXPECT_GE(queue.peak_depth(), 1u);

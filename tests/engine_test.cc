@@ -1,15 +1,18 @@
 // Unit tests for the dispatch-engine building blocks: region partitioning,
-// the ingestion queue's single-threaded contract, and the cross-shard
-// rebalancer's bookkeeping. Concurrency is covered by
+// the ingestion queue's single-threaded contract, a shard's cancellation
+// pass, and the cross-shard rebalancer's bookkeeping. Concurrency is covered by
 // engine_stress_test.cc; bit-identity by engine_determinism_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/faults.h"
 #include "engine/ingest.h"
 #include "engine/partition.h"
+#include "engine/world.h"
 #include "roadnet/oracle.h"
 #include "testutil.h"
 
@@ -66,6 +69,96 @@ TEST(IngestQueueTest, DrainReturnsEverythingPushedOnce) {
   EXPECT_EQ(queue.depth(), 0u);
   EXPECT_EQ(queue.DrainTo(&out), 0u);  // drained queue is empty
   EXPECT_EQ(out.size(), 10u);
+}
+
+TEST(ShardWorldTest, CancellationPassWithdrawsUnpickedOrdersInIdOrder) {
+  RoadNetwork net = testutil::LineNetwork(24, 1000);
+  DistanceOracle oracle(&net);
+  const std::vector<Order> orders = {
+      testutil::MakeOrder(0, 0, 3, 20.0, oracle),
+      testutil::MakeOrder(1, 1, 4, 20.0, oracle),
+      testutil::MakeOrder(2, 11, 14, 20.0, oracle)};
+  std::vector<OrderLedgerEntry> ledger(orders.size());
+  ShardWorld world(&oracle, &orders, &ledger, WorldOptions(), /*seed=*/1);
+  // Added out of id order: vehicle 2 sits at index 0, vehicle 5 at index 1.
+  for (const auto& [id, node] : {std::pair{5, 0}, std::pair{2, 10}}) {
+    VehicleSpawn spawn;
+    spawn.vehicle = testutil::MakeVehicle(id, node);
+    spawn.online_s = Seconds(0);
+    spawn.offline_s = Seconds(1e9);
+    world.AddVehicle(spawn);
+  }
+  world.EnqueueBatch(orders);
+
+  // Orders 0 and 1 ride vehicle 5, order 2 rides vehicle 2, so a scan in
+  // vehicle order would meet order 2 before order 1.
+  std::vector<std::size_t> online_idx;
+  ASSERT_EQ(world.OnlineSnapshot(Seconds(0), &online_idx).size(), 2u);
+  const auto stop = [&orders](OrderId id, StopType type) {
+    const Order& o = orders[static_cast<std::size_t>(id)];
+    return PlanStop{type == StopType::kPickup ? o.origin : o.destination, id,
+                    type, Seconds(1e9)};
+  };
+  DispatchResult dispatch;
+  for (const auto& [order, vehicle] :
+       {std::pair{0, 5}, std::pair{1, 5}, std::pair{2, 2}}) {
+    Assignment a;
+    a.order = order;
+    a.vehicle = vehicle;
+    dispatch.assignments.push_back(a);
+  }
+  dispatch.updated_plans = {
+      {1,
+       {stop(0, StopType::kPickup), stop(1, StopType::kPickup),
+        stop(0, StopType::kDropoff), stop(1, StopType::kDropoff)}},
+      {0, {stop(2, StopType::kPickup), stop(2, StopType::kDropoff)}}};
+  const std::vector<Payment> payments = {
+      {0, Money(5)}, {1, Money(7)}, {2, Money(9)}};
+  world.ApplyOutcome(dispatch, payments, Seconds(0), online_idx);
+  ASSERT_EQ(world.pending_size(), 0u);
+
+  // Vehicle 5 stands on order 0's pickup: one round picks that rider up
+  // and leaves both other pickups (1000 m away) planned.
+  const EffectBatch moved = world.AdvanceRound(Seconds(0));
+  ASSERT_EQ(moved.events.size(), 1u);
+  ASSERT_EQ(moved.events[0].kind, OrderEventKind::kPickedUp);
+  ASSERT_EQ(moved.events[0].order, 0);
+
+  FaultOptions cancel_only;
+  cancel_only.cancel_prob_per_round = 1;
+  const EffectBatch fx =
+      world.InjectFaults(FaultPlan(cancel_only), /*round=*/1, Seconds(10));
+
+  EXPECT_EQ(fx.cancelled, 2);
+  EXPECT_EQ(fx.dispatched_delta, -2);
+  ASSERT_EQ(fx.events.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(fx.events[i].kind, OrderEventKind::kCancelled);
+    EXPECT_EQ(fx.events[i].order, static_cast<OrderId>(i + 1));
+  }
+  EXPECT_EQ(fx.refunds, (std::vector<Money>{Money(7), Money(9)}));
+  for (const OrderId id : {1, 2}) {
+    const OrderLedgerEntry& rec = ledger[static_cast<std::size_t>(id)];
+    EXPECT_FALSE(rec.dispatched) << id;
+    EXPECT_TRUE(rec.recovered) << id;
+    EXPECT_EQ(rec.payment, Money(0)) << id;
+    EXPECT_EQ(rec.vehicle, kInvalidVehicle) << id;
+  }
+  EXPECT_EQ(world.pending_size(), 2u);
+  const PendingPass pending = world.CollectPending(Seconds(10));
+  ASSERT_EQ(pending.submitted.size(), 2u);
+  EXPECT_EQ(pending.submitted[0].id, 1);
+  EXPECT_EQ(pending.submitted[1].id, 2);
+
+  // The picked-up rider keeps its payment and its drop-off; vehicle 2 is
+  // left with an empty plan.
+  EXPECT_TRUE(ledger[0].dispatched);
+  EXPECT_EQ(ledger[0].payment, Money(5));
+  const WorldVehicle five = world.ExtractVehicle(5);
+  ASSERT_EQ(five.state.plan.stops.size(), 1u);
+  EXPECT_EQ(five.state.plan.stops[0].order, 0);
+  EXPECT_EQ(five.state.plan.stops[0].type, StopType::kDropoff);
+  EXPECT_TRUE(world.ExtractVehicle(2).state.plan.stops.empty());
 }
 
 TEST(EngineTest, RoundClockAdvancesByRoundDuration) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -107,6 +108,28 @@ TEST_F(RankTest, NegativeUtilityPacksNotDispatched) {
   vehicles_.push_back(MakeVehicle(0, 1));
   const RankRunResult r = RankDispatch(Instance());
   EXPECT_TRUE(r.result.assignments.empty());
+}
+
+TEST_F(RankTest, PacksStopAtThreeMembersOnLargerVehicles) {
+  // Five riders along one corridor could share a capacity-4 vehicle, but
+  // Rank's packs stop at kMaxPackSize = c̄ = 3 members.
+  for (int j = 0; j < 5; ++j) {
+    orders_.push_back(MakeOrder(j, 4 + j, 16 + j, /*bid=*/30, *oracle_,
+                                /*gamma=*/3.0));
+  }
+  vehicles_.push_back(MakeVehicle(0, 4, /*capacity=*/4));
+  vehicles_.push_back(MakeVehicle(1, 8, /*capacity=*/4));
+  const RankRunResult r = RankDispatch(Instance());
+  ASSERT_EQ(kMaxPackSize, 3);
+  std::size_t largest = 0;
+  for (const std::vector<PackCandidate>& cands : r.artifacts.candidates) {
+    for (const PackCandidate& c : cands) {
+      EXPECT_LE(c.members.size(), static_cast<std::size_t>(kMaxPackSize));
+      largest = std::max(largest, c.members.size());
+    }
+  }
+  // The cap binds: triples are built, so a larger pack was within reach.
+  EXPECT_EQ(largest, 3u);
 }
 
 TEST_F(RankTest, ArtifactsCoverEveryOrder) {

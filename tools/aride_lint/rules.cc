@@ -70,8 +70,8 @@ void CheckBannedApi(const FileInfo& f, std::vector<Diagnostic>* out) {
     }
     if (t.text == "printf" && called && !member_access) {
       Emit(f, t.line, kRuleBannedApi,
-           "bare printf in library code pollutes stdout; use AR_LOG "
-           "(common/logging.h) or return data to the caller",
+           "bare printf in library code pollutes stdout; return data to "
+           "the caller",
            out);
       continue;
     }
@@ -84,9 +84,7 @@ void CheckBannedApi(const FileInfo& f, std::vector<Diagnostic>* out) {
     }
     if (t.text == "cout" || t.text == "cerr") {
       Emit(f, t.line, kRuleBannedApi,
-           "std::" + t.text + " in library code; use AR_LOG "
-                              "(common/logging.h) or return data to the "
-                              "caller",
+           "std::" + t.text + " in library code; return data to the caller",
            out);
       continue;
     }
