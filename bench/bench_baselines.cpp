@@ -64,7 +64,7 @@ void BM_Baselines(benchmark::State& state) {
         result = MatchingDispatch(instance);
         break;
       case Method::kGreedy:
-        result = GreedyDispatch(instance);
+        result = GreedyDispatch(instance).result;
         break;
       case Method::kRank:
         result = RankDispatch(instance).result;

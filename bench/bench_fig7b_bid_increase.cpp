@@ -72,7 +72,7 @@ IncreaseSeries RunBidIncrease(MechanismKind mechanism) {
     instance.orders = &pending;
     DispatchResult dispatch;
     if (mechanism == MechanismKind::kGreedy) {
-      dispatch = GreedyDispatch(instance);
+      dispatch = GreedyDispatch(instance).result;
     } else {
       dispatch = RankDispatch(instance).result;
     }

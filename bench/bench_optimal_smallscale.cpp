@@ -52,7 +52,7 @@ RatioStats RunComparison(int num_instances) {
 
     const OptimalResult optimal = OptimalDispatch(instance);
     if (optimal.total_utility <= Money(1e-9)) continue;  // nothing dispatchable
-    const DispatchResult greedy = GreedyDispatch(instance);
+    const DispatchResult greedy = GreedyDispatch(instance).result;
     const DispatchResult rank = RankDispatch(instance).result;
     stats.greedy_ratio.Add(greedy.total_utility / optimal.total_utility);
     stats.rank_ratio.Add(rank.total_utility / optimal.total_utility);

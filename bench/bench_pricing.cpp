@@ -3,9 +3,11 @@
 // requester. With this speed-up, the pricing process is quite fast."
 //
 // Measures GPri and DnW end-to-end pricing time for one round's dispatched
-// orders, serial vs pooled, plus the per-order average. Expected shape:
-// DnW is much cheaper than GPri (GPri re-runs Greedy per priced order);
-// pooling helps in proportion to available cores.
+// orders, serial vs pooled, plus the per-order average. Both price from
+// what their dispatch hands over (Greedy's seed table, Rank's artifacts),
+// so the timed loop holds no seed sweep or pack search. Expected shape:
+// DnW is much cheaper than GPri (GPri runs Greedy's dispatch loop once per
+// priced order); pooling helps in proportion to available cores.
 
 #include <thread>
 
@@ -51,12 +53,15 @@ void BM_Pricing(benchmark::State& state) {
 
   DispatchResult dispatch;
   RankArtifacts artifacts;
+  GreedySeedTable seeds;
   if (use_rank) {
     RankRunResult run = RankDispatch(instance);
     dispatch = std::move(run.result);
     artifacts = std::move(run.artifacts);
   } else {
-    dispatch = GreedyDispatch(instance);
+    GreedyRunResult run = GreedyDispatch(instance);
+    dispatch = std::move(run.result);
+    seeds = std::move(run.seeds);
   }
 
   std::unique_ptr<ThreadPool> pool;
@@ -68,7 +73,7 @@ void BM_Pricing(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<Payment> payments =
         use_rank ? DnWPriceAll(instance, artifacts, dispatch, pool.get())
-                 : GPriPriceAll(instance, dispatch, pool.get());
+                 : GPriPriceAll(instance, seeds, dispatch, pool.get());
     priced = payments.size();
     benchmark::DoNotOptimize(payments);
   }

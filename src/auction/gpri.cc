@@ -16,10 +16,11 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Money PriceOrder(const AuctionInstance& instance,
+                 const GreedySeedTable& seeds,
                  const PickupCandidateIndex& pickup_index,
                  OrderId order_id) {
-  // Each pricing re-runs a full greedy dispatch, so an unsampled timer is
-  // cheap relative to the work measured.
+  // Each pricing runs a full dispatch loop, so an unsampled timer is cheap
+  // relative to the work measured.
   OBS_SCOPED_TIMER("auction.gpri.price_order_s");
   OBS_COUNTER_INC("auction.gpri.priced_orders");
   const std::vector<Order>& orders = *instance.orders;
@@ -30,13 +31,13 @@ Money PriceOrder(const AuctionInstance& instance,
       << "priced order not in the instance";
   const Order& priced = *priced_it;
 
-  // Algorithm 1 on R \ {r_h}. The others keep their instance order, so the
-  // run breaks heap ties exactly as the main dispatch does.
-  std::vector<Order> others(orders.begin(), priced_it);
-  others.insert(others.end(), priced_it + 1, orders.end());
-  AuctionInstance rerun = instance;
-  rerun.orders = &others;
-  const DispatchResult run = GreedyDispatch(rerun);
+  // Algorithm 1 on R \ {r_h}: the round's seed table with r_h's slot
+  // skipped. The other orders keep their slots, so the run breaks heap ties
+  // exactly as the main dispatch does.
+  std::vector<int32_t> step_slots;
+  const DispatchResult run = GreedyDispatchLoop(
+      instance, seeds, static_cast<int>(priced_it - orders.begin()),
+      &step_slots);
 
   // Replay the run over copies of r_h's candidate vehicles to recover
   // r_h's cheapest insertion cost before every step (pool_jk in
@@ -66,7 +67,8 @@ Money PriceOrder(const AuctionInstance& instance,
   // which r_h had no valid pair left (line 8: vehicles only fill up).
   Money cheapest_replace{kInf};
   bool replaceable = true;
-  for (const Assignment& step : run.assignments) {
+  for (std::size_t k = 0; k < run.assignments.size(); ++k) {
+    const Assignment& step = run.assignments[k];
     const Money h_cost_before = cheapest();
     replaceable = replaceable && !IsInf(h_cost_before);
     if (replaceable) {
@@ -77,9 +79,7 @@ Money PriceOrder(const AuctionInstance& instance,
     }
     for (std::size_t s = 0; s < candidates.size(); ++s) {
       if (candidates[s].id != step.vehicle) continue;
-      const Order& order = *std::find_if(
-          others.begin(), others.end(),
-          [&](const Order& o) { return o.id == step.order; });
+      const Order& order = orders[static_cast<std::size_t>(step_slots[k])];
       const InsertionResult ins = BestInsertion(candidates[s], order,
                                                 instance.now_s,
                                                 *instance.oracle);
@@ -106,27 +106,36 @@ Money PriceOrder(const AuctionInstance& instance,
 
 }  // namespace
 
-Money GPriPriceOrder(const AuctionInstance& instance, OrderId order_id) {
-  return PriceOrder(instance,
+Money GPriPriceOrder(const AuctionInstance& instance,
+                     const GreedySeedTable& seeds, OrderId order_id) {
+  ARIDE_ACHECK(seeds.complete())
+      << "a cut seed table must be completed first (GPriPriceAll does)";
+  return PriceOrder(instance, seeds,
                     PickupCandidateIndex(*instance.vehicles, *instance.oracle),
                     order_id);
 }
 
 std::vector<Payment> GPriPriceAll(const AuctionInstance& instance,
+                                  GreedySeedTable seeds,
                                   const DispatchResult& dispatch,
                                   ThreadPool* pool) {
   std::vector<Payment> payments(dispatch.assignments.size());
   // Every winner is priced against the same vehicle snapshot.
   const PickupCandidateIndex pickup_index(*instance.vehicles,
                                           *instance.oracle);
+  // Pricing is unbudgeted, so a sweep the dispatch deadline cut is finished
+  // here, once, before any winner's run reads the table.
+  if (!seeds.complete()) {
+    FillUnreachedSeeds(instance, pickup_index, &seeds, pool);
+  }
   // Pricing on `pool` spreads over the winners, which already fill it; the
-  // per-winner dispatch re-runs stay serial rather than split that work
-  // a second time.
+  // per-winner dispatch loops stay serial rather than split that work a
+  // second time.
   AuctionInstance priced_instance = instance;
   if (pool != nullptr) priced_instance.dispatch_pool = nullptr;
   ParallelForOrSerial(pool, payments.size(), [&](std::size_t i) {
     const OrderId id = dispatch.assignments[i].order;
-    payments[i] = {id, PriceOrder(priced_instance, pickup_index, id)};
+    payments[i] = {id, PriceOrder(priced_instance, seeds, pickup_index, id)};
   });
   return payments;
 }

@@ -40,102 +40,142 @@ struct HeapLess {
   }
 };
 
+// u_ij of Equation 3 at the vehicle's current plan; −∞ when infeasible.
+Money PairUtility(const AuctionInstance& in, const Vehicle& vehicle,
+                  const Order& order) {
+  const InsertionResult ins =
+      BestInsertion(vehicle, order, in.now_s, *in.oracle);
+  if (!ins.feasible) return Money(-kInf);
+  const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
+  return order.bid - alpha_per_m * ins.delta_delivery_m;
+}
+
+// Algorithm 1 lines 2-6 for order slot j: its valid pairs at the instance's
+// vehicle plans, in candidate order.
+void SeedOrder(const AuctionInstance& in,
+               const PickupCandidateIndex& candidates, std::size_t j,
+               std::vector<GreedySeed>* out) {
+  const Order& order = (*in.orders)[j];
+  std::vector<int32_t> near;
+  candidates.WithinRadius(order, &near);
+  for (int32_t v : near) {
+    const Money u =
+        PairUtility(in, (*in.vehicles)[static_cast<std::size_t>(v)], order);
+    if (u == Money(-kInf)) continue;
+    out->push_back({u, v});
+  }
+}
+
+// Each seeded order's best candidates for next round's warm start,
+// strongest first (ties to the lower vehicle index).
+std::vector<std::pair<OrderId, VehicleId>> WarmSurvivors(
+    const AuctionInstance& in, const GreedySeedTable& seeds) {
+  std::vector<std::pair<OrderId, VehicleId>> survivors;
+  for (std::size_t j = 0; j < seeds.pairs.size(); ++j) {
+    std::vector<GreedySeed> best(seeds.pairs[j]);
+    std::sort(best.begin(), best.end(),
+              [](const GreedySeed& a, const GreedySeed& b) {
+                if (b.utility < a.utility) return true;
+                if (a.utility < b.utility) return false;
+                return a.veh < b.veh;
+              });
+    const std::size_t keep =
+        std::min(best.size(), WarmStartCache::kMaxHintsPerOrder);
+    for (std::size_t s = 0; s < keep; ++s) {
+      survivors.push_back(
+          {(*in.orders)[j].id,
+           (*in.vehicles)[static_cast<std::size_t>(best[s].veh)].id});
+    }
+  }
+  return survivors;
+}
+
 }  // namespace
 
-DispatchResult GreedyDispatch(const AuctionInstance& in) {
+bool GreedySeedTable::complete() const {
+  return std::find(reached.begin(), reached.end(), 0) == reached.end();
+}
+
+GreedyRunResult GreedyDispatch(const AuctionInstance& in) {
   OBS_TRACE_SPAN("auction.greedy.dispatch");
   ARIDE_ACHECK(in.orders != nullptr && in.vehicles != nullptr &&
            in.oracle != nullptr);
   WallTimer timer;
   const std::vector<Order>& orders = *in.orders;
-  std::vector<Vehicle> vehicles = *in.vehicles;  // working copies
-  const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
-  ThreadPool* pool = in.dispatch_pool;
-  Deadline* const dl = in.deadline;
   // Anytime contract (docs/ROBUSTNESS.md): every oracle query is charged to
   // the deadline at its synthetic penalty, the seed sweep runs in
   // deterministic batches, and expiry finalizes the partial dispatch built
   // so far.
-
-  const PickupCandidateIndex candidates(vehicles, *in.oracle);
-
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap;
-  std::vector<uint32_t> veh_version(vehicles.size(), 0);
-  std::vector<std::vector<int>> veh_candidates(vehicles.size());
-  std::vector<char> dispatched(orders.size(), 0);
-
-  auto pair_utility = [&](int order_idx, int veh_idx) -> Money {
-    const InsertionResult ins = BestInsertion(
-        vehicles[static_cast<std::size_t>(veh_idx)],
-        orders[static_cast<std::size_t>(order_idx)], in.now_s, *in.oracle);
-    if (!ins.feasible) return Money(-kInf);
-    return orders[static_cast<std::size_t>(order_idx)].bid -
-           alpha_per_m * ins.delta_delivery_m;
-  };
+  const PickupCandidateIndex candidates(*in.vehicles, *in.oracle);
 
   // Pool initialization (Algorithm 1 lines 2-6), the O(|R|×|V|) sweep that
   // dominates large rounds. Workers evaluate per-order candidate lists into
-  // disjoint slots; the merge then pushes into the heap serially in the
-  // exact (order_idx, candidate order) sequence of the serial sweep, so the
-  // run is bit-identical with any thread count.
-  struct SeedPair {
-    Money utility;
-    int32_t veh;
-  };
-  // Slots past an anytime cut keep empty seeds, so the merge treats them
-  // like orders with no candidate.
-  std::vector<std::vector<SeedPair>> seeds(orders.size());
-  int64_t seed_pairs = 0;
-  bool sweep_truncated = false;
-  std::vector<std::pair<OrderId, VehicleId>> survivors;
-  auto eval_order = [&](std::size_t j) -> int64_t {
-    return CountQueries([&] {
-      std::vector<int32_t> near;
-      candidates.WithinRadius(orders[j], &near);
-      for (int32_t v : near) {
-        const Money u = pair_utility(static_cast<int>(j), v);
-        if (u == Money(-kInf)) continue;
-        seeds[j].push_back({u, v});
-      }
-    });
-  };
+  // disjoint slots, so the table is bit-identical with any thread count.
+  GreedyRunResult run;
+  GreedySeedTable& seeds = run.seeds;
+  seeds.pairs.resize(orders.size());
+  seeds.reached.assign(orders.size(), 0);
   {
     OBS_TRACE_SPAN("auction.greedy.seed_sweep");
     OBS_SCOPED_TIMER("auction.dispatch.seed_sweep_s");
     // Warm-hinted orders first: under a cut, the budget goes to orders that
     // had surviving candidates a round ago.
-    sweep_truncated = RunAnytimeSweep(
-        pool, orders.size(), dl, in.warm_start,
-        [&](std::size_t i) { return orders[i].id; }, eval_order);
-    for (std::size_t j = 0; j < orders.size(); ++j) {
-      if (in.warm_start != nullptr && !seeds[j].empty()) {
-        // Report this order's best candidates for next round's warm start,
-        // strongest first (ties to the lower vehicle index).
-        std::vector<SeedPair> best(seeds[j]);
-        std::sort(best.begin(), best.end(),
-                  [](const SeedPair& a, const SeedPair& b) {
-                    if (b.utility < a.utility) return true;
-                    if (a.utility < b.utility) return false;
-                    return a.veh < b.veh;
-                  });
-        const std::size_t keep =
-            std::min(best.size(), WarmStartCache::kMaxHintsPerOrder);
-        for (std::size_t s = 0; s < keep; ++s) {
-          survivors.push_back(
-              {orders[j].id,
-               vehicles[static_cast<std::size_t>(best[s].veh)].id});
-        }
-      }
-      for (const SeedPair& sp : seeds[j]) {
-        heap.push({sp.utility, static_cast<int>(j), sp.veh, 0});
-        veh_candidates[static_cast<std::size_t>(sp.veh)].push_back(
-            static_cast<int>(j));
-        ++seed_pairs;
-      }
-      seeds[j] = {};  // release as we go; the sweep can be |R|·|V| pairs
+    const bool cut = RunAnytimeSweep(
+        in.dispatch_pool, orders.size(), in.deadline, in.warm_start,
+        [&](std::size_t i) { return orders[i].id; },
+        [&](std::size_t j) -> int64_t {
+          seeds.reached[j] = 1;
+          return CountQueries(
+              [&] { SeedOrder(in, candidates, j, &seeds.pairs[j]); });
+        });
+    // The loop reads the cut off the table.
+    ARIDE_CHECK_EQ(cut, !seeds.complete());
+  }
+
+  run.result = GreedyDispatchLoop(in, seeds, /*excluded=*/-1);
+  if (in.warm_start != nullptr) {
+    run.result.surviving_pairs = WarmSurvivors(in, seeds);
+  }
+  run.result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
+  return run;
+}
+
+DispatchResult GreedyDispatchLoop(const AuctionInstance& in,
+                                  const GreedySeedTable& seeds, int excluded,
+                                  std::vector<int32_t>* step_slots) {
+  OBS_TRACE_SPAN("auction.greedy.dispatch_loop");
+  WallTimer timer;
+  const std::vector<Order>& orders = *in.orders;
+  ARIDE_ACHECK(seeds.pairs.size() == orders.size() &&
+               seeds.reached.size() == orders.size())
+      << "seed table of another instance";
+  std::vector<Vehicle> vehicles = *in.vehicles;  // working copies
+  const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
+  ThreadPool* pool = in.dispatch_pool;
+  Deadline* const dl = in.deadline;
+  const bool sweep_truncated = !seeds.complete();
+
+  // The pool in the (order, candidate) sequence of the sweep, without the
+  // excluded slot. Every other slot keeps its index, so heap ties break as
+  // in a dispatch of the instance without that order. HeapLess is a total
+  // order on the initial entries, so one make_heap pops them in the same
+  // sequence as pushing them one by one.
+  std::vector<HeapEntry> initial;
+  std::vector<uint32_t> veh_version(vehicles.size(), 0);
+  std::vector<std::vector<int>> veh_candidates(vehicles.size());
+  std::vector<char> dispatched(orders.size(), 0);
+  for (std::size_t j = 0; j < orders.size(); ++j) {
+    if (static_cast<int>(j) == excluded) continue;
+    for (const GreedySeed& sp : seeds.pairs[j]) {
+      initial.push_back({sp.utility, static_cast<int>(j), sp.veh, 0});
+      veh_candidates[static_cast<std::size_t>(sp.veh)].push_back(
+          static_cast<int>(j));
     }
   }
-  OBS_COUNTER_ADD("auction.dispatch.seed_pairs", seed_pairs);
+  OBS_COUNTER_ADD("auction.dispatch.seed_pairs",
+                  static_cast<int64_t>(initial.size()));
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap(
+      HeapLess{}, std::move(initial));
 
   // One-by-one dispatch (Algorithm 1 lines 7-16).
   DispatchResult result;
@@ -193,6 +233,7 @@ DispatchResult GreedyDispatch(const AuctionInstance& in) {
     dispatched[static_cast<std::size_t>(top.order_idx)] = 1;
     result.assignments.push_back(
         {order.id, vehicle.id, cost, order.bid - cost});
+    if (step_slots != nullptr) step_slots->push_back(top.order_idx);
     result.total_utility += order.bid - cost;
     result.total_delta_delivery_m += ins.delta_delivery_m;
 
@@ -209,8 +250,10 @@ DispatchResult GreedyDispatch(const AuctionInstance& in) {
     ParallelForOrSerial(pool, cands.size(), [&](std::size_t k) {
       const int other = cands[k];
       if (dispatched[static_cast<std::size_t>(other)]) return;
-      const int64_t queries = CountQueries(
-          [&] { refresh_utility[k] = pair_utility(other, top.veh_idx); });
+      const int64_t queries = CountQueries([&] {
+        refresh_utility[k] =
+            PairUtility(in, vehicle, orders[static_cast<std::size_t>(other)]);
+      });
       if (dl != nullptr) dl->ChargeQueries(queries);
     });
     std::vector<int> alive;
@@ -241,9 +284,21 @@ DispatchResult GreedyDispatch(const AuctionInstance& in) {
   }
   OBS_COUNTER_ADD("auction.greedy.dispatched",
                   static_cast<int64_t>(result.assignments.size()));
-  result.surviving_pairs = std::move(survivors);
   result.elapsed_seconds = Seconds(timer.ElapsedSeconds());
   return result;
+}
+
+void FillUnreachedSeeds(const AuctionInstance& in,
+                        const PickupCandidateIndex& candidates,
+                        GreedySeedTable* seeds, ThreadPool* pool) {
+  std::vector<std::size_t> unreached;
+  for (std::size_t j = 0; j < seeds->reached.size(); ++j) {
+    if (seeds->reached[j] == 0) unreached.push_back(j);
+  }
+  ParallelForOrSerial(pool, unreached.size(), [&](std::size_t k) {
+    SeedOrder(in, candidates, unreached[k], &seeds->pairs[unreached[k]]);
+  });
+  for (std::size_t j : unreached) seeds->reached[j] = 1;
 }
 
 }  // namespace auctionride

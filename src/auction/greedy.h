@@ -7,6 +7,8 @@
 // until the pool empties or the maximum utility falls below zero.
 //
 // Implementation notes:
+//  * The seed sweep (lines 2–6) fills a GreedySeedTable; the dispatch loop
+//    (lines 7–16, GreedyDispatchLoop) runs over that table.
 //  * The pool is a lazy max-heap; entries are stamped with a per-vehicle
 //    version, so stale entries (pushed before the vehicle's last update)
 //    are discarded on pop — semantically identical to Algorithm 1's
@@ -14,18 +16,70 @@
 //  * Pair initialization probes only the vehicles PickupCandidateIndex
 //    returns (planner/insertion.h): the others cannot reach the origin
 //    within the order's waiting time, so the pruning is exact.
-//  * GPri (gpri.h) prices a winner by running this dispatch again on the
-//    round's other orders and replaying its assignments.
+//  * GPri (gpri.h) prices a winner r_h by running the dispatch loop again
+//    over the round's seed table with r_h's slot skipped, and replaying its
+//    assignments.
 
 #ifndef AUCTIONRIDE_AUCTION_GREEDY_H_
 #define AUCTIONRIDE_AUCTION_GREEDY_H_
+
+#include <cstdint>
+#include <vector>
 
 #include "auction/types.h"
 
 namespace auctionride {
 
-/// Runs Algorithm 1 on the instance.
-DispatchResult GreedyDispatch(const AuctionInstance& instance);
+class PickupCandidateIndex;
+class ThreadPool;
+
+/// One valid pair of Algorithm 1's initial pool: u_ij at the instance's
+/// vehicle plans.
+struct GreedySeed {
+  Money utility;
+  int32_t veh;  // index into instance.vehicles
+};
+
+/// Algorithm 1's initial pool (lines 2–6), one slot per order in instance
+/// order. A pair depends only on its order, the instance's vehicle plans and
+/// now_s, so dropping an order leaves every other slot as it is: the table
+/// of a round seeds the dispatch of any subset of its orders.
+struct GreedySeedTable {
+  // Per order slot: its valid pairs, in pickup-candidate order.
+  std::vector<std::vector<GreedySeed>> pairs;
+  // 1 where the sweep computed the slot. An anytime cut leaves the rest 0
+  // (and their pairs empty).
+  std::vector<char> reached;
+
+  /// True when the sweep reached every slot.
+  bool complete() const;
+};
+
+struct GreedyRunResult {
+  DispatchResult result;
+  GreedySeedTable seeds;
+};
+
+/// Runs Algorithm 1 on the instance: the seed sweep, then
+/// GreedyDispatchLoop over its table with no order skipped.
+GreedyRunResult GreedyDispatch(const AuctionInstance& instance);
+
+/// Algorithm 1's dispatch loop (lines 7–16) over `seeds`, which must be
+/// the table of `instance`. Order slot `excluded` (-1: none) is left out,
+/// so the result equals a dispatch of the instance without that order.
+/// The loop polls instance.deadline only when the table is complete (a cut
+/// sweep has already spent the budget). When `step_slots` is non-null it
+/// receives the order slot of each assignment, in dispatch order.
+DispatchResult GreedyDispatchLoop(const AuctionInstance& instance,
+                                  const GreedySeedTable& seeds, int excluded,
+                                  std::vector<int32_t>* step_slots = nullptr);
+
+/// Computes, with no deadline, every slot of `seeds` the sweep did not
+/// reach (on `pool` when non-null), with the sweep's own per-order seed
+/// function. `candidates` indexes instance.vehicles.
+void FillUnreachedSeeds(const AuctionInstance& instance,
+                        const PickupCandidateIndex& candidates,
+                        GreedySeedTable* seeds, ThreadPool* pool);
 
 }  // namespace auctionride
 

@@ -119,6 +119,9 @@ MechanismOutcome RunMechanism(MechanismKind kind,
       sub.deadline = tier != DispatchTier::kFcfsFallback ? dl : nullptr;
       deepest_ran = tier;
       DispatchResult tier_result;
+      // The tier's pricing inputs: Greedy's seed table for GPri, Rank's
+      // artifacts for DnW.
+      GreedySeedTable seeds;
       RankArtifacts artifacts;
       if (tier == DispatchTier::kFcfsFallback) {
         // serve_all=false keeps FCFS inside the mechanism's individual-
@@ -126,7 +129,9 @@ MechanismOutcome RunMechanism(MechanismKind kind,
         tier_result = FcfsDispatch(sub, /*serve_all=*/false);
       } else if (kind == MechanismKind::kGreedy ||
                  tier == DispatchTier::kGreedyFallback) {
-        tier_result = GreedyDispatch(sub);
+        GreedyRunResult run = GreedyDispatch(sub);
+        tier_result = std::move(run.result);
+        seeds = std::move(run.seeds);
       } else {
         RankRunResult run = RankDispatch(sub);
         tier_result = std::move(run.result);
@@ -147,7 +152,8 @@ MechanismOutcome RunMechanism(MechanismKind kind,
             tier == DispatchTier::kGreedyFallback) {
           // Greedy-tier winners price with GPri: DnW needs Rank
           // artifacts that a fallback dispatch does not have.
-          tier_payments = GPriPriceAll(price_in, tier_result, pricing_pool);
+          tier_payments = GPriPriceAll(price_in, std::move(seeds),
+                                       tier_result, pricing_pool);
         } else {
           tier_payments =
               DnWPriceAll(price_in, artifacts, tier_result, pricing_pool);

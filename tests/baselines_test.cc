@@ -36,7 +36,7 @@ TEST(FcfsTest, ServesInIssueOrder) {
   EXPECT_EQ(fcfs.assignments[0].order, 0);
 
   // The auction gives it to the higher bid.
-  const DispatchResult greedy = GreedyDispatch(in);
+  const DispatchResult greedy = GreedyDispatch(in).result;
   ASSERT_EQ(greedy.assignments.size(), 1u);
   EXPECT_EQ(greedy.assignments[0].order, 1);
 }
@@ -107,7 +107,7 @@ TEST(FcfsTest, HigherDispatchCountLowerUtilityThanAuction) {
   in.vehicles = &vehicles;
   in.oracle = &oracle;
   const DispatchResult fcfs = FcfsDispatch(in, /*serve_all=*/true);
-  const DispatchResult greedy = GreedyDispatch(in);
+  const DispatchResult greedy = GreedyDispatch(in).result;
   EXPECT_GE(greedy.total_utility, fcfs.total_utility - Money(1e-9));
 }
 

@@ -63,12 +63,12 @@ class DispatchDeterminismTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DispatchDeterminismTest, GreedyMatchesSerial) {
   const FuzzScenario sc = BuildFuzzScenario(GetParam());
   const AuctionInstance serial_in = sc.Instance();
-  const DispatchResult serial = GreedyDispatch(serial_in);
+  const DispatchResult serial = GreedyDispatch(serial_in).result;
   for (int threads : {2, 8}) {
     ThreadPool pool(static_cast<std::size_t>(threads));
     AuctionInstance in = sc.Instance();
     in.dispatch_pool = &pool;
-    ExpectSameDispatch(serial, GreedyDispatch(in), threads);
+    ExpectSameDispatch(serial, GreedyDispatch(in).result, threads);
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -40,7 +42,7 @@ class GreedyTest : public ::testing::Test {
 };
 
 TEST_F(GreedyTest, EmptyInputsDispatchNothing) {
-  const DispatchResult r = GreedyDispatch(Instance());
+  const DispatchResult r = GreedyDispatch(Instance()).result;
   EXPECT_TRUE(r.assignments.empty());
   EXPECT_EQ(r.total_utility, Money(0));
 }
@@ -48,7 +50,7 @@ TEST_F(GreedyTest, EmptyInputsDispatchNothing) {
 TEST_F(GreedyTest, SingleProfitableOrderIsDispatched) {
   orders_.push_back(MakeOrder(0, 2, 6, /*bid=*/20, *oracle_));
   vehicles_.push_back(MakeVehicle(0, 1));
-  const DispatchResult r = GreedyDispatch(Instance());
+  const DispatchResult r = GreedyDispatch(Instance()).result;
   ASSERT_EQ(r.assignments.size(), 1u);
   EXPECT_EQ(r.assignments[0].order, 0);
   EXPECT_EQ(r.assignments[0].vehicle, 0);
@@ -60,7 +62,7 @@ TEST_F(GreedyTest, SingleProfitableOrderIsDispatched) {
 TEST_F(GreedyTest, NegativeUtilityOrderIsNotDispatched) {
   orders_.push_back(MakeOrder(0, 2, 12, /*bid=*/10, *oracle_));  // cost 30
   vehicles_.push_back(MakeVehicle(0, 1));
-  const DispatchResult r = GreedyDispatch(Instance());
+  const DispatchResult r = GreedyDispatch(Instance()).result;
   EXPECT_TRUE(r.assignments.empty());
 }
 
@@ -68,7 +70,7 @@ TEST_F(GreedyTest, PicksMaxUtilityPairFirst) {
   orders_.push_back(MakeOrder(0, 2, 6, /*bid=*/20, *oracle_));   // u = 8
   orders_.push_back(MakeOrder(1, 2, 6, /*bid=*/30, *oracle_));   // u = 18
   vehicles_.push_back(MakeVehicle(0, 1, /*capacity=*/1));
-  const DispatchResult r = GreedyDispatch(Instance());
+  const DispatchResult r = GreedyDispatch(Instance()).result;
   ASSERT_EQ(r.assignments.size(), 1u);
   EXPECT_EQ(r.assignments[0].order, 1);
 }
@@ -77,7 +79,7 @@ TEST_F(GreedyTest, SharedRideSecondOrderGetsCheapInsertion) {
   orders_.push_back(MakeOrder(0, 1, 9, /*bid=*/30, *oracle_));
   orders_.push_back(MakeOrder(1, 2, 8, /*bid=*/25, *oracle_));
   vehicles_.push_back(MakeVehicle(0, 1));
-  const DispatchResult r = GreedyDispatch(Instance());
+  const DispatchResult r = GreedyDispatch(Instance()).result;
   ASSERT_EQ(r.assignments.size(), 2u);
   // First dispatch: order 0 (u = 30−24 = 6 > 25−18 = 7? No: order 1 has
   // u = 25 − 3·6 = 7, order 0 has u = 30 − 3·8 = 6, so order 1 goes first;
@@ -93,7 +95,7 @@ TEST_F(GreedyTest, RespectsCapacityAcrossDispatches) {
     orders_.push_back(MakeOrder(j, 2 + j, 10 + j, /*bid=*/40, *oracle_, 4.0));
   }
   vehicles_.push_back(MakeVehicle(0, 2, /*capacity=*/2));
-  const DispatchResult r = GreedyDispatch(Instance());
+  const DispatchResult r = GreedyDispatch(Instance()).result;
   EXPECT_EQ(r.assignments.size(), 2u);
 }
 
@@ -101,7 +103,7 @@ TEST_F(GreedyTest, UpdatedPlansAreConsistentWithAssignments) {
   orders_.push_back(MakeOrder(0, 1, 9, /*bid=*/30, *oracle_));
   orders_.push_back(MakeOrder(1, 2, 8, /*bid=*/25, *oracle_));
   vehicles_.push_back(MakeVehicle(0, 1));
-  const DispatchResult r = GreedyDispatch(Instance());
+  const DispatchResult r = GreedyDispatch(Instance()).result;
   ASSERT_EQ(r.updated_plans.size(), 1u);
   const auto& [veh_idx, plan] = r.updated_plans[0];
   EXPECT_EQ(veh_idx, 0u);
@@ -151,7 +153,7 @@ TEST_P(GreedyApproximationTest, WithinTheoremBound) {
   in.vehicles = &vehicles;
   in.oracle = &oracle;
 
-  const DispatchResult greedy = GreedyDispatch(in);
+  const DispatchResult greedy = GreedyDispatch(in).result;
   const OptimalResult opt = OptimalDispatch(in);
   // The optimum can never be below greedy...
   EXPECT_GE(opt.total_utility, greedy.total_utility - Money(1e-6));
@@ -252,7 +254,7 @@ TEST_P(GreedyReferenceTest, OptimizedMatchesNaiveSequence) {
   in.vehicles = &vehicles;
   in.oracle = &oracle;
 
-  const DispatchResult fast = GreedyDispatch(in);
+  const DispatchResult fast = GreedyDispatch(in).result;
   const DispatchResult naive = NaiveGreedy(in);
   ASSERT_EQ(fast.assignments.size(), naive.assignments.size());
   for (std::size_t k = 0; k < fast.assignments.size(); ++k) {
@@ -268,6 +270,47 @@ TEST_P(GreedyReferenceTest, OptimizedMatchesNaiveSequence) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyReferenceTest,
                          ::testing::Range(uint64_t{1}, uint64_t{11}));
+
+// Skipping a slot of the round's seed table dispatches exactly what a fresh
+// Greedy run without that order dispatches: the same steps with
+// bit-identical costs and utilities, on the same vehicles.
+TEST(GreedyDispatchLoopTest, SkippedSlotMatchesADispatchWithoutTheOrder) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const testutil::FuzzScenario sc = testutil::BuildFuzzScenario(seed);
+    const AuctionInstance in = sc.Instance();
+    const GreedyRunResult run = GreedyDispatch(in);
+    for (std::size_t h = 0; h < sc.orders.size(); ++h) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " skip " << h);
+      std::vector<Order> others = sc.orders;
+      others.erase(others.begin() + static_cast<std::ptrdiff_t>(h));
+      AuctionInstance without = in;
+      without.orders = &others;
+      const DispatchResult want = GreedyDispatch(without).result;
+      std::vector<int32_t> slots;
+      const DispatchResult got =
+          GreedyDispatchLoop(in, run.seeds, static_cast<int>(h), &slots);
+      ASSERT_EQ(got.assignments.size(), want.assignments.size());
+      ASSERT_EQ(slots.size(), got.assignments.size());
+      for (std::size_t k = 0; k < got.assignments.size(); ++k) {
+        const Assignment& g = got.assignments[k];
+        const Assignment& w = want.assignments[k];
+        EXPECT_EQ(g.order, w.order);
+        EXPECT_EQ(g.vehicle, w.vehicle);
+        EXPECT_EQ(std::bit_cast<uint64_t>(g.cost.value()),
+                  std::bit_cast<uint64_t>(w.cost.value()));
+        EXPECT_EQ(std::bit_cast<uint64_t>(g.utility.value()),
+                  std::bit_cast<uint64_t>(w.utility.value()));
+        EXPECT_EQ(sc.orders[static_cast<std::size_t>(slots[k])].id, g.order);
+      }
+      ASSERT_EQ(got.updated_plans.size(), want.updated_plans.size());
+      for (std::size_t i = 0; i < got.updated_plans.size(); ++i) {
+        EXPECT_EQ(got.updated_plans[i].first, want.updated_plans[i].first);
+        EXPECT_EQ(got.updated_plans[i].second.size(),
+                  want.updated_plans[i].second.size());
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace auctionride

@@ -28,6 +28,7 @@
 #include "common/rng.h"
 #include "dnw_reference.h"
 #include "exec/thread_pool.h"
+#include "gpri_reference.h"
 #include "roadnet/builder.h"
 #include "testutil.h"
 
@@ -51,7 +52,7 @@ TEST_P(InvariantFuzzTest, DispatchersVerify) {
     bool per_pair_nonnegative;
   };
   std::vector<Case> cases;
-  cases.push_back({"greedy", GreedyDispatch(in), true});
+  cases.push_back({"greedy", GreedyDispatch(in).result, true});
   cases.push_back({"rank", RankDispatch(in).result, false});
   cases.push_back({"matching", MatchingDispatch(in), true});
   cases.push_back({"fcfs", FcfsDispatch(in, /*serve_all=*/true), false});
@@ -89,10 +90,12 @@ TEST_P(InvariantFuzzTest, PricingPathsAgreeAndVerify) {
   const AuctionInstance in = sc.Instance();
   ThreadPool pool(3);
 
-  const DispatchResult greedy = GreedyDispatch(in);
+  const GreedyRunResult run = GreedyDispatch(in);
+  const DispatchResult& greedy = run.result;
   const std::vector<Payment> gpri_serial =
-      GPriPriceAll(in, greedy, /*pool=*/nullptr);
-  const std::vector<Payment> gpri_parallel = GPriPriceAll(in, greedy, &pool);
+      GPriPriceAll(in, run.seeds, greedy, /*pool=*/nullptr);
+  const std::vector<Payment> gpri_parallel =
+      GPriPriceAll(in, run.seeds, greedy, &pool);
   EXPECT_TRUE(VerifyPayments(in, greedy, gpri_serial).ok());
   ASSERT_EQ(gpri_serial.size(), gpri_parallel.size());
   for (std::size_t i = 0; i < gpri_serial.size(); ++i) {
@@ -137,6 +140,24 @@ TEST_P(InvariantFuzzTest, DnWMatchesIntervalSimulationReference) {
           << (p != nullptr) << ": " << got[i].payment.value() << " vs "
           << reference[i].payment.value();
     }
+  }
+}
+
+// GPri's runs over the dispatch's own seed table price every winner bit for
+// bit like the full re-run of Greedy on R \ {r_h} (tests/gpri_reference.h),
+// with and without a pricing pool.
+TEST_P(InvariantFuzzTest, GPriMatchesFullRerunReference) {
+  const FuzzScenario sc = BuildFuzzScenario(GetParam());
+  const AuctionInstance in = sc.Instance();
+  const GreedyRunResult run = GreedyDispatch(in);
+  const std::vector<Payment> reference =
+      gpri_reference::ReferenceGPriPriceAll(in, run.result);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << GetParam() << " pool " << (p != nullptr));
+    testutil::ExpectBitIdenticalPayments(
+        GPriPriceAll(in, run.seeds, run.result, p), reference);
   }
 }
 

@@ -160,7 +160,7 @@ TEST(MatchingDispatchTest, BeatsGreedyOnAssignmentConflicts) {
   in.vehicles = &vehicles;
   in.oracle = &oracle;
   const DispatchResult matched = MatchingDispatch(in);
-  const DispatchResult greedy = GreedyDispatch(in);
+  const DispatchResult greedy = GreedyDispatch(in).result;
   EXPECT_GE(matched.total_utility, greedy.total_utility - Money(1e-9));
   EXPECT_EQ(matched.assignments.size(), 2u);
 }

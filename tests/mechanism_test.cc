@@ -8,10 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "auction/greedy.h"
 #include "auction/mechanism.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "exec/deadline.h"
 #include "exec/thread_pool.h"
+#include "gpri_reference.h"
 #include "roadnet/builder.h"
 #include "testutil.h"
 
@@ -205,6 +208,107 @@ TEST(MechanismTest, TimingFieldsPartitionTheCall) {
     EXPECT_FALSE(budgeted.truncated);
     EXPECT_GT(budgeted.dispatch.elapsed_seconds, Seconds(0));
   }
+}
+
+// The payments of the outcome's winners in `tier`, in assignment order.
+// Priced tiers come first in both lists, so payments[i] prices
+// assignments[i].
+std::vector<Payment> TierPayments(const MechanismOutcome& outcome,
+                                  DispatchTier tier) {
+  std::vector<Payment> payments;
+  for (std::size_t i = 0; i < outcome.payments.size(); ++i) {
+    EXPECT_EQ(outcome.payments[i].order,
+              outcome.dispatch.assignments[i].order);
+    if (outcome.dispatch.assignments[i].tier == tier) {
+      payments.push_back(outcome.payments[i]);
+    }
+  }
+  return payments;
+}
+
+void ExpectSameAssignments(const MechanismOutcome& outcome, DispatchTier tier,
+                           const DispatchResult& want) {
+  std::vector<OrderId> got;
+  for (const Assignment& a : outcome.dispatch.assignments) {
+    if (a.tier == tier) got.push_back(a.order);
+  }
+  ASSERT_EQ(got.size(), want.assignments.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want.assignments[i].order);
+  }
+}
+
+constexpr double kCutQueryPenaltyS = 1e-3;
+
+// Budgets from a few seed-sweep batches up to about a full Greedy sweep of
+// RandomScenario(11, 40, 10), so some cut the sweep part way.
+std::vector<double> CutBudgets() {
+  std::vector<double> budgets;
+  for (double b = 0.02; b < 3.0; b *= 1.5) budgets.push_back(b);
+  return budgets;
+}
+
+// A budget that cuts Greedy's seed sweep leaves slots of the table
+// unreached. Pricing is unbudgeted, so GPri must complete them before the
+// winners' runs: the primary tier's payments equal the full re-run
+// reference, serial and pooled.
+TEST(MechanismTest, GreedyPricesACutSweepLikeTheFullRerun) {
+  const Scenario sc = RandomScenario(11, /*m=*/40, /*n=*/10);
+  const AuctionInstance in = sc.Instance();
+  ThreadPool pool(3);
+  int cut_sweeps = 0;
+  for (const double budget_s : CutBudgets()) {
+    SCOPED_TRACE(::testing::Message() << "budget " << budget_s);
+    // The same synthetic deadline replays the primary tier's cut exactly.
+    Deadline dl = Deadline::Synthetic(budget_s, kCutQueryPenaltyS);
+    AuctionInstance budgeted = in;
+    budgeted.deadline = &dl;
+    const GreedyRunResult primary = GreedyDispatch(budgeted);
+    if (primary.seeds.complete() || primary.result.assignments.empty()) {
+      continue;
+    }
+    ++cut_sweeps;
+    const std::vector<Payment> reference =
+        gpri_reference::ReferenceGPriPriceAll(in, primary.result);
+    MechanismOptions options;
+    options.budget.budget_s = budget_s;
+    options.budget.query_penalty_s = kCutQueryPenaltyS;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const MechanismOutcome outcome =
+          RunMechanism(MechanismKind::kGreedy, in, options, p);
+      ASSERT_TRUE(outcome.truncated);
+      ExpectSameAssignments(outcome, DispatchTier::kPrimary, primary.result);
+      testutil::ExpectBitIdenticalPayments(
+          TierPayments(outcome, DispatchTier::kPrimary), reference);
+    }
+  }
+  EXPECT_GT(cut_sweeps, 0) << "no budget cut the seed sweep";
+}
+
+// Rank's Greedy-fallback tier starts on the deadline that cut Rank. Expiry
+// is monotone and Greedy's sweep polls it before its first batch, so the
+// fallback reaches no seed slot and has no winner for GPri to price; the
+// residual goes on to FCFS. This pins that: a fallback tier that could win
+// needs its payments checked against gpri_reference like the primary's.
+TEST(MechanismTest, RankCutLeavesTheGreedyFallbackNothingToPrice) {
+  const Scenario sc = RandomScenario(11, /*m=*/40, /*n=*/10);
+  const AuctionInstance in = sc.Instance();
+  int cut_rounds = 0;
+  for (const double budget_s : CutBudgets()) {
+    SCOPED_TRACE(::testing::Message() << "budget " << budget_s);
+    MechanismOptions options;
+    options.budget.budget_s = budget_s;
+    options.budget.query_penalty_s = kCutQueryPenaltyS;
+    const MechanismOutcome outcome =
+        RunMechanism(MechanismKind::kRank, in, options);
+    if (!outcome.truncated) continue;
+    ++cut_rounds;
+    EXPECT_EQ(outcome.dispatched_by_tier[static_cast<int>(
+                  DispatchTier::kGreedyFallback)],
+              0);
+    EXPECT_TRUE(TierPayments(outcome, DispatchTier::kGreedyFallback).empty());
+  }
+  EXPECT_GT(cut_rounds, 0) << "no budget cut the Rank tier";
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST_P(OptimalDominanceTest, OptimumDominatesHeuristics) {
   in.oracle = &oracle;
 
   const OptimalResult opt = OptimalDispatch(in);
-  const DispatchResult greedy = GreedyDispatch(in);
+  const DispatchResult greedy = GreedyDispatch(in).result;
   const DispatchResult rank = RankDispatch(in).result;
   EXPECT_GE(opt.total_utility, greedy.total_utility - Money(1e-6));
   EXPECT_GE(opt.total_utility, rank.total_utility - Money(1e-6));

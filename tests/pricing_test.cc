@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "auction/dnw.h"
@@ -12,6 +15,8 @@
 #include "auction/greedy.h"
 #include "auction/rank.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
+#include "gpri_reference.h"
 #include "roadnet/builder.h"
 #include "testutil.h"
 
@@ -83,7 +88,7 @@ bool DispatchedWithBid(const RandomScenario& sc, OrderId h, double bid,
   if (use_rank) {
     return RankDispatch(in).result.IsDispatched(h);
   }
-  return GreedyDispatch(in).IsDispatched(h);
+  return GreedyDispatch(in).result.IsDispatched(h);
 }
 
 double PaymentWithBid(const RandomScenario& sc, OrderId h, double bid,
@@ -99,9 +104,9 @@ double PaymentWithBid(const RandomScenario& sc, OrderId h, double bid,
     if (!run.result.IsDispatched(h)) return -1;
     return DnWPriceOrder(in, run.artifacts, h).value();
   }
-  const DispatchResult run = GreedyDispatch(in);
-  if (!run.IsDispatched(h)) return -1;
-  return GPriPriceOrder(in, h).value();
+  const GreedyRunResult run = GreedyDispatch(in);
+  if (!run.result.IsDispatched(h)) return -1;
+  return GPriPriceOrder(in, run.seeds, h).value();
 }
 
 class PricingPropertyTest
@@ -114,19 +119,22 @@ TEST_P(PricingPropertyTest, IndividualRationalityAndCriticalPayment) {
 
   DispatchResult dispatch;
   RankArtifacts artifacts;
+  GreedySeedTable seeds;
   if (use_rank) {
     RankRunResult run = RankDispatch(in);
     dispatch = std::move(run.result);
     artifacts = std::move(run.artifacts);
   } else {
-    dispatch = GreedyDispatch(in);
+    GreedyRunResult run = GreedyDispatch(in);
+    dispatch = std::move(run.result);
+    seeds = std::move(run.seeds);
   }
 
   for (const Assignment& a : dispatch.assignments) {
     const Order& order = sc.orders[static_cast<std::size_t>(a.order)];
     const double pay = use_rank
                            ? DnWPriceOrder(in, artifacts, a.order).value()
-                           : GPriPriceOrder(in, a.order).value();
+                           : GPriPriceOrder(in, seeds, a.order).value();
 
     // Individual rationality (Definition 12): pay <= bid = val.
     EXPECT_LE(pay, order.bid.value() + 1e-9)
@@ -155,7 +163,7 @@ TEST_P(PricingPropertyTest, Monotonicity) {
   if (use_rank) {
     dispatch = RankDispatch(in).result;
   } else {
-    dispatch = GreedyDispatch(in);
+    dispatch = GreedyDispatch(in).result;
   }
   for (const Assignment& a : dispatch.assignments) {
     const Order& order = sc.orders[static_cast<std::size_t>(a.order)];
@@ -176,18 +184,21 @@ TEST_P(PricingPropertyTest, PaymentIndependentOfWinningBid) {
 
   DispatchResult dispatch;
   RankArtifacts artifacts;
+  GreedySeedTable seeds;
   if (use_rank) {
     RankRunResult run = RankDispatch(in);
     dispatch = std::move(run.result);
     artifacts = std::move(run.artifacts);
   } else {
-    dispatch = GreedyDispatch(in);
+    GreedyRunResult run = GreedyDispatch(in);
+    dispatch = std::move(run.result);
+    seeds = std::move(run.seeds);
   }
   for (const Assignment& a : dispatch.assignments) {
     const Order& order = sc.orders[static_cast<std::size_t>(a.order)];
     const double pay = use_rank
                            ? DnWPriceOrder(in, artifacts, a.order).value()
-                           : GPriPriceOrder(in, a.order).value();
+                           : GPriPriceOrder(in, seeds, a.order).value();
     // Raising the bid must not change the payment (second-price flavor).
     const double pay_boosted =
         PaymentWithBid(sc, a.order, order.bid.value() + 10.0, use_rank);
@@ -209,7 +220,7 @@ TEST_P(PricingPropertyTest, TruthfulBiddingIsOptimal) {
     dispatch = std::move(run.result);
     artifacts = std::move(run.artifacts);
   } else {
-    dispatch = GreedyDispatch(in);
+    dispatch = GreedyDispatch(in).result;
   }
 
   // Check a handful of requesters (dispatched or not): utility from any
@@ -239,6 +250,38 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(uint64_t{1}, uint64_t{9}),
                        ::testing::Bool()));
 
+// GPri prices from the dispatch's own seed table bit for bit like the full
+// re-run of Greedy on R \ {r_h} (tests/gpri_reference.h), serial and
+// pooled: on the property tests' scenario and on a more contended one.
+class GPriReferenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(GPriReferenceTest, MatchesFullRerunReference) {
+  ThreadPool pool(3);
+  for (const auto& [m, n] : {std::pair{8, 3}, std::pair{30, 6}}) {
+    const RandomScenario sc = MakeScenario(GetParam(), m, n);
+    const AuctionInstance in = sc.Instance();
+    const GreedyRunResult run = GreedyDispatch(in);
+    const std::vector<Payment> reference =
+        gpri_reference::ReferenceGPriPriceAll(in, run.result);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << GetParam() << " m " << m << " pool "
+                   << (p != nullptr));
+      testutil::ExpectBitIdenticalPayments(
+          GPriPriceAll(in, run.seeds, run.result, p), reference);
+    }
+    for (const Payment& want : reference) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    GPriPriceOrder(in, run.seeds, want.order).value()),
+                std::bit_cast<uint64_t>(want.payment.value()))
+          << "order " << want.order;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GPriReferenceTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{9}));
+
 // Deterministic corridor scenario with a known critical payment.
 TEST(GPriTest, SecondPriceOnSingleSeatContention) {
   RoadNetwork net = testutil::LineNetwork(12, 1000);
@@ -252,11 +295,11 @@ TEST(GPriTest, SecondPriceOnSingleSeatContention) {
   in.orders = &orders;
   in.vehicles = &vehicles;
   in.oracle = &oracle;
-  const DispatchResult r = GreedyDispatch(in);
-  ASSERT_TRUE(r.IsDispatched(0));
-  ASSERT_FALSE(r.IsDispatched(1));
+  const GreedyRunResult r = GreedyDispatch(in);
+  ASSERT_TRUE(r.result.IsDispatched(0));
+  ASSERT_FALSE(r.result.IsDispatched(1));
   // Order 0 replaces order 1: critical bid = bid_1 − cost_1 + cost_0 = 20.
-  EXPECT_NEAR(GPriPriceOrder(in, 0).value(), 20.0, 1e-9);
+  EXPECT_NEAR(GPriPriceOrder(in, r.seeds, 0).value(), 20.0, 1e-9);
 }
 
 TEST(GPriTest, UncontestedWinnerPaysCost) {
@@ -268,14 +311,15 @@ TEST(GPriTest, UncontestedWinnerPaysCost) {
   in.orders = &orders;
   in.vehicles = &vehicles;
   in.oracle = &oracle;
-  ASSERT_TRUE(GreedyDispatch(in).IsDispatched(0));
+  const GreedyRunResult r = GreedyDispatch(in);
+  ASSERT_TRUE(r.result.IsDispatched(0));
   // No competition: pay = dispatch cost = 3 yuan/km * 4 km.
-  EXPECT_NEAR(GPriPriceOrder(in, 0).value(), 12.0, 1e-9);
+  EXPECT_NEAR(GPriPriceOrder(in, r.seeds, 0).value(), 12.0, 1e-9);
 }
 
-// GPri re-runs Greedy without the priced order r_h and replays that run's
-// steps to read r_h's cheapest cost before each one (h_cost_before) and
-// after the last (h_cost_end).
+// GPri runs Greedy's dispatch loop without the priced order r_h and replays
+// that run's steps to read r_h's cheapest cost before each one
+// (h_cost_before) and after the last (h_cost_end).
 TEST(GPriTest, ReplaysTheRunWithoutThePricedOrder) {
   RoadNetwork net = testutil::LineNetwork(20, 1000);
   DistanceOracle oracle(&net);
@@ -289,23 +333,24 @@ TEST(GPriTest, ReplaysTheRunWithoutThePricedOrder) {
   in.vehicles = &vehicles;
   in.oracle = &oracle;
   in.config.alpha_d_per_km = 3.0;
-  ASSERT_TRUE(GreedyDispatch(in).IsDispatched(0));
-  ASSERT_TRUE(GreedyDispatch(in).IsDispatched(1));
+  const GreedyRunResult two_seats = GreedyDispatch(in);
+  ASSERT_TRUE(two_seats.result.IsDispatched(0));
+  ASSERT_TRUE(two_seats.result.IsDispatched(1));
   // Without r_0, order 1 dispatches while the vehicle is empty, so r_0's
   // h_cost_before is its solo cost 12 and replacing order 1 takes
   // 22 − 12 + 12 = 22. Riding along afterwards costs one extra km
   // (h_cost_end = 3), which is the payment. Pricing r_1 is symmetric.
-  EXPECT_NEAR(GPriPriceOrder(in, 0).value(), 3.0, 1e-9);
-  EXPECT_NEAR(GPriPriceOrder(in, 1).value(), 3.0, 1e-9);
+  EXPECT_NEAR(GPriPriceOrder(in, two_seats.seeds, 0).value(), 3.0, 1e-9);
+  EXPECT_NEAR(GPriPriceOrder(in, two_seats.seeds, 1).value(), 3.0, 1e-9);
 
   // With one seat, r_1 cannot ride along with order 0 (h_cost_end is
   // infinite) and order 0 loses to it. The payment is the replacement bid
   // 20 − 12 + h_cost_before, with r_1's 12-yuan h_cost_before.
   vehicles[0].capacity = 1;
-  const DispatchResult one_seat = GreedyDispatch(in);
-  ASSERT_FALSE(one_seat.IsDispatched(0));
-  ASSERT_TRUE(one_seat.IsDispatched(1));
-  EXPECT_NEAR(GPriPriceOrder(in, 1).value(), 20.0, 1e-9);
+  const GreedyRunResult one_seat = GreedyDispatch(in);
+  ASSERT_FALSE(one_seat.result.IsDispatched(0));
+  ASSERT_TRUE(one_seat.result.IsDispatched(1));
+  EXPECT_NEAR(GPriPriceOrder(in, one_seat.seeds, 1).value(), 20.0, 1e-9);
 }
 
 TEST(DnWTest, UncontestedWinnerPaysCost) {

@@ -83,7 +83,7 @@ TEST_F(RankTest, PacksJointlyProfitablePairThatGreedyMisses) {
   orders_.push_back(MakeOrder(1, 5, 15, /*bid=*/20, *oracle_));
   vehicles_.push_back(MakeVehicle(0, 4));
 
-  const DispatchResult greedy = GreedyDispatch(Instance());
+  const DispatchResult greedy = GreedyDispatch(Instance()).result;
   EXPECT_TRUE(greedy.assignments.empty());
 
   const RankRunResult rank = RankDispatch(Instance());

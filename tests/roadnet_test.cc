@@ -235,9 +235,15 @@ TEST(OracleTest, ConcurrentQueriesMatchSerial) {
 }
 
 // The reference the hub labels are checked against: the bidirectional CH
-// query without stall-on-demand or early exit. It runs an exhaustive upward
-// Dijkstra from s over UpOut and one from t over UpIn, and returns the
-// minimum of the two distances summed over the nodes both reach.
+// query without stall-on-demand. An upward Dijkstra from s over UpOut and
+// one from t over UpIn settle nodes in turn, smaller key first; every node
+// a side settles or relaxes is a meeting candidate at its distance plus
+// the other side's. A side stops once its queue minimum is >= the best
+// meeting distance so far: every node it could still settle is at least
+// that far from its root. The result is the exhaustive searches' minimum
+// bit for bit: the optimal meeting node's two distances are settled before
+// either side stops, and a tentative distance is never below the settled
+// one, so no candidate undercuts that minimum.
 class ChQueryReference {
  public:
   explicit ChQueryReference(const ContractionHierarchy* ch)
@@ -245,11 +251,19 @@ class ChQueryReference {
 
   double Distance(NodeId s, NodeId t) {
     if (s == t) return 0;
-    Search(s, &ContractionHierarchy::UpOut, &fwd_);
-    Search(t, &ContractionHierarchy::UpIn, &bwd_);
+    fwd_.Reset(s);
+    bwd_.Reset(t);
     double best = kInfDistance;
-    for (const NodeId v : fwd_.reached) {
-      best = std::min(best, fwd_.dist[v] + bwd_.dist[v]);
+    while (true) {
+      const bool fwd_live = fwd_.Live(best);
+      const bool bwd_live = bwd_.Live(best);
+      if (!fwd_live && !bwd_live) break;
+      if (fwd_live &&
+          (!bwd_live || fwd_.queue.top().first <= bwd_.queue.top().first)) {
+        Settle(&ContractionHierarchy::UpOut, &fwd_, bwd_, &best);
+      } else {
+        Settle(&ContractionHierarchy::UpIn, &bwd_, fwd_, &best);
+      }
     }
     return best;
   }
@@ -258,37 +272,48 @@ class ChQueryReference {
   struct Side {
     explicit Side(NodeId n)
         : dist(static_cast<std::size_t>(n), kInfDistance) {}
+
+    void Reset(NodeId root) {
+      for (const NodeId v : reached) dist[v] = kInfDistance;
+      reached.assign(1, root);
+      dist[root] = 0;
+      queue = {};
+      queue.push({0, root});
+    }
+    bool Live(double best) const {
+      return !queue.empty() && queue.top().first < best;
+    }
+
     std::vector<double> dist;
     std::vector<NodeId> reached;
+    std::priority_queue<std::pair<double, NodeId>,
+                        std::vector<std::pair<double, NodeId>>,
+                        std::greater<>>
+        queue;
   };
   using Arcs = std::span<const ContractionHierarchy::UpArc> (
       ContractionHierarchy::*)(NodeId) const;
 
-  void Search(NodeId root, Arcs arcs, Side* side) {
-    for (const NodeId v : side->reached) side->dist[v] = kInfDistance;
-    side->reached.assign(1, root);
-    side->dist[root] = 0;
-    queue_.push({0, root});
-    while (!queue_.empty()) {
-      const auto [d, u] = queue_.top();
-      queue_.pop();
-      if (d > side->dist[u]) continue;
-      for (const ContractionHierarchy::UpArc& a : (ch_->*arcs)(u)) {
-        double& dist = side->dist[a.head];
-        if (d + a.weight >= dist) continue;
-        if (dist == kInfDistance) side->reached.push_back(a.head);
-        dist = d + a.weight;
-        queue_.push({dist, a.head});
-      }
+  // Pops the side's minimum; a current entry is settled, offered as a
+  // meeting node and relaxed.
+  void Settle(Arcs arcs, Side* side, const Side& other, double* best) {
+    const auto [d, u] = side->queue.top();
+    side->queue.pop();
+    if (d > side->dist[u]) return;
+    *best = std::min(*best, d + other.dist[u]);
+    for (const ContractionHierarchy::UpArc& a : (ch_->*arcs)(u)) {
+      double& dist = side->dist[a.head];
+      if (d + a.weight >= dist) continue;
+      if (dist == kInfDistance) side->reached.push_back(a.head);
+      dist = d + a.weight;
+      side->queue.push({dist, a.head});
+      *best = std::min(*best, dist + other.dist[a.head]);
     }
   }
 
   const ContractionHierarchy* ch_;
   Side fwd_;
   Side bwd_;
-  std::priority_queue<std::pair<double, NodeId>,
-                      std::vector<std::pair<double, NodeId>>, std::greater<>>
-      queue_;
 };
 
 // FNV-1a over the IEEE bits of 200k seeded distances on the Beijing-like

@@ -201,6 +201,19 @@ inline FuzzScenario BuildFuzzScenario(uint64_t seed) {
   return sc;
 }
 
+/// Expects the same orders with bit-identical payments, in the same order.
+inline void ExpectBitIdenticalPayments(const std::vector<Payment>& got,
+                                       const std::vector<Payment>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].order, want[i].order);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].payment.value()),
+              std::bit_cast<uint64_t>(want[i].payment.value()))
+        << "order " << got[i].order << ": " << got[i].payment.value()
+        << " vs " << want[i].payment.value();
+  }
+}
+
 /// Asserts bit-identity of two runs in everything but wall-clock timing.
 inline void ExpectSameResult(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.total_utility, b.total_utility);

@@ -78,7 +78,7 @@ TEST_P(VerifierSweepTest, DispatcherOutputsVerify) {
   VerifyOptions options;
   switch (which) {
     case 0:
-      result = GreedyDispatch(in);
+      result = GreedyDispatch(in).result;
       options.require_nonnegative_pair_utility = true;
       break;
     case 1:
@@ -105,7 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(VerifierTest, DetectsDuplicateAssignment) {
   const Scenario sc = RandomScenario(3);
   const AuctionInstance in = sc.Instance();
-  DispatchResult result = GreedyDispatch(in);
+  DispatchResult result = GreedyDispatch(in).result;
   if (result.assignments.empty()) GTEST_SKIP();
   result.assignments.push_back(result.assignments[0]);
   EXPECT_FALSE(VerifyDispatch(in, result).ok());
@@ -114,7 +114,7 @@ TEST(VerifierTest, DetectsDuplicateAssignment) {
 TEST(VerifierTest, DetectsUtilityTampering) {
   const Scenario sc = RandomScenario(4);
   const AuctionInstance in = sc.Instance();
-  DispatchResult result = GreedyDispatch(in);
+  DispatchResult result = GreedyDispatch(in).result;
   if (result.assignments.empty()) GTEST_SKIP();
   result.total_utility += Money(5);
   EXPECT_FALSE(VerifyDispatch(in, result).ok());
@@ -129,7 +129,7 @@ TEST(VerifierTest, DetectsInfeasiblePlanInjection) {
   in.orders = &orders;
   in.vehicles = &vehicles;
   in.oracle = &oracle;
-  DispatchResult result = GreedyDispatch(in);
+  DispatchResult result = GreedyDispatch(in).result;
   ASSERT_EQ(result.updated_plans.size(), 1u);
   // Tamper: impossible deadline on the drop-off stop.
   for (PlanStop& stop : result.updated_plans[0].second) {
@@ -150,7 +150,7 @@ TEST(VerifierTest, DetectsDroppedExistingRider) {
   in.orders = &orders;
   in.vehicles = &vehicles;
   in.oracle = &oracle;
-  DispatchResult result = GreedyDispatch(in);
+  DispatchResult result = GreedyDispatch(in).result;
   ASSERT_EQ(result.updated_plans.size(), 1u);
   ASSERT_TRUE(VerifyDispatch(in, result).ok());
   // Tamper: drop the pre-existing rider from the plan.
@@ -177,7 +177,7 @@ TEST(VerifierTest, FirstDroppedRiderReportIsPlanOrder) {
   in.orders = &orders;
   in.vehicles = &vehicles;
   in.oracle = &oracle;
-  DispatchResult result = GreedyDispatch(in);
+  DispatchResult result = GreedyDispatch(in).result;
   ASSERT_EQ(result.updated_plans.size(), 1u);
   // Tamper: drop both pre-existing riders. The report must name order 99 —
   // first in the previous plan's stop order — regardless of how {7, 99}
@@ -194,7 +194,7 @@ TEST(VerifierTest, FirstDroppedRiderReportIsPlanOrder) {
 TEST(VerifierTest, FirstMissingAssignmentReportIsAssignmentOrder) {
   const Scenario sc = RandomScenario(11);
   const AuctionInstance in = sc.Instance();
-  DispatchResult result = GreedyDispatch(in);
+  DispatchResult result = GreedyDispatch(in).result;
   if (result.assignments.size() < 2) GTEST_SKIP();
   // Tamper: throw away every updated plan. Each assignment now lacks a
   // plan; the report must name assignments[0], the first in the dispatch
@@ -215,7 +215,7 @@ TEST(VerifierTest, FirstMissingAssignmentReportIsAssignmentOrder) {
 TEST(VerifierTest, EpsilonBoundsAccountingTolerance) {
   const Scenario sc = RandomScenario(8);
   const AuctionInstance in = sc.Instance();
-  DispatchResult result = GreedyDispatch(in);
+  DispatchResult result = GreedyDispatch(in).result;
   if (result.assignments.empty()) GTEST_SKIP();
 
   const double perturbation = 1e-7;  // < default epsilon of 1e-6
@@ -240,7 +240,7 @@ TEST(VerifierTest, EpsilonExactZeroRejectsAnyDrift) {
   sc.orders = {MakeOrder(0, 2, 7, /*bid=*/25, *sc.oracle)};
   sc.vehicles = {MakeVehicle(0, 1)};
   const AuctionInstance in = sc.Instance();
-  DispatchResult result = GreedyDispatch(in);
+  DispatchResult result = GreedyDispatch(in).result;
   ASSERT_EQ(result.assignments.size(), 1u);
   VerifyOptions exact;
   exact.epsilon = 0;
