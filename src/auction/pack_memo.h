@@ -3,7 +3,8 @@
 // same (vehicle, members) combination from several requesters'
 // enumerations; with per-requester tasks running concurrently on the
 // dispatch pool, the memo must tolerate concurrent lookups and inserts of
-// overlapping keys.
+// overlapping keys. The key is a fixed-size value (at most kMaxPackSize
+// members), so a probe allocates nothing.
 //
 // Thread-safety: Lookup()/Insert() may be called from any thread. Two
 // threads may race to compute the same key; both insert the same value
@@ -13,15 +14,19 @@
 #ifndef AUCTIONRIDE_AUCTION_PACK_MEMO_H_
 #define AUCTIONRIDE_AUCTION_PACK_MEMO_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
+#include "common/check.h"
 #include "common/mutex.h"
 #include "common/striped_counter.h"
 #include "common/units.h"
 #include "common/thread_annotations.h"
+#include "planner/pack_planner.h"
 
 namespace auctionride {
 
@@ -30,13 +35,33 @@ class PackMemo {
   struct Eval {
     bool feasible = false;
     Meters delta_delivery_m;
-    // Oracle Distance() calls PlanPack made computing this entry. PlanPack
-    // is deterministic, so the count is a pure function of the key; memoizing
-    // it lets deadline metering charge every *logical* evaluation the same
-    // amount whether it was a hit, a miss, or a racy duplicate compute —
-    // which keeps synthetic budget expiry independent of thread timing.
+    // PlanPack's logical oracle-query count (PackPlanResult::queries), a
+    // pure function of the key. Memoizing it lets deadline metering charge
+    // every *logical* evaluation the same amount whether it was a hit, a
+    // miss, or a racy duplicate compute — which keeps synthetic budget
+    // expiry independent of thread timing.
     int64_t queries = 0;
   };
+
+  /// (vehicle index, member indices): members sorted, distinct, non-negative
+  /// and 1..kMaxPackSize long; unused trailing slots hold -1.
+  using Key = PackKey<kMaxPackSize>;
+
+  static Key MakeKey(int32_t vehicle, std::span<const int32_t> members) {
+    ARIDE_ACHECK(!members.empty() &&
+                 members.size() <= static_cast<std::size_t>(kMaxPackSize));
+    ARIDE_CHECK(members.front() >= 0 &&
+                std::adjacent_find(members.begin(), members.end(),
+                                   [](int32_t a, int32_t b) {
+                                     return a >= b;
+                                   }) == members.end())
+        << "pack members must be sorted, distinct and non-negative";
+    Key key;
+    key.vehicle = vehicle;
+    key.orders.fill(-1);
+    std::copy(members.begin(), members.end(), key.orders.begin());
+    return key;
+  }
 
   PackMemo() : shards_(std::make_unique<Shard[]>(kNumShards)) {}
 
@@ -44,12 +69,10 @@ class PackMemo {
   PackMemo& operator=(const PackMemo&) = delete;
 
   /// Returns true and fills *out on a hit.
-  bool Lookup(int32_t vehicle, const std::vector<int32_t>& members,
-              Eval* out) const {
-    const std::size_t h = Hash(vehicle, members);
-    const Shard& shard = shards_[h % kNumShards];
+  bool Lookup(const Key& key, Eval* out) const {
+    const Shard& shard = shards_[Key::Hash{}(key) % kNumShards];
     MutexLock lock(shard.mu);
-    auto it = shard.map.find(Key{vehicle, members});
+    auto it = shard.map.find(key);
     if (it == shard.map.end()) {
       misses_.Add();
       return false;
@@ -61,12 +84,10 @@ class PackMemo {
 
   /// Idempotent: a concurrent insert of the same key keeps the first value
   /// (values are equal by construction, see the header comment).
-  void Insert(int32_t vehicle, const std::vector<int32_t>& members,
-              const Eval& eval) {
-    const std::size_t h = Hash(vehicle, members);
-    Shard& shard = shards_[h % kNumShards];
+  void Insert(const Key& key, const Eval& eval) {
+    Shard& shard = shards_[Key::Hash{}(key) % kNumShards];
     MutexLock lock(shard.mu);
-    shard.map.emplace(Key{vehicle, members}, eval);
+    shard.map.emplace(key, eval);
   }
 
   int64_t hits() const {
@@ -88,38 +109,11 @@ class PackMemo {
  private:
   static constexpr int kNumShards = 16;
 
-  struct Key {
-    int32_t vehicle;
-    std::vector<int32_t> members;
-    bool operator==(const Key& other) const {
-      return vehicle == other.vehicle && members == other.members;
-    }
-  };
-
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return Hash(k.vehicle, k.members);
-    }
-  };
-
-  // FNV-1a over the vehicle index and the member indices.
-  static std::size_t Hash(int32_t vehicle,
-                          const std::vector<int32_t>& members) {
-    uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](uint64_t x) {
-      h ^= x;
-      h *= 1099511628211ull;
-    };
-    mix(static_cast<uint32_t>(vehicle));
-    for (int32_t m : members) mix(static_cast<uint32_t>(m));
-    return static_cast<std::size_t>(h);
-  }
-
   struct Shard {
     mutable Mutex mu;
     // Membership-only map: lookups and first-insert-wins inserts, never
     // iterated, so its unordered layout cannot leak into results.
-    std::unordered_map<Key, Eval, KeyHash> map ARIDE_GUARDED_BY(mu);
+    std::unordered_map<Key, Eval, Key::Hash> map ARIDE_GUARDED_BY(mu);
   };
 
   std::unique_ptr<Shard[]> shards_;

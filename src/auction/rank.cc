@@ -1,9 +1,11 @@
 #include "auction/rank.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "auction/anytime.h"
@@ -24,26 +26,31 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-PackMemo::Eval EvaluatePack(const AuctionInstance& in, int32_t vehicle_idx,
-                            const std::vector<int32_t>& members,
-                            PackMemo* memo) {
-  PackMemo::Eval eval;
-  if (memo->Lookup(vehicle_idx, members, &eval)) return eval;
-  std::vector<const Order*> order_ptrs;
-  order_ptrs.reserve(members.size());
-  for (int32_t m : members) {
-    order_ptrs.push_back(&(*in.orders)[static_cast<std::size_t>(m)]);
+// Plans the pack of order indices `members` on vehicle index `vehicle_idx`.
+PackPlanResult PlanMembers(const AuctionInstance& in, int32_t vehicle_idx,
+                           std::span<const int32_t> members,
+                           PackPrefixCache* prefixes) {
+  ARIDE_ACHECK(members.size() <= static_cast<std::size_t>(kMaxPackSize));
+  std::array<const Order*, kMaxPackSize> order_ptrs{};
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    order_ptrs[i] = &(*in.orders)[static_cast<std::size_t>(members[i])];
   }
-  // PlanPack runs entirely on this thread, so the query count is exactly
-  // its Distance() call count — deterministic for the key and memoized
-  // alongside the result (see PackMemo::Eval::queries).
-  PackPlanResult plan;
-  const int64_t queries = CountQueries([&] {
-    plan = PlanPack((*in.vehicles)[static_cast<std::size_t>(vehicle_idx)],
-                    order_ptrs, in.now_s, *in.oracle);
-  });
-  eval = {plan.feasible, plan.delta_delivery_m, queries};
-  memo->Insert(vehicle_idx, members, eval);
+  return PlanPack((*in.vehicles)[static_cast<std::size_t>(vehicle_idx)],
+                  std::span(order_ptrs.data(), members.size()), in.now_s,
+                  *in.oracle, prefixes);
+}
+
+PackMemo::Eval EvaluatePack(const AuctionInstance& in, int32_t vehicle_idx,
+                            std::span<const int32_t> members, PackMemo* memo,
+                            PackPrefixCache* prefixes) {
+  const PackMemo::Key key = PackMemo::MakeKey(vehicle_idx, members);
+  PackMemo::Eval eval;
+  if (memo->Lookup(key, &eval)) return eval;
+  // The logical query count is a pure function of the key, whatever the
+  // prefix cache held (see PackMemo::Eval::queries).
+  const PackPlanResult plan = PlanMembers(in, vehicle_idx, members, prefixes);
+  eval = {plan.feasible, plan.delta_delivery_m, plan.queries};
+  memo->Insert(key, eval);
   return eval;
 }
 
@@ -173,13 +180,13 @@ std::vector<std::vector<int32_t>> ClusterOrders(const AuctionInstance& in,
 
 // Generates candidate packs for requester `j` against its group's origin
 // index, writing only into artifacts' slots for j — safe to run concurrently
-// for distinct orders. The memo is shared across all orders and groups
-// (sharded, thread-safe); caching is value-deterministic because PlanPack is
-// a pure function of the key for a fixed instance. Returns the memoized
-// oracle-query count of every logical pack evaluation this order made — by
-// summing Eval::queries rather than a live counter delta, the total is
-// independent of which thread happened to compute (or duplicate-compute)
-// each memo entry.
+// for distinct orders. The set memo is shared across all orders and groups
+// (sharded, thread-safe); the insertion-prefix cache is this task's own.
+// Caching is value-deterministic because PlanPack is a pure function of the
+// key for a fixed instance. Returns the memoized oracle-query count of every
+// logical pack evaluation this order made — by summing Eval::queries rather
+// than a live counter delta, the total is independent of which thread
+// happened to compute (or duplicate-compute) each memo entry.
 int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
                               const GridIndex& origin_index, int max_pack,
                               PackMemo* memo, RankArtifacts* artifacts) {
@@ -212,6 +219,7 @@ int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
     }
   }
 
+  PackPrefixCache prefixes;
   int64_t queries = 0;
   for (std::vector<int32_t>& members : member_sets) {
     // Candidate vehicles: the members' nearest vehicles (deduplicated).
@@ -232,7 +240,8 @@ int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
     PackCandidate best_for_set;
     best_for_set.utility = Money(-kInf);
     for (int32_t v : veh_candidates) {
-      const PackMemo::Eval eval = EvaluatePack(in, v, members, memo);
+      const PackMemo::Eval eval =
+          EvaluatePack(in, v, members, memo, &prefixes);
       queries += eval.queries;
       if (!eval.feasible) continue;
       const Money utility = bid_sum - alpha_per_m * eval.delta_delivery_m;
@@ -257,6 +266,8 @@ int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
     }
   }
   artifacts->best[static_cast<std::size_t>(j)] = best_idx;
+  OBS_COUNTER_ADD("auction.rank.prefix_cache.hits", prefixes.hits());
+  OBS_COUNTER_ADD("auction.rank.prefix_cache.misses", prefixes.misses());
   return queries;
 }
 
@@ -399,23 +410,19 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
     // packs whose feasibility is already proven, so it runs to completion
     // over the generated candidates and every winner is kept.
 
-    // Dispatch the pack: recompute its (deterministic) optimal plan.
-    std::vector<const Order*> order_ptrs;
-    for (int32_t mbr : rp.pack->members) {
-      order_ptrs.push_back(&orders[static_cast<std::size_t>(mbr)]);
-    }
-    PackPlanResult plan;
-    const int64_t plan_queries = CountQueries([&] {
-      plan = PlanPack(
-          (*in.vehicles)[static_cast<std::size_t>(rp.pack->vehicle)],
-          order_ptrs, in.now_s, *in.oracle);
-    });
-    if (dl != nullptr) dl->ChargeQueries(plan_queries);
+    // Dispatch the pack: recompute its (deterministic) optimal plan with a
+    // fresh prefix cache.
+    PackPrefixCache prefixes;
+    const PackPlanResult plan =
+        PlanMembers(in, rp.pack->vehicle, rp.pack->members, &prefixes);
+    if (dl != nullptr) dl->ChargeQueries(plan.queries);
     ARIDE_ACHECK(plan.feasible);
     // Pack planning is deterministic: the dispatched recomputation must
-    // reproduce the ΔD the pack was ranked with, and the winning pack
-    // cleared the dispatch threshold (Algorithm 3 Phase II invariants).
-    ARIDE_CHECK_NEAR(plan.delta_delivery_m, rp.pack->delta_delivery_m, 1e-6)
+    // reproduce the ΔD the pack was ranked with exactly (a mismatch is a
+    // caching bug, not rounding; a ΔD sum starts at +0, so == on it is bit
+    // equality), and the winning pack cleared the dispatch threshold
+    // (Algorithm 3 Phase II invariants).
+    ARIDE_CHECK_EQ(plan.delta_delivery_m, rp.pack->delta_delivery_m)
         << "pack of requester index " << rp.owner;
     ARIDE_CHECK_GE(rp.pack->utility, in.config.min_utility)
         << "pack of requester index " << rp.owner;

@@ -24,13 +24,9 @@
 #include <vector>
 
 #include "auction/types.h"
+#include "planner/pack_planner.h"
 
 namespace auctionride {
-
-/// Largest pack Rank builds (the paper's c̄): a requester plus at most two
-/// partners. Vehicles of larger capacity still get packs of at most this
-/// size; the pack search is capped at min(largest capacity, kMaxPackSize).
-inline constexpr int kMaxPackSize = 3;
 
 /// One evaluated candidate pack of a requester. Plans are not stored; the
 /// dispatcher recomputes the (deterministic) optimal route when a pack wins.

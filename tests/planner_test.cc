@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <span>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "auction/anytime.h"
 #include "auction/optimal.h"
 #include "common/rng.h"
 #include "planner/insertion.h"
 #include "planner/pack_planner.h"
 #include "planner/plan_eval.h"
 #include "roadnet/builder.h"
+#include "pack_planner_reference.h"
 #include "testutil.h"
 
 namespace auctionride {
@@ -245,7 +249,8 @@ TEST(PackPlannerTest, PairOnSharedCorridor) {
   const Order a = MakeOrder(1, 1, 9, 20, oracle);
   const Order b = MakeOrder(2, 2, 8, 20, oracle);
   const std::vector<const Order*> pack = {&a, &b};
-  const PackPlanResult plan = PlanPack(v, pack, Seconds(0), oracle);
+  PackPrefixCache cache;
+  const PackPlanResult plan = PlanPack(v, pack, Seconds(0), oracle, &cache);
   ASSERT_TRUE(plan.feasible);
   // Joint delivery: s_a(1) -> s_b(2) -> e_b(8) -> e_a(9) = 8000 m.
   EXPECT_DOUBLE_EQ(plan.delta_delivery_m.value(), 8000);
@@ -278,7 +283,9 @@ TEST(PackPlannerTest, MatchesExactPlanOnSmallCases) {
     // Start at the first order's origin so approaches stay feasible.
     const Vehicle v = MakeVehicle(0, orders[0].origin);
     const std::vector<const Order*> pack = {&orders[0], &orders[1]};
-    const PackPlanResult insertion_plan = PlanPack(v, pack, Seconds(0), oracle);
+    PackPrefixCache cache;
+    const PackPlanResult insertion_plan =
+        PlanPack(v, pack, Seconds(0), oracle, &cache);
     const ExactPlanResult exact = ExactBestPlan(v, {pack.begin(), pack.end()},
                                                 Seconds(0), oracle);
     // Insertion is a (possibly suboptimal) upper bound on the exact optimum,
@@ -384,7 +391,147 @@ TEST(PackPlannerTest, RejectsOverCapacity) {
   const Order b = MakeOrder(2, 2, 5, 10, oracle);
   const Order c = MakeOrder(3, 3, 6, 10, oracle);
   const std::vector<const Order*> pack = {&a, &b, &c};
-  EXPECT_FALSE(PlanPack(v, pack, Seconds(0), oracle).feasible);
+  PackPrefixCache cache;
+  const PackPlanResult plan = PlanPack(v, pack, Seconds(0), oracle, &cache);
+  EXPECT_FALSE(plan.feasible);
+  EXPECT_EQ(plan.queries, 0);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// Bit-for-bit comparison of PlanPack against the uncached walk, including
+// the logical query count the reference makes on the oracle.
+void ExpectMatchesReference(const Vehicle& v,
+                            std::span<const Order* const> pack, Seconds now,
+                            const DistanceOracle& oracle,
+                            PackPrefixCache* cache) {
+  PackPlanResult want;
+  const int64_t want_queries = CountQueries(
+      [&] { want = PlanPackReference(v, pack, now, oracle); });
+  const PackPlanResult got = PlanPack(v, pack, now, oracle, cache);
+  ASSERT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.queries, want_queries);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.delta_delivery_m.value()),
+            std::bit_cast<uint64_t>(want.delta_delivery_m.value()));
+  ASSERT_EQ(got.new_plan.size(), want.new_plan.size());
+  for (std::size_t i = 0; i < got.new_plan.size(); ++i) {
+    EXPECT_EQ(got.new_plan[i].node, want.new_plan[i].node);
+    EXPECT_EQ(got.new_plan[i].order, want.new_plan[i].order);
+    EXPECT_EQ(got.new_plan[i].type, want.new_plan[i].type);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.new_plan[i].deadline_s.value()),
+              std::bit_cast<uint64_t>(want.new_plan[i].deadline_s.value()));
+  }
+}
+
+// Fuzz: vehicles with committed plans, riders on board and capacities 1-4;
+// every pack of 1-3 of a round's orders, each in a random member order,
+// evaluated in shuffled order through one shared cache, so later packs
+// reuse prefixes earlier ones computed. Hits and misses alike must match
+// the uncached walk bit for bit.
+template <typename T>
+void Shuffle(std::vector<T>* items, Rng* rng) {
+  for (std::size_t i = items->size(); i > 1; --i) {
+    std::swap((*items)[i - 1], (*items)[rng->UniformInt(uint64_t{i})]);
+  }
+}
+
+// What one fuzz round exercised.
+struct PrefixCacheCoverage {
+  int64_t hits = 0;
+  int64_t misses = 0;
+  int short_of_capacity = 0;  // rejected before any insertion
+  int infeasible_first = 0;   // the pack's first insertion has no position
+  // Singles whose one, infeasible step was read from the cache.
+  int infeasible_first_hits = 0;
+};
+
+void CheckPrefixCacheRound(uint64_t seed, PrefixCacheCoverage* coverage) {
+  Rng rng(seed * 7919 + 3);
+  GridNetworkOptions options;
+  options.columns = 8;
+  options.rows = 8;
+  options.spacing_m = 500;
+  options.seed = seed + 40;
+  RoadNetwork net = BuildGridNetwork(options);
+  DistanceOracle oracle(&net);
+  const auto random_node = [&] {
+    return static_cast<NodeId>(
+        rng.UniformInt(static_cast<uint64_t>(net.num_nodes())));
+  };
+  const Seconds now(100);
+
+  std::vector<Order> orders;
+  for (int j = 0; j < 6; ++j) {
+    NodeId s = random_node();
+    NodeId e = random_node();
+    while (s == e) e = random_node();
+    orders.push_back(MakeOrder(j, s, e, 10, oracle, rng.Uniform(1.2, 3.0)));
+  }
+  std::vector<Vehicle> vehicles;
+  for (int i = 0; i < 4; ++i) {
+    Vehicle v = MakeVehicle(
+        i, random_node(),
+        /*capacity=*/1 + static_cast<int>(rng.UniformInt(uint64_t{4})));
+    v.extra_distance_m = Meters(rng.Uniform(0, 300));
+    const double roll = rng.Uniform();
+    if (roll < 0.35) {
+      v.onboard = 1;
+      v.in_delivery = true;
+      v.plan.stops.push_back(
+          {random_node(), 100 + i, StopType::kDropoff, now + Seconds(1e5)});
+    } else if (roll < 0.6 && v.capacity >= 2) {
+      v.plan.stops.push_back(
+          {random_node(), 100 + i, StopType::kPickup, Seconds{}});
+      v.plan.stops.push_back(
+          {random_node(), 100 + i, StopType::kDropoff, now + Seconds(1e5)});
+    }
+    vehicles.push_back(std::move(v));
+  }
+
+  std::vector<std::vector<const Order*>> packs;
+  const std::size_t m = orders.size();
+  for (std::size_t a = 0; a < m; ++a) {
+    packs.push_back({&orders[a]});
+    for (std::size_t b = a + 1; b < m; ++b) {
+      packs.push_back({&orders[a], &orders[b]});
+      for (std::size_t c = b + 1; c < m; ++c) {
+        packs.push_back({&orders[a], &orders[b], &orders[c]});
+      }
+    }
+  }
+  for (std::vector<const Order*>& pack : packs) Shuffle(&pack, &rng);
+  Shuffle(&packs, &rng);
+
+  PackPrefixCache cache;  // one cache across every vehicle and pack
+  for (const std::vector<const Order*>& pack : packs) {
+    for (const Vehicle& v : vehicles) {
+      const int64_t hits_before = cache.hits();
+      ExpectMatchesReference(v, pack, now, oracle, &cache);
+      if (v.CommittedRiders() + static_cast<int>(pack.size()) > v.capacity) {
+        ++coverage->short_of_capacity;
+      } else if (!BestInsertion(v, *pack[0], now, oracle).feasible) {
+        ++coverage->infeasible_first;
+        if (pack.size() == 1 && cache.hits() > hits_before) {
+          ++coverage->infeasible_first_hits;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(static_cast<std::size_t>(cache.misses()), cache.size());
+  coverage->hits += cache.hits();
+  coverage->misses += cache.misses();
+}
+
+TEST(PackPlannerTest, PrefixCacheMatchesReference) {
+  PrefixCacheCoverage coverage;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    CheckPrefixCacheRound(seed, &coverage);
+  }
+  EXPECT_GT(coverage.hits, 0);
+  EXPECT_GT(coverage.misses, 0);
+  EXPECT_GT(coverage.short_of_capacity, 0);
+  EXPECT_GT(coverage.infeasible_first, 0);
+  EXPECT_GT(coverage.infeasible_first_hits, 0);
 }
 
 // A LegSource that corrupts one specific leg and forwards everything else to

@@ -235,15 +235,23 @@ TEST(OracleTest, ConcurrentQueriesMatchSerial) {
 }
 
 // The reference the hub labels are checked against: the bidirectional CH
-// query without stall-on-demand. An upward Dijkstra from s over UpOut and
-// one from t over UpIn settle nodes in turn, smaller key first; every node
-// a side settles or relaxes is a meeting candidate at its distance plus
-// the other side's. A side stops once its queue minimum is >= the best
-// meeting distance so far: every node it could still settle is at least
-// that far from its root. The result is the exhaustive searches' minimum
-// bit for bit: the optimal meeting node's two distances are settled before
-// either side stops, and a tentative distance is never below the settled
-// one, so no candidate undercuts that minimum.
+// query. An upward Dijkstra from s over UpOut and one from t over UpIn
+// settle nodes in turn, smaller key first; every node a side settles or
+// relaxes is a meeting candidate at its distance plus the other side's. A
+// side stops once its queue minimum is >= the best meeting distance so far:
+// every node it could still settle is at least that far from its root. The
+// result is the exhaustive searches' minimum bit for bit: the optimal
+// meeting node's two distances are settled before either side stops, and a
+// tentative distance is never below the settled one, so no candidate
+// undercuts that minimum.
+//
+// Stall-on-demand: a settled node u is not relaxed when a higher node w this
+// side already reached offers a strictly shorter path into u over a
+// downward arc — w -> u for the forward side (an UpIn arc of u), u -> w for
+// the backward side (an UpOut arc of u). u's distance is then not its
+// shortest, so no shortest up-down path continues through u. u is still a
+// meeting candidate: its distances belong to real paths, so their sum
+// never undercuts the shortest one.
 class ChQueryReference {
  public:
   explicit ChQueryReference(const ContractionHierarchy* ch)
@@ -260,9 +268,11 @@ class ChQueryReference {
       if (!fwd_live && !bwd_live) break;
       if (fwd_live &&
           (!bwd_live || fwd_.queue.top().first <= bwd_.queue.top().first)) {
-        Settle(&ContractionHierarchy::UpOut, &fwd_, bwd_, &best);
+        Settle(&ContractionHierarchy::UpOut, &ContractionHierarchy::UpIn, &fwd_,
+               bwd_, &best);
       } else {
-        Settle(&ContractionHierarchy::UpIn, &bwd_, fwd_, &best);
+        Settle(&ContractionHierarchy::UpIn, &ContractionHierarchy::UpOut, &bwd_,
+               fwd_, &best);
       }
     }
     return best;
@@ -295,12 +305,16 @@ class ChQueryReference {
       ContractionHierarchy::*)(NodeId) const;
 
   // Pops the side's minimum; a current entry is settled, offered as a
-  // meeting node and relaxed.
-  void Settle(Arcs arcs, Side* side, const Side& other, double* best) {
+  // meeting node and, unless stalled over `stall_arcs`, relaxed.
+  void Settle(Arcs arcs, Arcs stall_arcs, Side* side, const Side& other,
+              double* best) {
     const auto [d, u] = side->queue.top();
     side->queue.pop();
     if (d > side->dist[u]) return;
     *best = std::min(*best, d + other.dist[u]);
+    for (const ContractionHierarchy::UpArc& a : (ch_->*stall_arcs)(u)) {
+      if (side->dist[a.head] + a.weight < d) return;
+    }
     for (const ContractionHierarchy::UpArc& a : (ch_->*arcs)(u)) {
       double& dist = side->dist[a.head];
       if (d + a.weight >= dist) continue;

@@ -2,9 +2,10 @@
 // threads at once, ParallelFor nested inside its own pool's tasks, callers
 // that must not wait on each other's loops, and rapid construct/shutdown
 // cycles with stale helper entries still queued — plus the sharded PackMemo
-// that Rank's parallel pack generation shares across pool workers. Run these under the tsan
-// preset (cmake --preset tsan) to get race detection; under asan they
-// double as lifetime checks on the task queue.
+// that Rank's parallel pack generation shares across pool workers, and its
+// key contract. Run these under the tsan preset (cmake --preset tsan) to get
+// race detection; under asan they double as lifetime checks on the task
+// queue.
 
 #include <gtest/gtest.h>
 
@@ -161,13 +162,14 @@ TEST(PackMemoStressTest, ConcurrentLookupInsertOverlappingKeys) {
     const auto vehicle = static_cast<int32_t>(t % kVehicles);
     const auto a = static_cast<int32_t>(t % 5);
     const auto b = static_cast<int32_t>(t % 3 + 5);
-    const std::vector<int32_t> members = {a, b};
+    const int32_t members[] = {a, b};
+    const PackMemo::Key key = PackMemo::MakeKey(vehicle, members);
     const PackMemo::Eval expect{
         (vehicle + a + b) % 2 == 0,
         Meters(static_cast<double>(vehicle * 100 + a + b))};
     PackMemo::Eval got;
-    if (!memo.Lookup(vehicle, members, &got)) {
-      memo.Insert(vehicle, members, expect);
+    if (!memo.Lookup(key, &got)) {
+      memo.Insert(key, expect);
       got = expect;
     }
     if (got.feasible != expect.feasible ||
@@ -184,15 +186,39 @@ TEST(PackMemoStressTest, ConcurrentLookupInsertOverlappingKeys) {
 
 TEST(PackMemoStressTest, InsertIsIdempotent) {
   PackMemo memo;
-  const std::vector<int32_t> members = {1, 4, 9};
-  memo.Insert(3, members, {true, Meters(123.0)});
-  memo.Insert(3, members, {false, Meters(999.0)});  // loses: first insert wins
+  const int32_t members[] = {1, 4, 9};
+  const PackMemo::Key key = PackMemo::MakeKey(3, members);
+  memo.Insert(key, {true, Meters(123.0)});
+  memo.Insert(key, {false, Meters(999.0)});  // loses: first insert wins
   PackMemo::Eval eval;
-  ASSERT_TRUE(memo.Lookup(3, members, &eval));
+  ASSERT_TRUE(memo.Lookup(key, &eval));
   EXPECT_TRUE(eval.feasible);
   EXPECT_EQ(eval.delta_delivery_m, Meters(123.0));
   EXPECT_EQ(memo.size(), 1u);
 }
+
+// The fixed-size key pads unused member slots, so a pair never matches a
+// triple that starts with it, and the vehicle is part of the key.
+TEST(PackMemoStressTest, KeySeparatesSizesAndVehicles) {
+  PackMemo memo;
+  const int32_t pair[] = {1, 4};
+  const int32_t triple[] = {1, 4, 9};
+  memo.Insert(PackMemo::MakeKey(3, pair), {true, Meters(10.0)});
+  PackMemo::Eval eval;
+  EXPECT_FALSE(memo.Lookup(PackMemo::MakeKey(3, triple), &eval));
+  EXPECT_FALSE(memo.Lookup(PackMemo::MakeKey(2, pair), &eval));
+  ASSERT_TRUE(memo.Lookup(PackMemo::MakeKey(3, pair), &eval));
+  EXPECT_EQ(eval.delta_delivery_m, Meters(10.0));
+}
+
+#if ARIDE_CONTRACTS_ENABLED
+TEST(PackMemoDeathTest, KeyRejectsUnsortedOrRepeatedMembers) {
+  const int32_t unsorted[] = {4, 1};
+  const int32_t repeated[] = {1, 1};
+  EXPECT_DEATH(PackMemo::MakeKey(0, unsorted), "sorted, distinct");
+  EXPECT_DEATH(PackMemo::MakeKey(0, repeated), "sorted, distinct");
+}
+#endif
 
 TEST(ThreadPoolStressTest, ParallelForOrSerialMatchesSerial) {
   // Both paths must produce identical per-slot results; the serial path
