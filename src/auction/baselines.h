@@ -16,7 +16,10 @@ namespace auctionride {
 /// issue-time (id) order, each assigned to the feasible vehicle minimizing
 /// ΔD. Dispatches regardless of utility sign when `serve_all` is true (the
 /// classic non-auction objective); otherwise only utility-positive
-/// dispatches happen.
+/// dispatches happen. Every (order, pickup candidate) pair is scored in one
+/// pass on instance.dispatch_pool when it is non-null, and a pair whose
+/// vehicle an earlier order took is re-scored when its order is picked; the
+/// result is that of the in-order walk, bit-identical at any thread count.
 DispatchResult FcfsDispatch(const AuctionInstance& instance,
                             bool serve_all = true);
 

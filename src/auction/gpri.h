@@ -2,10 +2,10 @@
 //
 // To price a dispatched requester r_h, Algorithm 1 is run on R \ {r_h}: the
 // dispatch loop (GreedyDispatchLoop) over the round's own seed table with
-// r_h's slot skipped, so no pair is computed a second time. Its assignments
-// are replayed over copies of r_h's pickup candidates
-// (PickupCandidateIndex) to recover r_h's cheapest insertion cost before
-// each step. The payment is the minimum over:
+// r_h's slot skipped, so no pair is computed a second time and no heap is
+// rebuilt. Its assignments are replayed over copies of r_h's pickup
+// candidates (PickupCandidateIndex) to recover r_h's cheapest insertion
+// cost before each step. The payment is the minimum over:
 //   * r_h's cheapest insertion cost once every other dispatch has finished
 //     (dispatched without replacing anyone; requires feasibility then), and
 //   * for each dispatched r_jk, the smallest bid for r_h to replace it:

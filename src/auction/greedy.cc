@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
+#include <numeric>
 #include <utility>
 
 #include "auction/anytime.h"
@@ -21,16 +21,13 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct HeapEntry {
-  Money utility;
-  int order_idx;
-  int veh_idx;
-  uint32_t version;
-};
-
-// Max-heap ordering with deterministic tie-breaking.
+// Max-heap ordering with deterministic tie-breaking. On the entries of one
+// table it is a total order (each (order, vehicle) pair is unique), so the
+// loop pops them in one sequence whatever the heap's layout. A refreshed
+// entry can tie only with a stale entry of its own pair, and popping the
+// stale one is a skip whichever comes first.
 struct HeapLess {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+  bool operator()(const GreedyHeapEntry& a, const GreedyHeapEntry& b) const {
     // Exact float ordering is deliberate here: an epsilon comparison would
     // break strict weak ordering, and ties fall through to the index keys.
     if (a.utility < b.utility) return true;
@@ -90,6 +87,35 @@ std::vector<std::pair<OrderId, VehicleId>> WarmSurvivors(
   return survivors;
 }
 
+// Builds the loop's initial state of `seeds` over its final pairs.
+void IndexSeeds(std::size_t num_vehicles, GreedySeedTable* seeds) {
+  const std::vector<std::vector<GreedySeed>>& pairs = seeds->pairs;
+  std::vector<GreedyHeapEntry>& heap = seeds->heap;
+  std::vector<int32_t>& cand_offsets = seeds->cand_offsets;
+  std::vector<int32_t>& cand_slots = seeds->cand_slots;
+  cand_offsets.assign(num_vehicles + 1, 0);
+  for (const std::vector<GreedySeed>& order_pairs : pairs) {
+    for (const GreedySeed& sp : order_pairs) {
+      ++cand_offsets[static_cast<std::size_t>(sp.veh) + 1];
+    }
+  }
+  std::partial_sum(cand_offsets.begin(), cand_offsets.end(),
+                   cand_offsets.begin());
+  cand_slots.resize(static_cast<std::size_t>(cand_offsets.back()));
+  std::vector<int32_t> next(cand_offsets.begin(), cand_offsets.end() - 1);
+  // The pool in the (order, candidate) sequence of the sweep.
+  heap.clear();
+  heap.reserve(cand_slots.size());
+  for (std::size_t j = 0; j < pairs.size(); ++j) {
+    for (const GreedySeed& sp : pairs[j]) {
+      heap.push_back({sp.utility, static_cast<int32_t>(j), sp.veh, 0});
+      cand_slots[static_cast<std::size_t>(
+          next[static_cast<std::size_t>(sp.veh)]++)] = static_cast<int32_t>(j);
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), HeapLess{});
+}
+
 }  // namespace
 
 bool GreedySeedTable::complete() const {
@@ -131,6 +157,7 @@ GreedyRunResult GreedyDispatch(const AuctionInstance& in) {
     // The loop reads the cut off the table.
     ARIDE_CHECK_EQ(cut, !seeds.complete());
   }
+  IndexSeeds(in.vehicles->size(), &seeds);
 
   run.result = GreedyDispatchLoop(in, seeds, /*excluded=*/-1);
   if (in.warm_start != nullptr) {
@@ -146,36 +173,40 @@ DispatchResult GreedyDispatchLoop(const AuctionInstance& in,
   OBS_TRACE_SPAN("auction.greedy.dispatch_loop");
   WallTimer timer;
   const std::vector<Order>& orders = *in.orders;
+  const std::vector<Vehicle>& fleet = *in.vehicles;
   ARIDE_ACHECK(seeds.pairs.size() == orders.size() &&
-               seeds.reached.size() == orders.size())
-      << "seed table of another instance";
-  std::vector<Vehicle> vehicles = *in.vehicles;  // working copies
+               seeds.reached.size() == orders.size() &&
+               seeds.cand_offsets.size() == fleet.size() + 1)
+      << "seed table of another instance, or not indexed";
   const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
   ThreadPool* pool = in.dispatch_pool;
   Deadline* const dl = in.deadline;
   const bool sweep_truncated = !seeds.complete();
 
-  // The pool in the (order, candidate) sequence of the sweep, without the
-  // excluded slot. Every other slot keeps its index, so heap ties break as
-  // in a dispatch of the instance without that order. HeapLess is a total
-  // order on the initial entries, so one make_heap pops them in the same
-  // sequence as pushing them one by one.
-  std::vector<HeapEntry> initial;
-  std::vector<uint32_t> veh_version(vehicles.size(), 0);
-  std::vector<std::vector<int>> veh_candidates(vehicles.size());
+  // The round's heap, copied. The excluded slot's entries stay in it: the
+  // slot is marked dispatched, so no refresh re-pushes it, and its initial
+  // entries are popped without being counted. Every other slot keeps its
+  // index, so the pops run as in a dispatch of the instance without that
+  // order (see HeapLess).
+  std::vector<GreedyHeapEntry> heap = seeds.heap;
   std::vector<char> dispatched(orders.size(), 0);
-  for (std::size_t j = 0; j < orders.size(); ++j) {
-    if (static_cast<int>(j) == excluded) continue;
-    for (const GreedySeed& sp : seeds.pairs[j]) {
-      initial.push_back({sp.utility, static_cast<int>(j), sp.veh, 0});
-      veh_candidates[static_cast<std::size_t>(sp.veh)].push_back(
-          static_cast<int>(j));
-    }
+  std::size_t seed_pairs = heap.size();
+  if (excluded >= 0) {
+    ARIDE_ACHECK(static_cast<std::size_t>(excluded) < orders.size());
+    dispatched[static_cast<std::size_t>(excluded)] = 1;
+    seed_pairs -= seeds.pairs[static_cast<std::size_t>(excluded)].size();
   }
   OBS_COUNTER_ADD("auction.dispatch.seed_pairs",
-                  static_cast<int64_t>(initial.size()));
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLess> heap(
-      HeapLess{}, std::move(initial));
+                  static_cast<int64_t>(seed_pairs));
+  std::vector<uint32_t> veh_version(fleet.size(), 0);
+  // A vehicle's working copy and live candidate slots, made when it is
+  // first assigned; until then it is as in the instance and the table.
+  struct Working {
+    Vehicle vehicle;
+    std::vector<int32_t> cands;
+  };
+  std::vector<Working> working;
+  std::vector<int32_t> working_of(fleet.size(), -1);
 
   // One-by-one dispatch (Algorithm 1 lines 7-16).
   DispatchResult result;
@@ -197,22 +228,32 @@ DispatchResult GreedyDispatchLoop(const AuctionInstance& in,
       loop_truncated = true;
       break;
     }
-    const HeapEntry top = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), HeapLess{});
+    const GreedyHeapEntry top = heap.back();
+    heap.pop_back();
+    if (top.order_idx == excluded) continue;  // not in the instance run
     ++heap_pops;
     if (top.utility < in.config.min_utility) break;  // line 9
     if (dispatched[static_cast<std::size_t>(top.order_idx)]) {
       ++stale_pops;
       continue;
     }
-    if (top.version !=
-        veh_version[static_cast<std::size_t>(top.veh_idx)]) {
+    const auto veh = static_cast<std::size_t>(top.veh_idx);
+    if (top.version != veh_version[veh]) {
       ++stale_pops;
       continue;  // stale: a fresh entry for this pair exists (or it died)
     }
 
+    if (working_of[veh] < 0) {
+      working_of[veh] = static_cast<int32_t>(working.size());
+      const auto first = seeds.cand_slots.begin() + seeds.cand_offsets[veh];
+      const auto last =
+          seeds.cand_slots.begin() + seeds.cand_offsets[veh + 1];
+      working.push_back({fleet[veh], std::vector<int32_t>(first, last)});
+    }
+    Working& work = working[static_cast<std::size_t>(working_of[veh])];
     const Order& order = orders[static_cast<std::size_t>(top.order_idx)];
-    Vehicle& vehicle = vehicles[static_cast<std::size_t>(top.veh_idx)];
+    Vehicle& vehicle = work.vehicle;
     InsertionResult ins;
     const int64_t pop_queries = CountQueries(
         [&] { ins = BestInsertion(vehicle, order, in.now_s, *in.oracle); });
@@ -229,7 +270,7 @@ DispatchResult GreedyDispatchLoop(const AuctionInstance& in,
     ARIDE_CHECK_GE(cost, Money(-1e-9)) << "order " << order.id;
 
     vehicle.plan.stops = ins.new_plan;
-    ++veh_version[static_cast<std::size_t>(top.veh_idx)];
+    ++veh_version[veh];
     dispatched[static_cast<std::size_t>(top.order_idx)] = 1;
     result.assignments.push_back(
         {order.id, vehicle.id, cost, order.bid - cost});
@@ -241,31 +282,29 @@ DispatchResult GreedyDispatchLoop(const AuctionInstance& in,
     // is stable during the batch (mutation happened above), so the
     // re-evaluations are independent; the heap pushes and the alive-list
     // rebuild run serially afterwards in the original candidate order.
-    std::vector<int>& cands =
-        veh_candidates[static_cast<std::size_t>(top.veh_idx)];
+    std::vector<int32_t>& cands = work.cands;
     refresh_utility.assign(cands.size(), Money(-kInf));
     // The refresh runs unbudgeted (it is part of the committed dispatch
     // step); each worker still charges its queries, and the next loop
     // iteration is the cut point.
     ParallelForOrSerial(pool, cands.size(), [&](std::size_t k) {
-      const int other = cands[k];
-      if (dispatched[static_cast<std::size_t>(other)]) return;
+      const auto other = static_cast<std::size_t>(cands[k]);
+      if (dispatched[other]) return;
       const int64_t queries = CountQueries([&] {
-        refresh_utility[k] =
-            PairUtility(in, vehicle, orders[static_cast<std::size_t>(other)]);
+        refresh_utility[k] = PairUtility(in, vehicle, orders[other]);
       });
       if (dl != nullptr) dl->ChargeQueries(queries);
     });
-    std::vector<int> alive;
+    std::vector<int32_t> alive;
     alive.reserve(cands.size());
     for (std::size_t k = 0; k < cands.size(); ++k) {
-      const int other = cands[k];
+      const int32_t other = cands[k];
       if (dispatched[static_cast<std::size_t>(other)]) continue;
       ++refresh_pairs;
       const Money u = refresh_utility[k];
       if (u == Money(-kInf)) continue;  // pair no longer valid: removed
-      heap.push({u, other, top.veh_idx,
-                 veh_version[static_cast<std::size_t>(top.veh_idx)]});
+      heap.push_back({u, other, top.veh_idx, veh_version[veh]});
+      std::push_heap(heap.begin(), heap.end(), HeapLess{});
       alive.push_back(other);
     }
     cands = std::move(alive);
@@ -277,9 +316,11 @@ DispatchResult GreedyDispatchLoop(const AuctionInstance& in,
   // Expiry truncates: the assignments emitted so far are finalized.
   result.anytime.complete = !(sweep_truncated || loop_truncated);
 
-  for (std::size_t i = 0; i < vehicles.size(); ++i) {
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
     if (veh_version[i] > 0) {
-      result.updated_plans.push_back({i, vehicles[i].plan.stops});
+      result.updated_plans.push_back(
+          {i, std::move(working[static_cast<std::size_t>(working_of[i])]
+                            .vehicle.plan.stops)});
     }
   }
   OBS_COUNTER_ADD("auction.greedy.dispatched",
@@ -299,6 +340,7 @@ void FillUnreachedSeeds(const AuctionInstance& in,
     SeedOrder(in, candidates, unreached[k], &seeds->pairs[unreached[k]]);
   });
   for (std::size_t j : unreached) seeds->reached[j] = 1;
+  IndexSeeds(in.vehicles->size(), seeds);
 }
 
 }  // namespace auctionride

@@ -32,16 +32,19 @@ namespace auctionride {
 
 class PackMemo {
  public:
+  // 16 B, so a map node (key, value, next pointer; the hash is noexcept and
+  // not cached) is a 48 B allocation.
   struct Eval {
-    bool feasible = false;
     Meters delta_delivery_m;
     // PlanPack's logical oracle-query count (PackPlanResult::queries), a
     // pure function of the key. Memoizing it lets deadline metering charge
     // every *logical* evaluation the same amount whether it was a hit, a
     // miss, or a racy duplicate compute — which keeps synthetic budget
     // expiry independent of thread timing.
-    int64_t queries = 0;
+    int32_t queries = 0;
+    bool feasible = false;
   };
+  static_assert(sizeof(Eval) == 16);
 
   /// (vehicle index, member indices): members sorted, distinct, non-negative
   /// and 1..kMaxPackSize long; unused trailing slots hold -1.

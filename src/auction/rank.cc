@@ -49,7 +49,12 @@ PackMemo::Eval EvaluatePack(const AuctionInstance& in, int32_t vehicle_idx,
   // The logical query count is a pure function of the key, whatever the
   // prefix cache held (see PackMemo::Eval::queries).
   const PackPlanResult plan = PlanMembers(in, vehicle_idx, members, prefixes);
-  eval = {plan.feasible, plan.delta_delivery_m, plan.queries};
+  ARIDE_CHECK(plan.queries >= 0 &&
+              plan.queries <= std::numeric_limits<int32_t>::max())
+      << "pack query count " << plan.queries << " overflows the memo";
+  eval = {.delta_delivery_m = plan.delta_delivery_m,
+          .queries = static_cast<int32_t>(plan.queries),
+          .feasible = plan.feasible};
   memo->Insert(key, eval);
   return eval;
 }

@@ -46,9 +46,10 @@ struct PackKey {
   std::array<int32_t, N> orders;
   bool operator==(const PackKey&) const = default;
 
-  // FNV-1a over the vehicle and the order slots.
+  // FNV-1a over the vehicle and the order slots. noexcept, so the
+  // unordered_maps keyed by it do not store the hash in every node.
   struct Hash {
-    std::size_t operator()(const PackKey& k) const {
+    std::size_t operator()(const PackKey& k) const noexcept {
       uint64_t h = 1469598103934665603ull;
       const auto mix = [&h](uint64_t x) {
         h ^= x;

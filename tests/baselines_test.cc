@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "auction/baselines.h"
 #include "auction/greedy.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
+#include "planner/insertion.h"
 #include "roadnet/builder.h"
 #include "testutil.h"
 
@@ -109,6 +115,180 @@ TEST(FcfsTest, HigherDispatchCountLowerUtilityThanAuction) {
   const DispatchResult fcfs = FcfsDispatch(in, /*serve_all=*/true);
   const DispatchResult greedy = GreedyDispatch(in).result;
   EXPECT_GE(greedy.total_utility, fcfs.total_utility - Money(1e-9));
+}
+
+// Candidates with equal ΔD: the first in candidate order wins, and the
+// pick is serial, so a pool changes nothing.
+TEST(FcfsTest, EqualCostTieGoesToTheFirstCandidate) {
+  RoadNetwork net = testutil::LineNetwork(20, 1000);
+  DistanceOracle oracle(&net);
+  std::vector<Order> orders = {MakeOrder(0, 10, 12, /*bid=*/20, oracle)};
+  // Vehicles 1 and 2 stand on one node, so they share a grid cell and
+  // reach the order at the same cost; vehicle 1 is indexed first.
+  std::vector<Vehicle> vehicles = {MakeVehicle(0, 4), MakeVehicle(1, 9),
+                                   MakeVehicle(2, 9)};
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    AuctionInstance in;
+    in.orders = &orders;
+    in.vehicles = &vehicles;
+    in.oracle = &oracle;
+    in.dispatch_pool = p;
+    const DispatchResult r = FcfsDispatch(in);
+    ASSERT_EQ(r.assignments.size(), 1u);
+    EXPECT_EQ(r.assignments[0].vehicle, 1);
+  }
+}
+
+// Fuzz scenario `seed` with every vehicle given an identical twin, so
+// equal-ΔD candidates are common.
+testutil::FuzzScenario TwinnedScenario(uint64_t seed) {
+  testutil::FuzzScenario sc = testutil::BuildFuzzScenario(seed);
+  const std::size_t n = sc.vehicles.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    Vehicle twin = sc.vehicles[i];
+    twin.id = static_cast<VehicleId>(n + i);
+    for (PlanStop& stop : twin.plan.stops) stop.order += 1000;
+    sc.vehicles.push_back(twin);
+  }
+  return sc;
+}
+
+// Assignments, costs, utilities and updated plans are bitwise equal.
+void ExpectSameDispatch(const DispatchResult& got,
+                        const DispatchResult& want) {
+  ASSERT_EQ(got.assignments.size(), want.assignments.size());
+  for (std::size_t k = 0; k < got.assignments.size(); ++k) {
+    const Assignment& g = got.assignments[k];
+    const Assignment& w = want.assignments[k];
+    EXPECT_EQ(g.order, w.order);
+    EXPECT_EQ(g.vehicle, w.vehicle);
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.cost.value()),
+              std::bit_cast<uint64_t>(w.cost.value()));
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.utility.value()),
+              std::bit_cast<uint64_t>(w.utility.value()));
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.total_utility.value()),
+            std::bit_cast<uint64_t>(want.total_utility.value()));
+  ASSERT_EQ(got.updated_plans.size(), want.updated_plans.size());
+  for (std::size_t i = 0; i < got.updated_plans.size(); ++i) {
+    EXPECT_EQ(got.updated_plans[i].first, want.updated_plans[i].first);
+    const std::vector<PlanStop>& gs = got.updated_plans[i].second;
+    const std::vector<PlanStop>& ws = want.updated_plans[i].second;
+    ASSERT_EQ(gs.size(), ws.size());
+    for (std::size_t s = 0; s < gs.size(); ++s) {
+      EXPECT_EQ(gs[s].node, ws[s].node);
+      EXPECT_EQ(gs[s].order, ws[s].order);
+      EXPECT_EQ(gs[s].type, ws[s].type);
+      EXPECT_EQ(std::bit_cast<uint64_t>(gs[s].deadline_s.value()),
+                std::bit_cast<uint64_t>(ws[s].deadline_s.value()));
+    }
+  }
+}
+
+// FCFS as the in-order walk: each order's candidates are scored, serially,
+// against the plans the earlier orders left. Adds to `*stale_pairs` the
+// pairs whose vehicle an earlier order took.
+DispatchResult FcfsInOrderWalk(const AuctionInstance& in, bool serve_all,
+                               int* stale_pairs) {
+  const std::vector<Order>& orders = *in.orders;
+  std::vector<Vehicle> vehicles = *in.vehicles;
+  const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
+  const PickupCandidateIndex index(vehicles, *in.oracle);
+  std::vector<std::size_t> sequence(orders.size());
+  for (std::size_t j = 0; j < sequence.size(); ++j) sequence[j] = j;
+  std::sort(sequence.begin(), sequence.end(),
+            [&orders](std::size_t a, std::size_t b) {
+              if (orders[a].issue_time_s != orders[b].issue_time_s) {
+                return orders[a].issue_time_s < orders[b].issue_time_s;
+              }
+              return orders[a].id < orders[b].id;
+            });
+  DispatchResult result;
+  std::vector<char> touched(vehicles.size(), 0);
+  std::vector<int32_t> candidates;
+  for (std::size_t j : sequence) {
+    const Order& order = orders[j];
+    index.WithinRadius(order, &candidates);
+    Meters best_delta{std::numeric_limits<double>::infinity()};
+    int best = -1;
+    InsertionResult best_ins;
+    for (int32_t v : candidates) {
+      if (touched[static_cast<std::size_t>(v)]) ++*stale_pairs;
+      InsertionResult ins =
+          BestInsertion(vehicles[static_cast<std::size_t>(v)], order,
+                        in.now_s, *in.oracle);
+      if (!ins.feasible || ins.delta_delivery_m >= best_delta) continue;
+      best_delta = ins.delta_delivery_m;
+      best = v;
+      best_ins = std::move(ins);
+    }
+    if (best < 0) continue;
+    const Money cost = alpha_per_m * best_delta;
+    if (!serve_all && order.bid - cost < in.config.min_utility) continue;
+    Vehicle& vehicle = vehicles[static_cast<std::size_t>(best)];
+    vehicle.plan.stops = best_ins.new_plan;
+    touched[static_cast<std::size_t>(best)] = 1;
+    result.assignments.push_back(
+        {order.id, vehicle.id, cost, order.bid - cost});
+    result.total_utility += order.bid - cost;
+  }
+  for (std::size_t i = 0; i < vehicles.size(); ++i) {
+    if (touched[i]) result.updated_plans.push_back({i, vehicles[i].plan.stops});
+  }
+  return result;
+}
+
+// FCFS scores every (order, candidate) pair in one pass against the
+// instance's plans and re-scores a pair when an earlier order took its
+// vehicle; the result is the in-order walk's, with and without a pool.
+TEST(FcfsTest, MatchesTheInOrderWalk) {
+  ThreadPool pool(8);
+  int stale_pairs = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    const testutil::FuzzScenario sc = TwinnedScenario(seed);
+    for (bool serve_all : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " serve_all " << serve_all);
+      AuctionInstance in = sc.Instance();
+      const DispatchResult want =
+          FcfsInOrderWalk(in, serve_all, &stale_pairs);
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        in.dispatch_pool = p;
+        ExpectSameDispatch(FcfsDispatch(in, serve_all), want);
+      }
+    }
+  }
+  // Pairs whose vehicle an earlier order took are what the test is about.
+  EXPECT_GT(stale_pairs, 0);
+}
+
+// Assignments, costs and updated plans are bit-identical with no pool and
+// with 2 or 8 threads.
+TEST(FcfsTest, BitIdenticalAtAnyThreadCount) {
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  int tied_orders = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    const testutil::FuzzScenario sc = TwinnedScenario(seed);
+    // The twins tie on every order they can serve.
+    for (const Order& order : sc.orders) {
+      const InsertionResult ins =
+          BestInsertion(sc.vehicles[0], order, sc.now_s, *sc.oracle);
+      if (ins.feasible) ++tied_orders;
+    }
+    for (bool serve_all : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " serve_all " << serve_all);
+      AuctionInstance in = sc.Instance();
+      const DispatchResult want = FcfsDispatch(in, serve_all);
+      for (ThreadPool* pool : {&two, &eight}) {
+        in.dispatch_pool = pool;
+        ExpectSameDispatch(FcfsDispatch(in, serve_all), want);
+      }
+    }
+  }
+  EXPECT_GT(tied_orders, 0);
 }
 
 }  // namespace

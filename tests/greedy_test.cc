@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "auction/greedy.h"
 #include "auction/optimal.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "planner/insertion.h"
 #include "roadnet/builder.h"
 #include "testutil.h"
@@ -310,6 +314,57 @@ TEST(GreedyDispatchLoopTest, SkippedSlotMatchesADispatchWithoutTheOrder) {
       }
     }
   }
+}
+
+// The loop's counters of a run with a skipped slot equal those of a fresh
+// dispatch without that order: the skipped slot's own entries are popped
+// uncounted, and no refresh re-evaluates or re-pushes it.
+TEST(GreedyDispatchLoopTest, SkippedSlotCountsLikeADispatchWithoutTheOrder) {
+  constexpr std::array<const char*, 4> kCounters = {
+      "auction.greedy.heap_pops", "auction.greedy.stale_pops",
+      "auction.dispatch.refresh_pairs", "auction.dispatch.seed_pairs"};
+  // The four counters' growth over fn().
+  const auto deltas = [&kCounters](const auto& fn) {
+    const auto read = [&kCounters] {
+      const std::map<std::string, int64_t> counters =
+          obs::MetricRegistry::Global().Snapshot().counters;
+      std::array<int64_t, kCounters.size()> values{};
+      for (std::size_t c = 0; c < kCounters.size(); ++c) {
+        const auto it = counters.find(kCounters[c]);
+        values[c] = it == counters.end() ? 0 : it->second;
+      }
+      return values;
+    };
+    const auto before = read();
+    fn();
+    auto after = read();
+    for (std::size_t c = 0; c < kCounters.size(); ++c) {
+      after[c] -= before[c];
+    }
+    return after;
+  };
+  int64_t skipped_with_pairs = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const testutil::FuzzScenario sc = testutil::BuildFuzzScenario(seed);
+    const AuctionInstance in = sc.Instance();
+    const GreedyRunResult run = GreedyDispatch(in);
+    for (std::size_t h = 0; h < sc.orders.size(); ++h) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " skip " << h);
+      std::vector<Order> others = sc.orders;
+      others.erase(others.begin() + static_cast<std::ptrdiff_t>(h));
+      AuctionInstance without = in;
+      without.orders = &others;
+      const auto want = deltas([&] { GreedyDispatch(without); });
+      const auto got = deltas(
+          [&] { GreedyDispatchLoop(in, run.seeds, static_cast<int>(h)); });
+      for (std::size_t c = 0; c < kCounters.size(); ++c) {
+        EXPECT_EQ(got[c], want[c]) << kCounters[c];
+      }
+      if (!run.seeds.pairs[h].empty()) ++skipped_with_pairs;
+    }
+  }
+  // Skipped slots with entries in the heap are what the test is about.
+  EXPECT_GT(skipped_with_pairs, 0);
 }
 
 }  // namespace

@@ -165,8 +165,8 @@ TEST(PackMemoStressTest, ConcurrentLookupInsertOverlappingKeys) {
     const int32_t members[] = {a, b};
     const PackMemo::Key key = PackMemo::MakeKey(vehicle, members);
     const PackMemo::Eval expect{
-        (vehicle + a + b) % 2 == 0,
-        Meters(static_cast<double>(vehicle * 100 + a + b))};
+        .delta_delivery_m = Meters(static_cast<double>(vehicle * 100 + a + b)),
+        .feasible = (vehicle + a + b) % 2 == 0};
     PackMemo::Eval got;
     if (!memo.Lookup(key, &got)) {
       memo.Insert(key, expect);
@@ -188,8 +188,9 @@ TEST(PackMemoStressTest, InsertIsIdempotent) {
   PackMemo memo;
   const int32_t members[] = {1, 4, 9};
   const PackMemo::Key key = PackMemo::MakeKey(3, members);
-  memo.Insert(key, {true, Meters(123.0)});
-  memo.Insert(key, {false, Meters(999.0)});  // loses: first insert wins
+  memo.Insert(key, {.delta_delivery_m = Meters(123.0), .feasible = true});
+  // Loses: the first insert wins.
+  memo.Insert(key, {.delta_delivery_m = Meters(999.0), .feasible = false});
   PackMemo::Eval eval;
   ASSERT_TRUE(memo.Lookup(key, &eval));
   EXPECT_TRUE(eval.feasible);
@@ -203,7 +204,8 @@ TEST(PackMemoStressTest, KeySeparatesSizesAndVehicles) {
   PackMemo memo;
   const int32_t pair[] = {1, 4};
   const int32_t triple[] = {1, 4, 9};
-  memo.Insert(PackMemo::MakeKey(3, pair), {true, Meters(10.0)});
+  memo.Insert(PackMemo::MakeKey(3, pair),
+              {.delta_delivery_m = Meters(10.0), .feasible = true});
   PackMemo::Eval eval;
   EXPECT_FALSE(memo.Lookup(PackMemo::MakeKey(3, triple), &eval));
   EXPECT_FALSE(memo.Lookup(PackMemo::MakeKey(2, pair), &eval));

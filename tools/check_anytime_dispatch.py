@@ -4,10 +4,12 @@
 Checks two morning_peak runs of the same seed/scale:
 
   * Under the storm profile, whose synthetic round budget is armed, rounds
-    must actually hit the budget (anytime.truncated_rounds > 0) and keep
-    finalized winners at the cut (anytime.partial_winners > 0).
+    must actually hit the budget (anytime.truncated_rounds > 0), keep
+    finalized winners at the cut (anytime.partial_winners > 0), and hand the
+    remainder to the FCFS tier (auction.fcfs.orders > 0), whose candidates
+    are scored on the dispatch pool.
   * With faults (and therefore budgets) disabled, nothing may be cut: every
-    auction.dispatch.anytime.* counter must be 0.
+    auction.dispatch.anytime.* counter and auction.fcfs.orders must be 0.
 
 Usage:
   check_anytime_dispatch.py BENCH_storm.json BENCH_none.json
@@ -19,6 +21,7 @@ import sys
 PREFIX = "auction.dispatch.anytime."
 TRUNCATED = PREFIX + "truncated_rounds"
 PARTIAL = PREFIX + "partial_winners"
+FCFS_ORDERS = "auction.fcfs.orders"
 
 
 def fail(message):
@@ -44,10 +47,14 @@ def main(argv):
              "the gate exercised nothing")
     if partial <= 0:
         fail(f"storm run kept no winners at the cut ({PARTIAL} == 0)")
+    fcfs = storm.get(FCFS_ORDERS, 0)
+    if fcfs <= 0:
+        fail(f"storm run never reached the FCFS tier ({FCFS_ORDERS} == 0)")
     print(f"anytime dispatch gate: storm truncated_rounds = {truncated}, "
-          f"partial_winners = {partial}")
+          f"partial_winners = {partial}, fcfs orders = {fcfs}")
 
-    cut = {k: v for k, v in none.items() if k.startswith(PREFIX) and v != 0}
+    cut = {k: v for k, v in none.items()
+           if (k.startswith(PREFIX) or k == FCFS_ORDERS) and v != 0}
     if cut:
         fail(f"fault-free run cut rounds without a budget: {cut}")
     print("anytime dispatch gate: fault-free run has no anytime activity")
