@@ -1,6 +1,7 @@
 #include "auction/greedy.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -69,15 +70,19 @@ std::vector<std::pair<OrderId, VehicleId>> WarmSurvivors(
     const AuctionInstance& in, const GreedySeedTable& seeds) {
   std::vector<std::pair<OrderId, VehicleId>> survivors;
   for (std::size_t j = 0; j < seeds.pairs.size(); ++j) {
-    std::vector<GreedySeed> best(seeds.pairs[j]);
-    std::sort(best.begin(), best.end(),
-              [](const GreedySeed& a, const GreedySeed& b) {
-                if (b.utility < a.utility) return true;
-                if (a.utility < b.utility) return false;
-                return a.veh < b.veh;
-              });
-    const std::size_t keep =
-        std::min(best.size(), WarmStartCache::kMaxHintsPerOrder);
+    // An order's seeds name distinct vehicles, so this is a total order and
+    // the kept prefix is the one a full sort would give.
+    std::array<GreedySeed, WarmStartCache::kMaxHintsPerOrder> best;
+    const std::vector<GreedySeed>& order_pairs = seeds.pairs[j];
+    const std::size_t keep = static_cast<std::size_t>(
+        std::partial_sort_copy(order_pairs.begin(), order_pairs.end(),
+                               best.begin(), best.end(),
+                               [](const GreedySeed& a, const GreedySeed& b) {
+                                 if (b.utility < a.utility) return true;
+                                 if (a.utility < b.utility) return false;
+                                 return a.veh < b.veh;
+                               }) -
+        best.begin());
     for (std::size_t s = 0; s < keep; ++s) {
       survivors.push_back(
           {(*in.orders)[j].id,

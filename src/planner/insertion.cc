@@ -43,9 +43,9 @@ struct PrunedScratch {
   std::vector<char> need_from_dropoff;
   bool need_pd = false;
   std::vector<std::pair<std::size_t, std::size_t>> survivors;
-  std::vector<DistanceOracle::NodePair> batch_pairs;
-  std::vector<double> batch_out_m;
-  std::vector<double*> batch_slots;
+  std::vector<NodeId> leg_nodes;
+  std::vector<double> leg_out_m;
+  std::vector<double*> leg_slots;
 };
 
 thread_local PrunedScratch tl_scratch;
@@ -238,41 +238,47 @@ InsertionResult RunPruned(const Vehicle& vehicle, const Order& order,
     return best;
   }
 
-  // Phase 2: batch-fetch exactly the legs the survivors touch, overwriting
-  // the lower-bound slots with exact distances. One deterministic pass in
-  // fixed family order keeps the query stream identical across runs.
-  s.batch_pairs.clear();
-  s.batch_slots.clear();
-  const auto queue_leg = [&s](NodeId from, NodeId to, double* slot) {
-    s.batch_pairs.push_back({from, to});
-    s.batch_slots.push_back(slot);
+  // Phase 2: fetch exactly the legs the survivors touch, overwriting the
+  // lower-bound slots with exact distances. Each family has the order's
+  // origin or destination at one end, so it is one one-to-many call
+  // anchored there; the calls run in fixed family order, which keeps the
+  // query stream identical across runs. fetch_legs() leaves the queue empty.
+  const auto fetch_legs = [&s, &oracle](NodeId anchor, bool to_anchor) {
+    s.leg_out_m.resize(s.leg_nodes.size());
+    if (to_anchor) {
+      oracle.DistancesTo(anchor, s.leg_nodes, s.leg_out_m);
+    } else {
+      oracle.DistancesFrom(anchor, s.leg_nodes, s.leg_out_m);
+    }
+    for (std::size_t q = 0; q < s.leg_slots.size(); ++q) {
+      *s.leg_slots[q] = s.leg_out_m[q];
+    }
+    s.leg_nodes.clear();
+    s.leg_slots.clear();
+  };
+  const auto queue_leg = [&s](NodeId other, double* slot) {
+    s.leg_nodes.push_back(other);
+    s.leg_slots.push_back(slot);
   };
   for (std::size_t i = 0; i <= n; ++i) {
     if (!s.need_to_pickup[i]) continue;
-    queue_leg(i == 0 ? vehicle.next_node : plan[i - 1].node, order.origin,
+    queue_leg(i == 0 ? vehicle.next_node : plan[i - 1].node,
               &s.to_pickup_m[i]);
   }
+  fetch_legs(order.origin, /*to_anchor=*/true);
   for (std::size_t k = 0; k < n; ++k) {
-    if (s.need_from_pickup[k]) {
-      queue_leg(order.origin, plan[k].node, &s.from_pickup_m[k]);
-    }
+    if (s.need_from_pickup[k]) queue_leg(plan[k].node, &s.from_pickup_m[k]);
   }
-  if (s.need_pd) queue_leg(order.origin, order.destination, &s.pd_m[0]);
+  if (s.need_pd) queue_leg(order.destination, &s.pd_m[0]);
+  fetch_legs(order.origin, /*to_anchor=*/false);
   for (std::size_t k = 0; k < n; ++k) {
-    if (s.need_to_dropoff[k]) {
-      queue_leg(plan[k].node, order.destination, &s.to_dropoff_m[k]);
-    }
+    if (s.need_to_dropoff[k]) queue_leg(plan[k].node, &s.to_dropoff_m[k]);
   }
+  fetch_legs(order.destination, /*to_anchor=*/true);
   for (std::size_t k = 0; k < n; ++k) {
-    if (s.need_from_dropoff[k]) {
-      queue_leg(order.destination, plan[k].node, &s.from_dropoff_m[k]);
-    }
+    if (s.need_from_dropoff[k]) queue_leg(plan[k].node, &s.from_dropoff_m[k]);
   }
-  s.batch_out_m.resize(s.batch_pairs.size());
-  oracle.DistanceBatch(s.batch_pairs, s.batch_out_m);
-  for (std::size_t q = 0; q < s.batch_slots.size(); ++q) {
-    *s.batch_slots[q] = s.batch_out_m[q];
-  }
+  fetch_legs(order.destination, /*to_anchor=*/false);
 
   // Phase 3: exact incremental pass over the survivors in (i, j) order —
   // the same candidate order, operation sequence, and strict-< tie-break

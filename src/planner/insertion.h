@@ -14,9 +14,11 @@
 //      resumed from cached exact prefix states, discarding candidates whose
 //      bounded walk already violates capacity or a deadline — without any
 //      shortest-path query for the new legs;
-//   2. an *exact incremental pass* batch-fetches only the surviving legs
-//      (DistanceOracle::DistanceBatch) and re-walks survivors from the same
-//      prefix snapshots with exact distances.
+//   2. an *exact incremental pass* fetches only the surviving legs and
+//      re-walks survivors from the same prefix snapshots with exact
+//      distances. Every new leg starts or ends at the order's origin or
+//      destination, so the legs are fetched one-to-many, four calls
+//      anchored there (DistanceOracle::DistancesTo / DistancesFrom).
 //
 // Because round-to-nearest IEEE addition/division are monotone, running the
 // identical operation sequence on lower-bounded leg values yields a clock

@@ -1,6 +1,8 @@
 // Hub labels (Abraham, Delling, Goldberg, Werneck, "Hierarchical Hub
 // Labelings for Shortest Paths", ESA 2012) built from a contraction
-// hierarchy: exact point-to-point distances as a merge of two sorted lists.
+// hierarchy: exact point-to-point distances as a merge of two sorted lists,
+// or, one-to-many, as a scan of one list against the other scattered into a
+// dense per-node table.
 //
 // Every node v carries a forward label, the nodes ("hubs") its upward
 // search over ContractionHierarchy::UpOut reaches with the search's
@@ -8,6 +10,15 @@
 // UpIn. d(s, t) is the minimum over hubs h common to both lists of
 // forward(s)[h] + backward(t)[h]: the highest node of a shortest s-t path
 // is in both.
+//
+// Distance() merges the two lists. When one endpoint is asked about many
+// others, Scatter() writes its label into a dense table indexed by hub
+// (+inf everywhere else) and ScanForward()/ScanBackward() answer each pair
+// by walking only the other endpoint's list: the +inf slots drop the hubs
+// the two labels do not share, so the scan takes the minimum over the same
+// sums, formed from the same operands in the same order, as the merge, and
+// returns the same bits. It has no data-dependent branch, where the merge
+// picks one of three ways at every step by comparing hub ids.
 //
 // Each label distance is the sum a bidirectional CH query forms, arc
 // weights added left to right from the node, so every answer is
@@ -25,7 +36,7 @@
 //
 // Storage is struct-of-arrays, 12 bytes per entry (int32 hub + double
 // distance), one exact-size block per level and direction. The labels are
-// immutable after construction: Distance() may be called from any thread.
+// immutable after construction: every query may be called from any thread.
 
 #ifndef AUCTIONRIDE_ROADNET_HUB_LABELS_H_
 #define AUCTIONRIDE_ROADNET_HUB_LABELS_H_
@@ -33,6 +44,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "roadnet/contraction_hierarchy.h"
@@ -66,6 +78,42 @@ class HubLabels {
         ++i;
         ++j;
       }
+    }
+    return best;
+  }
+
+  enum class Direction { kForward, kBackward };
+
+  /// Writes v's label of direction `dir` into `dense` (dense[hub] = dist)
+  /// and returns the hubs it wrote. `dense` has a slot per node of the
+  /// labels' network; the others are left as they are, and
+  /// ScanForward()/ScanBackward() need them to hold +inf.
+  std::span<const int32_t> Scatter(NodeId v, Direction dir,
+                                   double* dense) const {
+    const Label& l =
+        (dir == Direction::kForward ? forward_ : backward_).labels[v];
+    for (int32_t k = 0; k < l.size; ++k) dense[l.hubs[k]] = l.dists[k];
+    return {l.hubs, static_cast<std::size_t>(l.size)};
+  }
+
+  /// Distance(source, t) for the t whose backward label is scattered in
+  /// `dense_b`, source != t.
+  double ScanForward(NodeId source, const double* dense_b) const {
+    const Label& f = forward_.labels[source];
+    double best = kInfDistance;
+    for (int32_t k = 0; k < f.size; ++k) {
+      best = std::min(best, f.dists[k] + dense_b[f.hubs[k]]);
+    }
+    return best;
+  }
+
+  /// Distance(s, target) for the s whose forward label is scattered in
+  /// `dense_f`, s != target.
+  double ScanBackward(NodeId target, const double* dense_f) const {
+    const Label& b = backward_.labels[target];
+    double best = kInfDistance;
+    for (int32_t k = 0; k < b.size; ++k) {
+      best = std::min(best, dense_f[b.hubs[k]] + b.dists[k]);
     }
     return best;
   }

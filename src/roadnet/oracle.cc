@@ -1,7 +1,9 @@
 #include "roadnet/oracle.h"
 
+#include <array>
 #include <atomic>
 #include <bit>
+#include <vector>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -48,6 +50,7 @@ struct SpQueryBatch {
   int64_t cache_hits = 0;
   int64_t trivial = 0;
   int64_t label_queries = 0;
+  int64_t scattered = 0;
   ~SpQueryBatch() { Flush(); }
   void Flush() {
     if (queries > 0) OBS_COUNTER_ADD("roadnet.sp.queries", queries);
@@ -56,10 +59,12 @@ struct SpQueryBatch {
     if (label_queries > 0) {
       OBS_COUNTER_ADD("roadnet.ch.queries", label_queries);
     }
+    if (scattered > 0) OBS_COUNTER_ADD("roadnet.labels.scattered", scattered);
     queries = 0;
     cache_hits = 0;
     trivial = 0;
     label_queries = 0;
+    scattered = 0;
   }
 };
 
@@ -74,6 +79,7 @@ thread_local SpQueryBatch sp_query_batch;
 #define ARIDE_SP_COUNT_HIT() (++sp_query_batch.cache_hits)
 #define ARIDE_SP_COUNT_TRIVIAL() (++sp_query_batch.trivial)
 #define ARIDE_SP_COUNT_LABEL_QUERY() (++sp_query_batch.label_queries)
+#define ARIDE_SP_COUNT_SCATTER() (++sp_query_batch.scattered)
 #else
 #define ARIDE_SP_COUNT_QUERY() \
   do {                         \
@@ -81,6 +87,7 @@ thread_local SpQueryBatch sp_query_batch;
 #define ARIDE_SP_COUNT_HIT() (void)0
 #define ARIDE_SP_COUNT_TRIVIAL() (void)0
 #define ARIDE_SP_COUNT_LABEL_QUERY() (void)0
+#define ARIDE_SP_COUNT_SCATTER() (void)0
 #endif  // ARIDE_OBS_DISABLED
 
 namespace {
@@ -140,6 +147,83 @@ inline FrontEntry& FrontSlot(uint64_t oracle_id, uint64_t key) {
                      0x9e3779b97f4a7c15ULL;
   return slots[h >> kFrontSlotShift];
 }
+
+// One of the calling thread's scattered labels: `dense` holds the label of
+// `node` under oracle `oracle_id` at the hubs listed in `hubs`, and +inf in
+// every other slot. Id 0 (never issued) marks it empty.
+struct ScatteredWay {
+  uint64_t oracle_id = 0;
+  NodeId node = kInvalidNode;
+  uint64_t last_use = 0;
+  std::vector<double> dense;
+  std::vector<int32_t> hubs;
+};
+
+// The ways of one label direction, with a use clock for LRU eviction.
+struct ScatteredSet {
+  std::array<ScatteredWay, DistanceOracle::kScatteredWays> ways;
+  uint64_t clock = 0;
+};
+
+// Non-owning view of this thread's two sets (backward labels, which
+// DistancesTo() anchors on, then forward); null until the first use.
+constinit thread_local ScatteredSet* tl_scattered = nullptr;
+
+ScatteredSet* AllocateScatteredSets() {
+  // Owns the sets and frees them at thread exit, as AllocateFrontCache.
+  struct Owner {
+    std::array<ScatteredSet, 2> sets;
+    ~Owner() { tl_scattered = nullptr; }
+  };
+  thread_local Owner owner;
+  return owner.sets.data();
+}
+
+// `anchor`'s label of direction `dir` under oracle `oracle_id`, scattered
+// into a table of at least `num_nodes` slots: a way that holds it, else the
+// least recently used way, reset and refilled.
+const double* ScatteredLabel(const HubLabels& labels, uint64_t oracle_id,
+                             NodeId num_nodes, NodeId anchor,
+                             HubLabels::Direction dir) {
+  ScatteredSet* sets = tl_scattered;
+  if (sets == nullptr) [[unlikely]] {
+    sets = AllocateScatteredSets();
+    tl_scattered = sets;
+  }
+  ScatteredSet& set = sets[dir == HubLabels::Direction::kForward ? 1 : 0];
+  const uint64_t now = ++set.clock;
+  ScatteredWay* victim = &set.ways[0];
+  for (ScatteredWay& way : set.ways) {
+    if (way.oracle_id == oracle_id && way.node == anchor) {
+      way.last_use = now;
+      return way.dense.data();
+    }
+    if (way.last_use < victim->last_use) victim = &way;
+  }
+  for (const int32_t hub : victim->hubs) victim->dense[hub] = kInfDistance;
+  if (victim->dense.size() < static_cast<std::size_t>(num_nodes)) {
+    victim->dense.resize(static_cast<std::size_t>(num_nodes), kInfDistance);
+  }
+  const std::span<const int32_t> hubs =
+      labels.Scatter(anchor, dir, victim->dense.data());
+  victim->hubs.assign(hubs.begin(), hubs.end());
+  victim->oracle_id = oracle_id;
+  victim->node = anchor;
+  victim->last_use = now;
+  ARIDE_SP_COUNT_SCATTER();
+  return victim->dense.data();
+}
+
+// The one-to-many counterpart of ComputeUncached: d(other, anchor)
+// (kToAnchor) or d(anchor, other), `table` holding the anchor's label.
+template <bool kToAnchor>
+double ScanUncached(const HubLabels& labels, NodeId other,
+                    const double* table) {
+  OBS_SCOPED_TIMER_SAMPLED("roadnet.sp.compute_s", 1024);
+  ARIDE_SP_COUNT_LABEL_QUERY();
+  return kToAnchor ? labels.ScanForward(other, table)
+                   : labels.ScanBackward(other, table);
+}
 }  // namespace
 
 int64_t DistanceOracle::ThreadQueryCount() { return tl_thread_queries; }
@@ -153,8 +237,9 @@ double DistanceOracle::ComputeUncached(NodeId source, NodeId target) const {
   return labels_->Distance(source, target);
 }
 
-double DistanceOracle::FrontOrCompute(NodeId source, NodeId target,
-                                      int64_t* hits) const {
+template <typename Compute>
+double DistanceOracle::FrontOr(NodeId source, NodeId target, int64_t* hits,
+                               const Compute& compute) const {
   ARIDE_SP_COUNT_QUERY();
   const uint64_t key = PairKey(source, target);
   FrontEntry& front = FrontSlot(id_, key);
@@ -163,9 +248,17 @@ double DistanceOracle::FrontOrCompute(NodeId source, NodeId target,
     ARIDE_SP_COUNT_HIT();
     return front.value;
   }
-  const double d = ComputeUncached(source, target);
+  const double d = compute();
   front = {key, id_, d};
   return d;
+}
+
+void DistanceOracle::AddCallCounts(std::size_t n, int64_t trivial,
+                                   int64_t hits) const {
+  if (trivial > 0) num_trivial_queries_.Add(trivial);
+  const int64_t nontrivial = static_cast<int64_t>(n) - trivial;
+  if (nontrivial > 0) num_queries_.Add(nontrivial);
+  if (hits > 0) num_cache_hits_.Add(hits);
 }
 
 double DistanceOracle::Distance(NodeId source, NodeId target) const {
@@ -182,7 +275,8 @@ double DistanceOracle::Distance(NodeId source, NodeId target) const {
   }
   num_queries_.Add();
   int64_t hits = 0;
-  const double d = FrontOrCompute(source, target, &hits);
+  const double d = FrontOr(source, target, &hits,
+                           [&] { return ComputeUncached(source, target); });
   if (hits > 0) num_cache_hits_.Add();
   return d;
 }
@@ -206,12 +300,57 @@ void DistanceOracle::DistanceBatch(std::span<const NodePair> pairs,
       ARIDE_SP_COUNT_TRIVIAL();
       continue;
     }
-    out[i] = FrontOrCompute(source, target, &hits);
+    out[i] = FrontOr(source, target, &hits,
+                     [&] { return ComputeUncached(source, target); });
   }
-  if (trivial > 0) num_trivial_queries_.Add(trivial);
-  const int64_t nontrivial = static_cast<int64_t>(n) - trivial;
-  if (nontrivial > 0) num_queries_.Add(nontrivial);
-  if (hits > 0) num_cache_hits_.Add(hits);
+  AddCallCounts(n, trivial, hits);
+}
+
+template <bool kToAnchor>
+void DistanceOracle::DistancesOneToMany(NodeId anchor,
+                                        std::span<const NodeId> others,
+                                        std::span<double> out) const {
+  ARIDE_ACHECK(others.size() == out.size());
+  const std::size_t n = others.size();
+  if (n == 0) return;
+  ARIDE_DCHECK(anchor >= 0 && anchor < network_->num_nodes());
+  tl_thread_queries += static_cast<int64_t>(n);
+  int64_t trivial = 0;
+  int64_t hits = 0;
+  const double* table = nullptr;  // fetched on the call's first front miss
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId other = others[i];
+    ARIDE_DCHECK(other >= 0 && other < network_->num_nodes());
+    if (other == anchor) {
+      out[i] = 0;
+      ++trivial;
+      ARIDE_SP_COUNT_TRIVIAL();
+      continue;
+    }
+    const auto scan = [&] {
+      if (table == nullptr) {
+        table = ScatteredLabel(*labels_, id_, network_->num_nodes(), anchor,
+                               kToAnchor ? HubLabels::Direction::kBackward
+                                         : HubLabels::Direction::kForward);
+      }
+      return ScanUncached<kToAnchor>(*labels_, other, table);
+    };
+    out[i] = kToAnchor ? FrontOr(other, anchor, &hits, scan)
+                       : FrontOr(anchor, other, &hits, scan);
+  }
+  AddCallCounts(n, trivial, hits);
+}
+
+void DistanceOracle::DistancesTo(NodeId target,
+                                 std::span<const NodeId> sources,
+                                 std::span<double> out) const {
+  DistancesOneToMany</*kToAnchor=*/true>(target, sources, out);
+}
+
+void DistanceOracle::DistancesFrom(NodeId source,
+                                   std::span<const NodeId> targets,
+                                   std::span<double> out) const {
+  DistancesOneToMany</*kToAnchor=*/false>(source, targets, out);
 }
 
 }  // namespace auctionride

@@ -3,20 +3,26 @@
 //
 // The paper (§III-A) treats the inter-location distances purely as inputs
 // with per-query cost O(q); this oracle makes q small with hub labels built
-// from a contraction hierarchy (hub_labels.h): a cold query is one merge of
-// two sorted lists of ~60 entries. Tests compare it against DijkstraSearch
-// (roadnet/dijkstra.h), which stays outside the query path.
+// from a contraction hierarchy (hub_labels.h). A cold Distance() is one
+// merge of two sorted lists of ~60 entries. A cold pair of the one-to-many
+// calls DistancesTo()/DistancesFrom() is one scan of the other endpoint's
+// list against the anchor's label, scattered once into a dense per-node
+// table; the answers are the same bits. Tests compare the oracle against
+// DijkstraSearch (roadnet/dijkstra.h), which stays outside the query path.
 //
 // One cache level: every non-trivial lookup first probes a small
 // direct-mapped front cache owned by the calling thread (no locks, no
 // shared writes; entries are tagged with the oracle's never-reused id, so
 // one thread can serve several oracles, and an oracle recreated at the same
 // address never sees its predecessor's entries). A front miss computes the
-// distance and fills the slot. Nothing is shared between threads but the
-// immutable labels.
+// distance and fills the slot. The scattered anchor tables are the calling
+// thread's too: two per direction, least recently used evicted, tagged with
+// (oracle id, node) like the front slots. Nothing is shared between threads
+// but the immutable labels.
 //
-// Thread-safety: Distance()/TravelTime() may be called concurrently; the
-// labels are immutable and the statistics are striped counters.
+// Thread-safety: every query may be called concurrently; the labels are
+// immutable, the caches are per thread and the statistics are striped
+// counters.
 
 #ifndef AUCTIONRIDE_ROADNET_ORACLE_H_
 #define AUCTIONRIDE_ROADNET_ORACLE_H_
@@ -70,8 +76,20 @@ class DistanceOracle {
   /// equivalent sequence of Distance() calls (same values, same query /
   /// cache-hit / trivial counts, same ThreadQueryCount() charge); the
   /// statistics are bumped once per batch instead of once per pair.
-  /// `out.size()` must equal `pairs.size()`.
+  /// `out.size()` must equal `pairs.size()`. A miss is a merge. Outside the
+  /// tests, its only caller is the benchmark harness's probe under
+  /// perfbench/, which is changed together with the benchmark.
   void DistanceBatch(std::span<const NodePair> pairs,
+                     std::span<double> out) const;
+
+  /// One-to-many Distance(): out[i] = Distance(sources[i], target), and
+  /// DistancesFrom() fills out[i] = Distance(source, targets[i]). Same
+  /// values and statistics as the Distance() sequence, as DistanceBatch()
+  /// promises; a front miss is a scan against the anchor's scattered label
+  /// instead of a merge. `out.size()` must equal the node list's size.
+  void DistancesTo(NodeId target, std::span<const NodeId> sources,
+                   std::span<double> out) const;
+  void DistancesFrom(NodeId source, std::span<const NodeId> targets,
                      std::span<double> out) const;
 
   /// Certified admissible lower bound on Distance(source, target): the
@@ -112,6 +130,11 @@ class DistanceOracle {
   /// the thread's first non-trivial query).
   static constexpr std::size_t kFrontCacheSlots = 2048;
 
+  /// Scattered anchor labels each thread keeps per direction. Each is a
+  /// dense table of 8 bytes per node of the largest network the thread has
+  /// anchored on, allocated on the thread's first one-to-many front miss.
+  static constexpr int kScatteredWays = 2;
+
   /// Monotone count of Distance() calls made by the *calling thread* across
   /// all oracles (trivial and cached queries included). Dispatchers charge
   /// synthetic latency-fault budgets from deltas of this counter: because
@@ -122,9 +145,18 @@ class DistanceOracle {
 
  private:
   double ComputeUncached(NodeId source, NodeId target) const;
-  // The non-trivial half of Distance(): front probe, else compute and fill
+  // The non-trivial half of a lookup: front probe, else compute() and fill
   // the slot. Bumps *hits on a front hit.
-  double FrontOrCompute(NodeId source, NodeId target, int64_t* hits) const;
+  template <typename Compute>
+  double FrontOr(NodeId source, NodeId target, int64_t* hits,
+                 const Compute& compute) const;
+  // The statistics of a multi-pair call: `n` pairs, `trivial` of them
+  // trivial, `hits` front hits.
+  void AddCallCounts(std::size_t n, int64_t trivial, int64_t hits) const;
+  // DistancesTo() (kToAnchor) or DistancesFrom() over one anchor.
+  template <bool kToAnchor>
+  void DistancesOneToMany(NodeId anchor, std::span<const NodeId> others,
+                          std::span<double> out) const;
 
   // Tags this oracle's front-cache entries; drawn from a process-wide
   // counter, never reused.

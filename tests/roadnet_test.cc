@@ -9,11 +9,14 @@
 #include <memory>
 #include <queue>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/rng.h"
+#include "common/thread_annotations.h"
 #include "exec/thread_pool.h"
 #include "roadnet/astar.h"
 #include "roadnet/builder.h"
@@ -797,6 +800,333 @@ TEST(OracleBatchTest, BatchMatchesSequentialValuesAndCounters) {
 TEST(OracleBatchTest, BatchMatchesSequentialBeyondFrontCache) {
   constexpr int kPairs = 3 * DistanceOracle::kFrontCacheSlots;
   ExpectBatchMatchesSequential(/*grid_side=*/14, kPairs);
+}
+
+// A scan against a scattered label is the merge, bit for bit, for every
+// pair of a small network, in both directions, with one table per anchor
+// reused after it is reset.
+TEST(HubLabelsTest, ScanMatchesMerge) {
+  RoadNetwork net = BuildGridNetwork({.columns = 7, .rows = 7, .seed = 31});
+  const HubLabels labels{ContractionHierarchy(&net)};
+  const NodeId n = net.num_nodes();
+  std::vector<double> dense(static_cast<std::size_t>(n), kInfDistance);
+  for (NodeId anchor = 0; anchor < n; ++anchor) {
+    for (const auto dir : {HubLabels::Direction::kForward,
+                           HubLabels::Direction::kBackward}) {
+      const std::span<const int32_t> hubs =
+          labels.Scatter(anchor, dir, dense.data());
+      for (NodeId other = 0; other < n; ++other) {
+        if (other == anchor) continue;
+        if (dir == HubLabels::Direction::kForward) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(
+                        labels.ScanBackward(other, dense.data())),
+                    std::bit_cast<uint64_t>(labels.Distance(anchor, other)))
+              << anchor << " -> " << other;
+        } else {
+          EXPECT_EQ(std::bit_cast<uint64_t>(
+                        labels.ScanForward(other, dense.data())),
+                    std::bit_cast<uint64_t>(labels.Distance(other, anchor)))
+              << other << " -> " << anchor;
+        }
+      }
+      for (const int32_t hub : hubs) dense[hub] = kInfDistance;
+    }
+  }
+}
+
+// DistancesTo/DistancesFrom must be indistinguishable from the equivalent
+// Distance() sequence in the same way. Each world runs on a thread of its
+// own that the test comes back to, so the front caches and the scattered
+// labels a pass leaves are the next pass's.
+
+// Runs closures on one thread, one at a time, each before Run() returns.
+class ThreadRunner {
+ public:
+  ThreadRunner() : thread_([this] { Loop(); }) {}
+  ~ThreadRunner() {
+    {
+      MutexLock lock(mu_);
+      stop_ = true;
+    }
+    cv_.NotifyAll();
+    thread_.join();
+  }
+  ThreadRunner(const ThreadRunner&) = delete;
+  ThreadRunner& operator=(const ThreadRunner&) = delete;
+
+  void Run(std::function<void()> fn) {
+    MutexLock lock(mu_);
+    task_ = std::move(fn);
+    cv_.NotifyAll();
+    while (task_) cv_.Wait(mu_);
+  }
+
+ private:
+  void Loop() {
+    MutexLock lock(mu_);
+    while (true) {
+      if (task_) {
+        task_();
+        task_ = nullptr;
+        cv_.NotifyAll();
+      } else if (stop_) {
+        return;
+      } else {
+        cv_.Wait(mu_);
+      }
+    }
+  }
+
+  Mutex mu_;
+  CondVar cv_;
+  std::function<void()> task_ ARIDE_GUARDED_BY(mu_);
+  bool stop_ ARIDE_GUARDED_BY(mu_) = false;
+  std::thread thread_;  // last: starts once the members above exist
+};
+
+// One one-to-many call: the distances from every node of `others` to
+// `anchor` (to_anchor) or from `anchor` to each of them.
+struct OneToManyCall {
+  const DistanceOracle* oracle = nullptr;
+  NodeId anchor = kInvalidNode;
+  bool to_anchor = true;
+  std::vector<NodeId> others;
+};
+
+// What one world's pass over a script of calls returned and charged: the
+// distances per call, the counts each oracle added (in first-use order) and
+// the calling thread's ThreadQueryCount() delta.
+struct ScriptPass {
+  std::vector<std::vector<double>> out;
+  std::vector<OracleCounts> added;
+  int64_t thread_queries = 0;
+};
+
+ScriptPass RunScript(ThreadRunner& runner,
+                     const std::vector<OneToManyCall>& calls,
+                     bool one_to_many) {
+  std::vector<const DistanceOracle*> oracles;
+  for (const OneToManyCall& c : calls) {
+    if (std::find(oracles.begin(), oracles.end(), c.oracle) ==
+        oracles.end()) {
+      oracles.push_back(c.oracle);
+    }
+  }
+  ScriptPass pass;
+  runner.Run([&] {
+    std::vector<OracleCounts> start;
+    for (const DistanceOracle* o : oracles) start.push_back(CountsOf(*o));
+    const int64_t before = DistanceOracle::ThreadQueryCount();
+    for (const OneToManyCall& c : calls) {
+      std::vector<double> out(c.others.size(), -1);
+      if (one_to_many) {
+        if (c.to_anchor) {
+          c.oracle->DistancesTo(c.anchor, c.others, out);
+        } else {
+          c.oracle->DistancesFrom(c.anchor, c.others, out);
+        }
+      } else {
+        for (std::size_t i = 0; i < c.others.size(); ++i) {
+          out[i] = c.to_anchor ? c.oracle->Distance(c.others[i], c.anchor)
+                               : c.oracle->Distance(c.anchor, c.others[i]);
+        }
+      }
+      pass.out.push_back(std::move(out));
+    }
+    pass.thread_queries = DistanceOracle::ThreadQueryCount() - before;
+    for (std::size_t k = 0; k < oracles.size(); ++k) {
+      const OracleCounts end = CountsOf(*oracles[k]);
+      pass.added.push_back({end.queries - start[k].queries,
+                            end.hits - start[k].hits,
+                            end.trivial - start[k].trivial});
+    }
+  });
+  return pass;
+}
+
+// Runs `calls` through DistancesTo/From on `one_to_many` and through
+// Distance() on `sequential`, and expects the same bits and counts.
+void ExpectOneToManyMatchesSequential(ThreadRunner& one_to_many,
+                                      ThreadRunner& sequential,
+                                      const std::vector<OneToManyCall>& calls,
+                                      const std::string& label) {
+  const ScriptPass got = RunScript(one_to_many, calls, true);
+  const ScriptPass want = RunScript(sequential, calls, false);
+  std::size_t pairs = 0;
+  for (std::size_t c = 0; c < calls.size(); ++c) {
+    pairs += calls[c].others.size();
+    for (std::size_t i = 0; i < calls[c].others.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.out[c][i]),
+                std::bit_cast<uint64_t>(want.out[c][i]))
+          << label << " call " << c << " pair " << i << ": " << got.out[c][i]
+          << " vs " << want.out[c][i];
+    }
+  }
+  EXPECT_EQ(got.thread_queries, static_cast<int64_t>(pairs)) << label;
+  EXPECT_EQ(got.thread_queries, want.thread_queries) << label;
+  EXPECT_EQ(got.added, want.added) << label;
+}
+
+RoadNetwork SmallGrid(int side, uint64_t seed) {
+  GridNetworkOptions options;
+  options.columns = side;
+  options.rows = side;
+  options.seed = seed;
+  return BuildGridNetwork(options);
+}
+
+// `num_calls` calls on `oracle`, alternating direction, whose anchors cycle
+// through `anchors`; each asks about `per_call` random nodes, the anchor
+// itself among them and the first one twice more.
+std::vector<OneToManyCall> RandomCalls(const DistanceOracle& oracle,
+                                       const std::vector<NodeId>& anchors,
+                                       int num_calls, int per_call,
+                                       uint64_t seed) {
+  Rng rng(seed);
+  const auto num_nodes = static_cast<uint64_t>(oracle.network().num_nodes());
+  std::vector<OneToManyCall> calls;
+  for (int c = 0; c < num_calls; ++c) {
+    OneToManyCall call{&oracle,
+                       anchors[static_cast<std::size_t>(c / 2) %
+                               anchors.size()],
+                       c % 2 == 0,
+                       {}};
+    for (int i = 0; i < per_call; ++i) {
+      call.others.push_back(static_cast<NodeId>(rng.UniformInt(num_nodes)));
+    }
+    call.others.push_back(call.anchor);      // trivial
+    call.others.push_back(call.others[0]);   // in-call duplicate
+    call.others.push_back(call.others[0]);   // and again
+    calls.push_back(std::move(call));
+  }
+  return calls;
+}
+
+// More anchors per direction than a thread keeps tables for, in turn:
+// each call evicts a scattered label an earlier call used. The second pass
+// hits the front cache where the first computed.
+TEST(OracleOneToManyTest, MatchesSequentialAcrossEvictions) {
+  RoadNetwork net = SmallGrid(8, 4242);
+  const DistanceOracle oracle(&net);
+  ThreadRunner one_to_many;
+  ThreadRunner sequential;
+  std::vector<NodeId> anchors;
+  for (int a = 0; a < DistanceOracle::kScatteredWays + 2; ++a) {
+    anchors.push_back(static_cast<NodeId>((3 + 19 * a) % net.num_nodes()));
+  }
+  const std::vector<OneToManyCall> calls =
+      RandomCalls(oracle, anchors, 16, 12, 7);
+  ExpectOneToManyMatchesSequential(one_to_many, sequential, calls, "pass 0");
+  ExpectOneToManyMatchesSequential(one_to_many, sequential, calls, "pass 1");
+  // A fresh script on warm threads: new pairs, the anchors' labels scattered
+  // again after their eviction.
+  ExpectOneToManyMatchesSequential(
+      one_to_many, sequential, RandomCalls(oracle, {17, 3, 60}, 12, 12, 8),
+      "fresh calls");
+}
+
+// More pairs in one call than a thread's front cache has slots: entries
+// evict each other within the call.
+TEST(OracleOneToManyTest, MatchesSequentialBeyondFrontCache) {
+  RoadNetwork net = SmallGrid(14, 4242);
+  const DistanceOracle oracle(&net);
+  ThreadRunner one_to_many;
+  ThreadRunner sequential;
+  constexpr int kPairs = 3 * DistanceOracle::kFrontCacheSlots;
+  const std::vector<OneToManyCall> calls =
+      RandomCalls(oracle, {5, 150}, 4, kPairs, 9);
+  ExpectOneToManyMatchesSequential(one_to_many, sequential, calls, "pass 0");
+  ExpectOneToManyMatchesSequential(one_to_many, sequential, calls, "pass 1");
+}
+
+// Two oracles of different sizes take turns on one thread with the same
+// anchor node ids: a scattered label is the anchor's under its oracle only.
+TEST(OracleOneToManyTest, OraclesOfDifferentSizesAlternate) {
+  RoadNetwork small_net = SmallGrid(6, 11);
+  RoadNetwork large_net = SmallGrid(9, 12);
+  const DistanceOracle small(&small_net);
+  const DistanceOracle large(&large_net);
+  ThreadRunner one_to_many;
+  ThreadRunner sequential;
+  const std::vector<OneToManyCall> a =
+      RandomCalls(small, {2, 9, 30}, 12, 10, 21);
+  const std::vector<OneToManyCall> b =
+      RandomCalls(large, {2, 9, 30}, 12, 10, 22);
+  std::vector<OneToManyCall> calls;
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    calls.push_back(a[c]);
+    calls.push_back(b[c]);
+  }
+  ExpectOneToManyMatchesSequential(one_to_many, sequential, calls, "pass 0");
+  ExpectOneToManyMatchesSequential(one_to_many, sequential, calls, "pass 1");
+}
+
+// An oracle destroyed and rebuilt on the same network, likely at the same
+// address: the threads' tables still hold the first one's labels.
+TEST(OracleOneToManyTest, RebuiltOracleOnSameNetwork) {
+  RoadNetwork net = SmallGrid(8, 5);
+  ThreadRunner one_to_many;
+  ThreadRunner sequential;
+  for (int round = 0; round < 2; ++round) {
+    auto oracle = std::make_unique<DistanceOracle>(&net);
+    const std::vector<OneToManyCall> calls =
+        RandomCalls(*oracle, {1, 33, 50}, 10, 10, 31);
+    ExpectOneToManyMatchesSequential(one_to_many, sequential, calls,
+                                     "oracle " + std::to_string(round));
+  }
+}
+
+// Eight threads, each with anchors of its own, on one oracle: every answer
+// is the serial Distance()'s bits.
+TEST(OracleOneToManyTest, ConcurrentCallsMatchSerial) {
+  RoadNetwork net = SmallGrid(10, 77);
+  const DistanceOracle oracle(&net);
+  constexpr int kThreads = 8;
+  std::vector<std::vector<OneToManyCall>> scripts;
+  std::vector<std::vector<std::vector<double>>> expected(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    scripts.push_back(RandomCalls(
+        oracle, {static_cast<NodeId>(3 * t), static_cast<NodeId>(3 * t + 1),
+                 static_cast<NodeId>(3 * t + 2)},
+        12, 16, 100 + static_cast<uint64_t>(t)));
+    for (const OneToManyCall& c : scripts.back()) {
+      std::vector<double> want;
+      for (const NodeId other : c.others) {
+        want.push_back(c.to_anchor ? oracle.Distance(other, c.anchor)
+                                   : oracle.Distance(c.anchor, other));
+      }
+      expected[static_cast<std::size_t>(t)].push_back(std::move(want));
+    }
+  }
+  std::vector<std::vector<std::vector<double>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const OneToManyCall& c : scripts[static_cast<std::size_t>(t)]) {
+          std::vector<double> out(c.others.size(), -1);
+          if (c.to_anchor) {
+            oracle.DistancesTo(c.anchor, c.others, out);
+          } else {
+            oracle.DistancesFrom(c.anchor, c.others, out);
+          }
+          got[static_cast<std::size_t>(t)].push_back(std::move(out));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const std::size_t n = expected[t].size();
+    ASSERT_EQ(got[t].size(), 2 * n);
+    for (std::size_t c = 0; c < got[t].size(); ++c) {
+      for (std::size_t i = 0; i < got[t][c].size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[t][c][i]),
+                  std::bit_cast<uint64_t>(expected[t][c % n][i]))
+            << "thread " << t << " call " << c << " pair " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
