@@ -80,11 +80,11 @@ DispatchResult FcfsDispatch(const AuctionInstance& instance, bool serve_all) {
             BestInsertion(vehicles[v], order, instance.now_s, *instance.oracle);
         ++rescored;
       }
-      InsertionResult& ins = scored[k];
+      const InsertionResult& ins = scored[k];
       if (!ins.feasible || ins.delta_delivery_m >= best_delta) continue;
       best_delta = ins.delta_delivery_m;
       best_vehicle = pair_vehicle[k];
-      best_insertion = std::move(ins);
+      best_insertion = ins;
     }
     if (best_vehicle < 0) continue;
     const Money cost = alpha_per_m * best_delta;
@@ -92,7 +92,7 @@ DispatchResult FcfsDispatch(const AuctionInstance& instance, bool serve_all) {
       continue;
     }
     Vehicle& vehicle = vehicles[static_cast<std::size_t>(best_vehicle)];
-    vehicle.plan.stops = best_insertion.new_plan;
+    InsertStops(best_insertion, order, instance.now_s, &vehicle.plan.stops);
     vehicle_touched[static_cast<std::size_t>(best_vehicle)] = 1;
     result.assignments.push_back(
         {order.id, vehicle.id, cost, order.bid - cost});

@@ -87,7 +87,7 @@ Money PriceOrder(const AuctionInstance& instance,
       ARIDE_ACHECK(ins.feasible) << "order " << step.order;
       ARIDE_CHECK_NEAR(alpha_per_m * ins.delta_delivery_m, step.cost, 1e-6)
           << "order " << step.order;
-      candidates[s].plan.stops = ins.new_plan;
+      InsertStops(ins, order, instance.now_s, &candidates[s].plan.stops);
       h_cost[s] = insertion_cost(candidates[s]);
     }
   }

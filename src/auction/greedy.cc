@@ -274,7 +274,7 @@ DispatchResult GreedyDispatchLoop(const AuctionInstance& in,
         << "order " << order.id;
     ARIDE_CHECK_GE(cost, Money(-1e-9)) << "order " << order.id;
 
-    vehicle.plan.stops = ins.new_plan;
+    InsertStops(ins, order, in.now_s, &vehicle.plan.stops);
     ++veh_version[veh];
     dispatched[static_cast<std::size_t>(top.order_idx)] = 1;
     result.assignments.push_back(

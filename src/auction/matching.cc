@@ -144,7 +144,7 @@ DispatchResult MatchingDispatch(const AuctionInstance& instance) {
     const InsertionResult ins =
         BestInsertion(vehicle, orders[j], instance.now_s, *instance.oracle);
     ARIDE_ACHECK(ins.feasible);
-    vehicle.plan.stops = ins.new_plan;
+    InsertStops(ins, orders[j], instance.now_s, &vehicle.plan.stops);
     const Money cost = alpha_per_m * ins.delta_delivery_m;
     result.assignments.push_back(
         {orders[j].id, vehicle.id, cost, orders[j].bid - cost});

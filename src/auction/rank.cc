@@ -26,10 +26,26 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Plans the pack of order indices `members` on vehicle index `vehicle_idx`.
+// Working storage of one thread's pack searches, reused across tasks and
+// rounds so a warm search allocates nothing. A caller takes it, uses it and
+// lets go without waiting on the pool in between, so no two searches on one
+// thread ever hold it at once.
+struct PackSearchScratch {
+  PackPrefixCache prefixes;  // Clear()ed by each user on entry
+  std::vector<int32_t> ids;  // k-NN results
+};
+
+PackSearchScratch& ThreadScratch() {
+  thread_local PackSearchScratch scratch;
+  return scratch;
+}
+
+// Plans the pack of order indices `members` on vehicle index `vehicle_idx`;
+// writes the resulting plan to `*plan` when it is not null.
 PackPlanResult PlanMembers(const AuctionInstance& in, int32_t vehicle_idx,
                            std::span<const int32_t> members,
-                           PackPrefixCache* prefixes) {
+                           PackPrefixCache* prefixes,
+                           std::vector<PlanStop>* plan = nullptr) {
   ARIDE_ACHECK(members.size() <= static_cast<std::size_t>(kMaxPackSize));
   std::array<const Order*, kMaxPackSize> order_ptrs{};
   for (std::size_t i = 0; i < members.size(); ++i) {
@@ -37,7 +53,7 @@ PackPlanResult PlanMembers(const AuctionInstance& in, int32_t vehicle_idx,
   }
   return PlanPack((*in.vehicles)[static_cast<std::size_t>(vehicle_idx)],
                   std::span(order_ptrs.data(), members.size()), in.now_s,
-                  *in.oracle, prefixes);
+                  *in.oracle, prefixes, plan);
 }
 
 PackMemo::Eval EvaluatePack(const AuctionInstance& in, int32_t vehicle_idx,
@@ -88,8 +104,9 @@ std::vector<int32_t> NearestVehicles(const AuctionInstance& in,
   const auto resolve_knn = [&](std::size_t j) {
     Meters best_dist{kInf};
     const Point origin = in.oracle->network().position(orders[j].origin);
-    const std::vector<int32_t> knn =
-        index.KNearest(origin, kNearestVehicleCandidates);
+    std::vector<int32_t>& knn = ThreadScratch().ids;
+    index.KNearest(origin, kNearestVehicleCandidates, /*exclude_id=*/-1,
+                   &knn);
     for (int32_t v : knn) {
       const Vehicle& veh = vehicles[static_cast<std::size_t>(v)];
       const Meters d =
@@ -186,12 +203,13 @@ std::vector<std::vector<int32_t>> ClusterOrders(const AuctionInstance& in,
 // Generates candidate packs for requester `j` against its group's origin
 // index, writing only into artifacts' slots for j — safe to run concurrently
 // for distinct orders. The set memo is shared across all orders and groups
-// (sharded, thread-safe); the insertion-prefix cache is this task's own.
-// Caching is value-deterministic because PlanPack is a pure function of the
-// key for a fixed instance. Returns the memoized oracle-query count of every
-// logical pack evaluation this order made — by summing Eval::queries rather
-// than a live counter delta, the total is independent of which thread
-// happened to compute (or duplicate-compute) each memo entry.
+// (sharded, thread-safe); the insertion-prefix cache is this thread's,
+// cleared on entry. Caching is value-deterministic because PlanPack is a
+// pure function of the key for a fixed instance. Returns the memoized
+// oracle-query count of every logical pack evaluation this order made — by
+// summing Eval::queries rather than a live counter delta, the total is
+// independent of which thread happened to compute (or duplicate-compute)
+// each memo entry.
 int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
                               const GridIndex& origin_index, int max_pack,
                               PackMemo* memo, RankArtifacts* artifacts) {
@@ -199,42 +217,28 @@ int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
   const MoneyPerMeter alpha_per_m{in.config.alpha_d_per_km / 1000.0};
   std::vector<PackCandidate>& cands =
       artifacts->candidates[static_cast<std::size_t>(j)];
-
-  const std::vector<int32_t> partners = origin_index.KNearest(
+  PackSearchScratch& scratch = ThreadScratch();
+  PackPrefixCache& prefixes = scratch.prefixes;
+  prefixes.Clear();
+  const std::vector<int32_t>& partners = scratch.ids;
+  origin_index.KNearest(
       in.oracle->network().position(
           orders[static_cast<std::size_t>(j)].origin),
-      in.config.pack_candidate_limit, /*exclude_id=*/j);
+      in.config.pack_candidate_limit, /*exclude_id=*/j, &scratch.ids);
 
-  // Enumerate subsets {j} ∪ S, S ⊆ partners, |S| <= max_pack − 1, where
-  // max_pack <= kMaxPackSize = 3: singles, pairs and triples.
-  std::vector<std::vector<int32_t>> member_sets;
-  member_sets.push_back({j});
-  if (max_pack >= 2) {
-    for (std::size_t a = 0; a < partners.size(); ++a) {
-      std::vector<int32_t> two = {j, partners[a]};
-      std::sort(two.begin(), two.end());
-      member_sets.push_back(std::move(two));
-      if (max_pack >= 3) {
-        for (std::size_t b = a + 1; b < partners.size(); ++b) {
-          std::vector<int32_t> three = {j, partners[a], partners[b]};
-          std::sort(three.begin(), three.end());
-          member_sets.push_back(std::move(three));
-        }
-      }
-    }
-  }
-
-  PackPrefixCache prefixes;
   int64_t queries = 0;
-  for (std::vector<int32_t>& members : member_sets) {
+  // Evaluates one member set (sorted, distinct) on its members' nearest
+  // vehicles and keeps the best feasible one as a candidate pack.
+  const auto consider = [&](std::span<const int32_t> members) {
     // Candidate vehicles: the members' nearest vehicles (deduplicated).
-    std::vector<int32_t> veh_candidates;
+    std::array<int32_t, kMaxPackSize> veh_candidates;
+    std::size_t num_vehicles = 0;
     for (int32_t m : members) {
       const int32_t v =
           artifacts->nearest_vehicle[static_cast<std::size_t>(m)];
-      if (v >= 0 && std::find(veh_candidates.begin(), veh_candidates.end(),
-                              v) == veh_candidates.end()) {
-        veh_candidates.push_back(v);
+      const auto seen = veh_candidates.begin() + num_vehicles;
+      if (v >= 0 && std::find(veh_candidates.begin(), seen, v) == seen) {
+        veh_candidates[num_vehicles++] = v;
       }
     }
     Money bid_sum;
@@ -242,23 +246,45 @@ int64_t GeneratePacksForOrder(const AuctionInstance& in, int32_t j,
       bid_sum += orders[static_cast<std::size_t>(m)].bid;
     }
 
-    PackCandidate best_for_set;
-    best_for_set.utility = Money(-kInf);
-    for (int32_t v : veh_candidates) {
+    int32_t best_vehicle = -1;
+    Meters best_delta;
+    Money best_utility{-kInf};
+    for (std::size_t c = 0; c < num_vehicles; ++c) {
+      const int32_t v = veh_candidates[c];
       const PackMemo::Eval eval =
           EvaluatePack(in, v, members, memo, &prefixes);
       queries += eval.queries;
       if (!eval.feasible) continue;
       const Money utility = bid_sum - alpha_per_m * eval.delta_delivery_m;
-      if (utility > best_for_set.utility) {
-        best_for_set.members = members;
-        best_for_set.vehicle = v;
-        best_for_set.delta_delivery_m = eval.delta_delivery_m;
-        best_for_set.bid_sum = bid_sum;
-        best_for_set.utility = utility;
+      if (utility > best_utility) {
+        best_vehicle = v;
+        best_delta = eval.delta_delivery_m;
+        best_utility = utility;
       }
     }
-    if (best_for_set.vehicle >= 0) cands.push_back(std::move(best_for_set));
+    if (best_vehicle >= 0) {
+      cands.push_back({.members = std::vector<int32_t>(members.begin(),
+                                                       members.end()),
+                       .vehicle = best_vehicle,
+                       .delta_delivery_m = best_delta,
+                       .bid_sum = bid_sum,
+                       .utility = best_utility});
+    }
+  };
+
+  // Visit {j} ∪ S, S ⊆ partners, |S| <= max_pack − 1, where
+  // max_pack <= kMaxPackSize = 3: the single, then per partner a its pair
+  // and the triples with every later partner b.
+  consider(std::array{j});
+  for (std::size_t a = 0; max_pack >= 2 && a < partners.size(); ++a) {
+    std::array two = {j, partners[a]};
+    std::sort(two.begin(), two.end());
+    consider(two);
+    for (std::size_t b = a + 1; max_pack >= 3 && b < partners.size(); ++b) {
+      std::array three = {j, partners[a], partners[b]};
+      std::sort(three.begin(), three.end());
+      consider(three);
+    }
   }
 
   // Best pack of r_j (Algorithm 3 line 6).
@@ -381,6 +407,9 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
   OBS_COUNTER_ADD("auction.rank.packs_generated", packs_generated);
   OBS_COUNTER_ADD("auction.rank.packmemo.hits", memo.hits());
   OBS_COUNTER_ADD("auction.rank.packmemo.misses", memo.misses());
+  // Phase II adds nothing to the memo: this is what it holds when it dies.
+  OBS_COUNTER_ADD("auction.rank.packmemo.entries",
+                  static_cast<int64_t>(memo.size()));
 
   // Phase II: pack dispatch by utility ranking.
   OBS_TRACE_SPAN("auction.rank.dispatch");
@@ -416,10 +445,12 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
     // over the generated candidates and every winner is kept.
 
     // Dispatch the pack: recompute its (deterministic) optimal plan with a
-    // fresh prefix cache.
-    PackPrefixCache prefixes;
-    const PackPlanResult plan =
-        PlanMembers(in, rp.pack->vehicle, rp.pack->members, &prefixes);
+    // cleared prefix cache.
+    PackPrefixCache& prefixes = ThreadScratch().prefixes;
+    prefixes.Clear();
+    std::vector<PlanStop> new_plan;
+    const PackPlanResult plan = PlanMembers(
+        in, rp.pack->vehicle, rp.pack->members, &prefixes, &new_plan);
     if (dl != nullptr) dl->ChargeQueries(plan.queries);
     ARIDE_ACHECK(plan.feasible);
     // Pack planning is deterministic: the dispatched recomputation must
@@ -447,7 +478,7 @@ RankRunResult RankDispatch(const AuctionInstance& in) {
            cost_share, order.bid - cost_share});
     }
     result.updated_plans.push_back(
-        {static_cast<std::size_t>(rp.pack->vehicle), plan.new_plan});
+        {static_cast<std::size_t>(rp.pack->vehicle), std::move(new_plan)});
     result.total_utility += rp.pack->bid_sum - pack_cost;
     result.total_delta_delivery_m += plan.delta_delivery_m;
   }

@@ -50,13 +50,23 @@ struct PrunedScratch {
 
 thread_local PrunedScratch tl_scratch;
 
+// The two stops an insertion adds: the search walks these and InsertStops
+// writes them, so an applied insertion is the plan that was evaluated.
+PlanStop PickupStop(const Order& order) {
+  return {order.origin, order.id, StopType::kPickup, Seconds{}};
+}
+PlanStop DropoffStop(const Order& order, Seconds now_s) {
+  return {order.destination, order.id, StopType::kDropoff,
+          order.DropoffDeadline(now_s)};
+}
+
 // The pruned/incremental search. Lossless by construction — see the header
 // comment for the monotonicity argument; insertion_prune_test fuzzes the
 // claim against the from-scratch reference search bit for bit.
-InsertionResult RunPruned(const Vehicle& vehicle, const Order& order,
+InsertionResult RunPruned(const Vehicle& vehicle,
+                          std::span<const PlanStop> plan, const Order& order,
                           Seconds now_s, const DistanceOracle& oracle,
                           int64_t* attempts, int64_t* infeasible) {
-  const std::span<const PlanStop> plan = vehicle.plan.stops;
   const std::size_t n = plan.size();
   const MetersPerSecond speed = oracle.speed_mps();
   const int64_t total_pairs = static_cast<int64_t>((n + 1) * (n + 2) / 2);
@@ -106,9 +116,8 @@ InsertionResult RunPruned(const Vehicle& vehicle, const Order& order,
   }
   const Meters base_delivery = s.prefix[n].delivery_m;
 
-  const PlanStop pickup{order.origin, order.id, StopType::kPickup, Seconds{}};
-  const PlanStop dropoff{order.destination, order.id, StopType::kDropoff,
-                         order.DropoffDeadline(now_s)};
+  const PlanStop pickup = PickupStop(order);
+  const PlanStop dropoff = DropoffStop(order, now_s);
 
   // Phase 0b: whole-call time-window prefilter. Wherever the pickup lands,
   // the clock there is >= the vehicle's start clock plus the road distance
@@ -338,18 +347,12 @@ InsertionResult RunPruned(const Vehicle& vehicle, const Order& order,
   *infeasible = pruned_total + exact_infeasible;
 
   if (best.feasible) {
+    // Candidate (i, j) puts the pickup before committed stop i and the
+    // drop-off before committed stop j, so in the new plan they sit at i
+    // and j + 1.
     best.delta_delivery_m = best_delta;
-    best.new_plan.reserve(n + 2);
-    best.new_plan.insert(best.new_plan.end(), plan.begin(),
-                         plan.begin() + static_cast<long>(best_i));
-    best.new_plan.push_back(pickup);
-    best.new_plan.insert(best.new_plan.end(),
-                         plan.begin() + static_cast<long>(best_i),
-                         plan.begin() + static_cast<long>(best_j));
-    best.new_plan.push_back(dropoff);
-    best.new_plan.insert(best.new_plan.end(),
-                         plan.begin() + static_cast<long>(best_j),
-                         plan.end());
+    best.pickup_pos = static_cast<int32_t>(best_i);
+    best.dropoff_pos = static_cast<int32_t>(best_j + 1);
   }
   return best;
 }
@@ -358,6 +361,13 @@ InsertionResult RunPruned(const Vehicle& vehicle, const Order& order,
 
 InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
                               Seconds now_s, const DistanceOracle& oracle) {
+  return BestInsertion(vehicle, vehicle.plan.stops, order, now_s, oracle);
+}
+
+InsertionResult BestInsertion(const Vehicle& vehicle,
+                              std::span<const PlanStop> plan,
+                              const Order& order, Seconds now_s,
+                              const DistanceOracle& oracle) {
   ARIDE_CHECK(order.origin != kInvalidNode &&
               order.destination != kInvalidNode)
       << "order " << order.id;
@@ -366,7 +376,12 @@ InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
   // pair), so the timer samples 1-in-64 executions.
   OBS_SCOPED_TIMER_SAMPLED("planner.insertion_s", 64);
   OBS_COUNTER_INC("planner.insertion.calls");
-  if (vehicle.CommittedRiders() >= vehicle.capacity) {
+  // Vehicle::CommittedRiders() over `plan`.
+  int committed = vehicle.onboard;
+  for (const PlanStop& stop : plan) {
+    if (stop.type == StopType::kPickup) ++committed;
+  }
+  if (committed >= vehicle.capacity) {
     // No position can ever fit another rider; counted separately so the
     // BENCH feasibility rate (attempts vs infeasible) is not skewed by
     // calls that never attempted a candidate.
@@ -376,8 +391,8 @@ InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
 
   int64_t attempts = 0;
   int64_t infeasible = 0;
-  InsertionResult best =
-      RunPruned(vehicle, order, now_s, oracle, &attempts, &infeasible);
+  const InsertionResult best = RunPruned(vehicle, plan, order, now_s, oracle,
+                                         &attempts, &infeasible);
   OBS_COUNTER_ADD("planner.insertion.attempts", attempts);
   OBS_COUNTER_ADD("planner.insertion.infeasible", infeasible);
   if (best.feasible) {
@@ -389,6 +404,16 @@ InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
                                                          << order.id;
   }
   return best;
+}
+
+void InsertStops(const InsertionResult& ins, const Order& order,
+                 Seconds now_s, std::vector<PlanStop>* plan) {
+  ARIDE_ACHECK(ins.feasible);
+  ARIDE_ACHECK(ins.pickup_pos >= 0 && ins.pickup_pos < ins.dropoff_pos &&
+               static_cast<std::size_t>(ins.dropoff_pos) <= plan->size() + 1);
+  plan->reserve(plan->size() + 2);
+  plan->insert(plan->begin() + ins.pickup_pos, PickupStop(order));
+  plan->insert(plan->begin() + ins.dropoff_pos, DropoffStop(order, now_s));
 }
 
 Meters MaxPickupRadiusM(const Order& order, MetersPerSecond speed_mps) {

@@ -34,6 +34,9 @@
 #ifndef AUCTIONRIDE_PLANNER_INSERTION_H_
 #define AUCTIONRIDE_PLANNER_INSERTION_H_
 
+#include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "model/order.h"
@@ -44,13 +47,20 @@
 
 namespace auctionride {
 
+/// Where the cheapest insertion puts an order, not the plan it makes.
+/// Trivially copyable, so scoring a pair allocates nothing; a caller that
+/// commits the insertion writes the two stops with InsertStops.
 struct InsertionResult {
   bool feasible = false;
   // Increase in delivery distance ΔD_i(r_j).
   Meters delta_delivery_m;
-  // The vehicle's plan with the order inserted (only valid when feasible).
-  std::vector<PlanStop> new_plan;
+  // Indices of the order's pickup and drop-off in the plan after the
+  // insertion, pickup_pos < dropoff_pos (only valid when feasible). The
+  // committed stops keep their order around them.
+  int32_t pickup_pos = 0;
+  int32_t dropoff_pos = 0;
 };
+static_assert(std::is_trivially_copyable_v<InsertionResult>);
 
 /// Finds the cheapest valid insertion of `order` into `vehicle`'s plan at
 /// time `now_s` (the dispatch round time: the order's drop-off deadline is
@@ -60,6 +70,21 @@ struct InsertionResult {
 /// stops in order.
 InsertionResult BestInsertion(const Vehicle& vehicle, const Order& order,
                               Seconds now_s, const DistanceOracle& oracle);
+
+/// As above, with `plan` in place of vehicle.plan.stops; the position,
+/// load and capacity still come from `vehicle`. Pack planning inserts into
+/// a prefix plan this way without copying the vehicle.
+InsertionResult BestInsertion(const Vehicle& vehicle,
+                              std::span<const PlanStop> plan,
+                              const Order& order, Seconds now_s,
+                              const DistanceOracle& oracle);
+
+/// Writes `order`'s pickup and drop-off into `*plan` at `ins`'s positions.
+/// `*plan` must hold the plan `ins` was computed against and `now_s` must be
+/// the same round time (it sets the drop-off deadline); `ins` must be
+/// feasible. The result is the plan the search evaluated, stop for stop.
+void InsertStops(const InsertionResult& ins, const Order& order,
+                 Seconds now_s, std::vector<PlanStop>* plan);
 
 /// Quick necessary condition used for exact spatial pruning: a dispatch can
 /// only be valid if the vehicle can reach the origin and complete the trip

@@ -21,8 +21,8 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -46,8 +46,8 @@ struct PackKey {
   std::array<int32_t, N> orders;
   bool operator==(const PackKey&) const = default;
 
-  // FNV-1a over the vehicle and the order slots. noexcept, so the
-  // unordered_maps keyed by it do not store the hash in every node.
+  // FNV-1a over the vehicle and the order slots. noexcept, so PackMemo's
+  // unordered_map does not store the hash in every node.
   struct Hash {
     std::size_t operator()(const PackKey& k) const noexcept {
       uint64_t h = 1469598103934665603ull;
@@ -66,8 +66,6 @@ struct PackPlanResult {
   bool feasible = false;
   // Total increase in delivery distance of the vehicle.
   Meters delta_delivery_m;
-  // The vehicle's plan with all pack orders inserted.
-  std::vector<PlanStop> new_plan;
   // Logical oracle queries of the walk: the Distance() calls the uncached
   // walk would make. A cached step adds the count it cost when computed, so
   // the total is a pure function of the inputs, whatever the cache held.
@@ -79,9 +77,12 @@ struct PackPlanResult {
 /// kept, since a larger pack may start with it; only the last insertion of
 /// a full-size pack is never stored.
 ///
-/// A cache serves one round: every vehicle id it sees must name the same
-/// vehicle state, and every call must pass the same now_s and oracle. It is
-/// single-threaded and unlocked — give each task its own.
+/// Between Clear() calls a cache serves one round: every vehicle id it sees
+/// must name the same vehicle state, and every call must pass the same now_s
+/// and oracle. It is single-threaded and unlocked — give each thread its
+/// own. Clear() forgets every step but keeps the storage (the probe table,
+/// the steps and their plans' capacity), so a cache reused across tasks
+/// stops allocating once it has served its largest one.
 class PackPrefixCache {
  public:
   struct Step {
@@ -94,25 +95,40 @@ class PackPrefixCache {
     int64_t queries = 0;
   };
 
+  /// Forgets every step and zeroes the hit and miss counts; keeps capacity.
+  void Clear();
+
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
-  std::size_t size() const { return steps_.size(); }
+  std::size_t size() const { return used_; }
 
  private:
   friend PackPlanResult PlanPack(const Vehicle&, std::span<const Order* const>,
                                  Seconds, const DistanceOracle&,
-                                 PackPrefixCache*);
+                                 PackPrefixCache*, std::vector<PlanStop>*);
 
   // (vehicle id, prefix order ids); unused trailing slots hold -1.
   using Key = PackKey<kMaxPackSize - 1>;
 
   // Returns the step for `key` and whether it was already computed; a new
-  // step is default-constructed for the caller to fill.
+  // step comes reset (infeasible, ΔD 0, empty plan) for the caller to fill.
   std::pair<Step*, bool> FindOrAdd(const Key& key);
+  // Doubles the probe table and re-inserts the live steps' slots.
+  void Grow();
 
-  // Node-based: a Step's address survives later inserts, so a walk can keep
-  // pointing at its prefix's plan.
-  std::unordered_map<Key, Step, Key::Hash> steps_;
+  // Open addressing with linear probing over a power-of-two table kept at
+  // most half full; `step` indexes steps_, -1 marks an empty slot.
+  struct Slot {
+    Key key{};
+    int32_t step = -1;
+  };
+  std::vector<Slot> slots_;
+  int shift_ = 64;  // 64 − log2(slots_.size()): the hash's top bits index
+  // steps_[0, used_) are live; later ones are storage kept for reuse. A
+  // deque never moves its elements as it grows, so a walk can keep
+  // pointing at its prefix's plan while later steps are added.
+  std::deque<Step> steps_;
+  std::size_t used_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
 };
@@ -121,10 +137,13 @@ class PackPrefixCache {
 /// time `now_s`, over all insertion orders (permutations). Orders must have
 /// distinct ids, none may already be in the plan, and there are at most
 /// kMaxPackSize of them. Walk steps are read from and added to `*cache`
-/// (see PackPrefixCache for its contract).
+/// (see PackPrefixCache for its contract). When `plan` is not null and the
+/// pack is feasible, the vehicle's plan with every order inserted is
+/// written to `*plan`; pack evaluation passes null and copies no plan.
 PackPlanResult PlanPack(const Vehicle& vehicle,
                         std::span<const Order* const> orders, Seconds now_s,
-                        const DistanceOracle& oracle, PackPrefixCache* cache);
+                        const DistanceOracle& oracle, PackPrefixCache* cache,
+                        std::vector<PlanStop>* plan = nullptr);
 
 }  // namespace auctionride
 

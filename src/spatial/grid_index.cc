@@ -1,9 +1,11 @@
 #include "spatial/grid_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <limits>
-#include <queue>
+#include <numeric>
+#include <span>
+#include <utility>
 
 #include "common/check.h"
 
@@ -13,7 +15,7 @@ GridIndex::GridIndex(std::vector<Item> items, double cell_size_m)
     : items_(std::move(items)), cell_size_(cell_size_m) {
   ARIDE_ACHECK(cell_size_m > 0);
   if (items_.empty()) {
-    cells_.resize(1);
+    cell_start_.assign(2, 0);
     return;
   }
   bounds_ = {items_[0].position, items_[0].position};
@@ -25,12 +27,23 @@ GridIndex::GridIndex(std::vector<Item> items, double cell_size_m)
   }
   cols_ = std::max(1, static_cast<int>(bounds_.width() / cell_size_) + 1);
   rows_ = std::max(1, static_cast<int>(bounds_.height() / cell_size_) + 1);
-  cells_.resize(static_cast<std::size_t>(cols_) * rows_);
+  // Stable counting sort of the item indices by cell: each cell lists its
+  // items in the order they were added.
+  const std::size_t num_cells = static_cast<std::size_t>(cols_) * rows_;
+  cell_start_.assign(num_cells + 1, 0);
+  for (const Item& item : items_) ++cell_start_[CellOf(item.position) + 1];
+  std::partial_sum(cell_start_.begin(), cell_start_.end(),
+                   cell_start_.begin());
+  cell_items_.resize(items_.size());
+  // cell_start_[c] serves as cell c's write cursor, which leaves it at the
+  // cell's end; shifting the array right by one restores the starts.
   for (std::size_t i = 0; i < items_.size(); ++i) {
-    const Point& p = items_[i].position;
-    cells_[static_cast<std::size_t>(CellY(p.y)) * cols_ + CellX(p.x)]
-        .push_back(static_cast<int32_t>(i));
+    cell_items_[cell_start_[CellOf(items_[i].position)]++] =
+        static_cast<int32_t>(i);
   }
+  std::copy_backward(cell_start_.begin(), cell_start_.end() - 1,
+                     cell_start_.end());
+  cell_start_[0] = 0;
 }
 
 int GridIndex::CellX(double x) const {
@@ -75,20 +88,38 @@ void GridIndex::WithinRadius(const Point& center, Meters radius_m,
 std::vector<int32_t> GridIndex::KNearest(const Point& center, int k,
                                          int32_t exclude_id) const {
   std::vector<int32_t> result;
-  if (items_.empty() || k <= 0) return result;
+  KNearest(center, k, exclude_id, &result);
+  return result;
+}
 
-  // (squared distance, item index) max-heap of the best k so far.
+void GridIndex::KNearest(const Point& center, int k, int32_t exclude_id,
+                         std::vector<int32_t>* out) const {
+  out->clear();
+  if (items_.empty() || k <= 0) return;
+
+  // (squared distance, item index) max-heap of the best k so far. Its top
+  // is the worst by (distance², index), which is unique, so the kept set
+  // does not depend on the heap's layout.
   using HeapEntry = std::pair<double, int32_t>;
-  std::priority_queue<HeapEntry> heap;
+  std::array<HeapEntry, kMaxInlineK> inline_buffer;
+  std::vector<HeapEntry> large_buffer;
+  if (k > kMaxInlineK) large_buffer.resize(static_cast<std::size_t>(k));
+  const std::span<HeapEntry> buffer =
+      k > kMaxInlineK ? std::span<HeapEntry>(large_buffer)
+                      : std::span<HeapEntry>(inline_buffer);
+  const auto heap_begin = buffer.begin();
+  std::size_t heap_size = 0;
+  const auto full = [&] { return heap_size == static_cast<std::size_t>(k); };
 
   const int cx = CellX(center.x);
   const int cy = CellY(center.y);
   const int max_ring = std::max(cols_, rows_);
   for (int ring = 0; ring <= max_ring; ++ring) {
     // Stop when the k-th best cannot be beaten by anything in this ring.
-    if (static_cast<int>(heap.size()) == k) {
+    if (full()) {
       const double min_possible = (ring - 1) * cell_size_;
-      if (min_possible > 0 && min_possible * min_possible > heap.top().first) {
+      if (min_possible > 0 &&
+          min_possible * min_possible > buffer.front().first) {
         break;
       }
     }
@@ -102,23 +133,25 @@ std::vector<int32_t> GridIndex::KNearest(const Point& center, int k,
           const Item& item = items_[static_cast<std::size_t>(idx)];
           if (item.id == exclude_id) continue;
           const double sq = SquaredDistance(center, item.position);
-          if (static_cast<int>(heap.size()) < k) {
-            heap.push({sq, idx});
-          } else if (sq < heap.top().first) {
-            heap.pop();
-            heap.push({sq, idx});
+          if (!full()) {
+            buffer[heap_size++] = {sq, idx};
+            std::push_heap(heap_begin, heap_begin + heap_size);
+          } else if (sq < buffer.front().first) {
+            // Replace the worst only on a strictly smaller distance.
+            std::pop_heap(heap_begin, heap_begin + heap_size);
+            buffer[heap_size - 1] = {sq, idx};
+            std::push_heap(heap_begin, heap_begin + heap_size);
           }
         }
       }
     }
   }
 
-  result.resize(heap.size());
-  for (std::size_t i = result.size(); i-- > 0;) {
-    result[i] = items_[static_cast<std::size_t>(heap.top().second)].id;
-    heap.pop();
+  std::sort_heap(heap_begin, heap_begin + heap_size);
+  out->resize(heap_size);
+  for (std::size_t i = 0; i < heap_size; ++i) {
+    (*out)[i] = items_[static_cast<std::size_t>(buffer[i].second)].id;
   }
-  return result;
 }
 
 }  // namespace auctionride

@@ -227,7 +227,7 @@ DispatchResult FcfsInOrderWalk(const AuctionInstance& in, bool serve_all,
     const Money cost = alpha_per_m * best_delta;
     if (!serve_all && order.bid - cost < in.config.min_utility) continue;
     Vehicle& vehicle = vehicles[static_cast<std::size_t>(best)];
-    vehicle.plan.stops = best_ins.new_plan;
+    InsertStops(best_ins, order, in.now_s, &vehicle.plan.stops);
     touched[static_cast<std::size_t>(best)] = 1;
     result.assignments.push_back(
         {order.id, vehicle.id, cost, order.bid - cost});

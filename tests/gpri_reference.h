@@ -80,7 +80,7 @@ inline Money ReferenceGPriPriceOrder(const AuctionInstance& instance,
       const InsertionResult ins = BestInsertion(
           candidates[s], order, instance.now_s, *instance.oracle);
       ARIDE_ACHECK(ins.feasible);
-      candidates[s].plan.stops = ins.new_plan;
+      InsertStops(ins, order, instance.now_s, &candidates[s].plan.stops);
       h_cost[s] = insertion_cost(candidates[s]);
     }
   }

@@ -210,7 +210,8 @@ DispatchResult NaiveGreedy(const AuctionInstance& in) {
     }
     if (best_order < 0 || best_utility < in.config.min_utility) break;
     Vehicle& vehicle = vehicles[static_cast<std::size_t>(best_vehicle)];
-    vehicle.plan.stops = best_insertion.new_plan;
+    InsertStops(best_insertion, orders[static_cast<std::size_t>(best_order)],
+                in.now_s, &vehicle.plan.stops);
     dispatched[static_cast<std::size_t>(best_order)] = 1;
     const Money cost = alpha_per_m * best_insertion.delta_delivery_m;
     result.assignments.push_back(

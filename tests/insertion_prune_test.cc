@@ -35,8 +35,8 @@ using testutil::LatticeNetwork;
 using testutil::MakeOrder;
 using testutil::MakeVehicle;
 
-void ExpectSameInsertion(const InsertionResult& pruned,
-                         const InsertionResult& ref, std::string_view what) {
+void ExpectSameInsertion(const PlannedInsertion& pruned,
+                         const PlannedInsertion& ref, std::string_view what) {
   ASSERT_EQ(pruned.feasible, ref.feasible) << what;
   if (!pruned.feasible) return;
   // Bit-identical, not approximately equal: EXPECT_EQ on the typed meters
@@ -64,13 +64,13 @@ TEST_P(InsertionPruneProperty, PrunedMatchesReferencePerPair) {
   for (const Vehicle& v : sc.vehicles) {
     for (const Order& o : sc.orders) {
       int64_t before = DistanceOracle::ThreadQueryCount();
-      const InsertionResult ref =
+      const PlannedInsertion ref =
           BestInsertionReference(v, o, sc.now_s, *sc.oracle);
       const int64_t reference_queries =
           DistanceOracle::ThreadQueryCount() - before;
       before = DistanceOracle::ThreadQueryCount();
-      ExpectSameInsertion(BestInsertion(v, o, sc.now_s, *sc.oracle), ref,
-                          "per pair");
+      ExpectSameInsertion(BestInsertionWithPlan(v, o, sc.now_s, *sc.oracle),
+                          ref, "per pair");
       const int64_t pruned_queries =
           DistanceOracle::ThreadQueryCount() - before;
       EXPECT_LE(pruned_queries, reference_queries)
@@ -111,21 +111,21 @@ TEST(InsertionPruneChainTest, PrunedMatchesReferenceOnChainedPlans) {
     const FuzzScenario sc = BuildFuzzScenario(seed);
     const auto compare = [&sc](const Vehicle& v, const Order& o,
                                std::string_view what) {
-      const InsertionResult ref =
+      const PlannedInsertion ref =
           BestInsertionReference(v, o, sc.now_s, *sc.oracle);
-      ExpectSameInsertion(BestInsertion(v, o, sc.now_s, *sc.oracle), ref,
-                          what);
+      ExpectSameInsertion(BestInsertionWithPlan(v, o, sc.now_s, *sc.oracle),
+                          ref, what);
       return ref;
     };
     for (const Vehicle& v : sc.vehicles) {
       for (const Order& first : sc.orders) {
-        const InsertionResult one = compare(v, first, "depth 1");
+        const PlannedInsertion one = compare(v, first, "depth 1");
         if (!one.feasible) continue;
         Vehicle v1 = v;
         v1.plan.stops = one.new_plan;
         for (const Order& second : sc.orders) {
           if (second.id == first.id) continue;
-          const InsertionResult two = compare(v1, second, "depth 2");
+          const PlannedInsertion two = compare(v1, second, "depth 2");
           if (!two.feasible) continue;
           Vehicle v2 = v1;
           v2.plan.stops = two.new_plan;
@@ -184,9 +184,10 @@ TEST(InsertionPruneDeepPlanTest, MatchesReferenceOnDeepPlans) {
       for (double gamma : {1.05, 1.4, 2.5}) {
         const Order o = MakeOrder(500 + origin, origin, dest, 25.0, oracle,
                                   gamma);
-        const InsertionResult ref =
+        const PlannedInsertion ref =
             BestInsertionReference(v, o, now, oracle);
-        const InsertionResult pruned = BestInsertion(v, o, now, oracle);
+        const PlannedInsertion pruned =
+            BestInsertionWithPlan(v, o, now, oracle);
         ExpectSameInsertion(pruned, ref, "deep plan");
         if (ref.feasible) ++feasible_seen;
       }
@@ -261,7 +262,7 @@ class UnwalkablePlanTest : public ::testing::Test {
     const std::size_t n = v.plan.stops.size();
     const auto total_pairs = static_cast<int64_t>((n + 1) * (n + 2) / 2);
     obs::MetricRegistry::Global().ResetAll();
-    const InsertionResult pruned = BestInsertion(v, o, now_, oracle_);
+    const PlannedInsertion pruned = BestInsertionWithPlan(v, o, now_, oracle_);
     ExpectSameInsertion(pruned, BestInsertionReference(v, o, now_, oracle_),
                         "unwalkable plan");
     EXPECT_FALSE(pruned.feasible);

@@ -2,8 +2,9 @@
 // from-scratch brute force. It builds every (i, j) candidate stop sequence
 // and evaluates it with a full EvaluatePlan walk, with no pruning and no
 // telemetry. src/planner/insertion.cc computes the same result with a
-// lower-bound sweep and an incremental exact pass; tests assert the two
-// agree bit for bit.
+// lower-bound sweep and an incremental exact pass and returns positions;
+// tests apply them with InsertStops (BestInsertionWithPlan) and assert the
+// two agree bit for bit, plan included.
 
 #ifndef AUCTIONRIDE_TESTS_INSERTION_REFERENCE_H_
 #define AUCTIONRIDE_TESTS_INSERTION_REFERENCE_H_
@@ -21,14 +22,38 @@
 
 namespace auctionride {
 
-inline InsertionResult BestInsertionReference(const Vehicle& vehicle,
+/// An insertion with its plan spelled out: what the reference returns, and
+/// what BestInsertionWithPlan makes of BestInsertion's positions.
+struct PlannedInsertion {
+  bool feasible = false;
+  Meters delta_delivery_m;
+  // The vehicle's plan with the order inserted (only valid when feasible).
+  std::vector<PlanStop> new_plan;
+};
+
+/// BestInsertion, with its positions applied to a copy of the vehicle's
+/// plan through InsertStops.
+inline PlannedInsertion BestInsertionWithPlan(const Vehicle& vehicle,
+                                              const Order& order,
+                                              Seconds now_s,
+                                              const DistanceOracle& oracle) {
+  const InsertionResult ins = BestInsertion(vehicle, order, now_s, oracle);
+  PlannedInsertion planned{ins.feasible, ins.delta_delivery_m, {}};
+  if (ins.feasible) {
+    planned.new_plan = vehicle.plan.stops;
+    InsertStops(ins, order, now_s, &planned.new_plan);
+  }
+  return planned;
+}
+
+inline PlannedInsertion BestInsertionReference(const Vehicle& vehicle,
                                               const Order& order,
                                               Seconds now_s,
                                               const DistanceOracle& oracle) {
   ARIDE_CHECK(order.origin != kInvalidNode &&
               order.destination != kInvalidNode)
       << "order " << order.id;
-  InsertionResult best;
+  PlannedInsertion best;
   if (vehicle.CommittedRiders() >= vehicle.capacity) return best;
 
   const Meters base_delivery =

@@ -2,8 +2,9 @@
 // uncached permutation walk. Every permutation re-inserts its orders from
 // the committed plan with BestInsertion. src/planner/pack_planner.cc reuses
 // the steps of proper prefixes from a PackPrefixCache; tests assert the two
-// agree bit for bit, and that PackPlanResult::queries equals the oracle
-// queries this walk makes (CountQueries around it).
+// agree bit for bit (PlanPack's plan read through its `plan` argument), and
+// that PackPlanResult::queries equals the oracle queries this walk makes
+// (CountQueries around it).
 
 #ifndef AUCTIONRIDE_TESTS_PACK_PLANNER_REFERENCE_H_
 #define AUCTIONRIDE_TESTS_PACK_PLANNER_REFERENCE_H_
@@ -23,12 +24,20 @@
 
 namespace auctionride {
 
-/// PlanPack without a cache; `queries` is left 0 (count with CountQueries).
-inline PackPlanResult PlanPackReference(const Vehicle& vehicle,
+/// PlanPack's answer with its plan spelled out.
+struct PlannedPack {
+  bool feasible = false;
+  Meters delta_delivery_m;
+  // The vehicle's plan with all pack orders inserted.
+  std::vector<PlanStop> new_plan;
+};
+
+/// PlanPack without a cache; count its queries with CountQueries.
+inline PlannedPack PlanPackReference(const Vehicle& vehicle,
                                         std::span<const Order* const> orders,
                                         Seconds now_s,
                                         const DistanceOracle& oracle) {
-  PackPlanResult best;
+  PlannedPack best;
   if (orders.empty()) return best;
   if (vehicle.CommittedRiders() + static_cast<int>(orders.size()) >
       vehicle.capacity) {
@@ -52,7 +61,7 @@ inline PackPlanResult PlanPackReference(const Vehicle& vehicle,
         break;
       }
       delta_sum += ins.delta_delivery_m;
-      scratch.plan.stops = ins.new_plan;
+      InsertStops(ins, *orders[idx], now_s, &scratch.plan.stops);
     }
     if (ok && delta_sum < best_delta) {
       best_delta = delta_sum;

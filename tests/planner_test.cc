@@ -14,6 +14,7 @@
 #include "planner/pack_planner.h"
 #include "planner/plan_eval.h"
 #include "roadnet/builder.h"
+#include "insertion_reference.h"
 #include "pack_planner_reference.h"
 #include "testutil.h"
 
@@ -170,7 +171,7 @@ TEST(InsertionTest, SingleOrderIntoIdleVehicle) {
   DistanceOracle oracle(&net);
   const Vehicle v = MakeVehicle(0, 0);
   const Order o = MakeOrder(1, 2, 6, 20, oracle);
-  const InsertionResult ins = BestInsertion(v, o, Seconds(0), oracle);
+  const PlannedInsertion ins = BestInsertionWithPlan(v, o, Seconds(0), oracle);
   ASSERT_TRUE(ins.feasible);
   // Delivery distance = d(s, e) = 4000; the approach 0->2 is not delivery.
   EXPECT_DOUBLE_EQ(ins.delta_delivery_m.value(), 4000);
@@ -194,13 +195,15 @@ TEST(InsertionTest, SharedRideReducesMarginalCost) {
   DistanceOracle oracle(&net);
   Vehicle v = MakeVehicle(0, 0);
   const Order a = MakeOrder(1, 1, 8, 20, oracle);
-  const InsertionResult first = BestInsertion(v, a, Seconds(0), oracle);
+  const PlannedInsertion first =
+      BestInsertionWithPlan(v, a, Seconds(0), oracle);
   ASSERT_TRUE(first.feasible);
   v.plan.stops = first.new_plan;
 
   // Same corridor: marginal delivery distance should be ~0.
   const Order b = MakeOrder(2, 2, 7, 20, oracle);
-  const InsertionResult second = BestInsertion(v, b, Seconds(0), oracle);
+  const PlannedInsertion second =
+      BestInsertionWithPlan(v, b, Seconds(0), oracle);
   ASSERT_TRUE(second.feasible);
   EXPECT_DOUBLE_EQ(second.delta_delivery_m.value(), 0);
   EXPECT_TRUE(TravelPlan{second.new_plan}.PrecedenceHolds());
@@ -211,14 +214,16 @@ TEST(InsertionTest, RespectsExistingRiderDeadline) {
   DistanceOracle oracle(&net);
   Vehicle v = MakeVehicle(0, 1);  // at r_a's origin: no approach waste
   Order a = MakeOrder(1, 1, 5, 20, oracle, /*gamma=*/1.2);
-  const InsertionResult first = BestInsertion(v, a, Seconds(0), oracle);
+  const PlannedInsertion first =
+      BestInsertionWithPlan(v, a, Seconds(0), oracle);
   ASSERT_TRUE(first.feasible);
   v.plan.stops = first.new_plan;
 
   // A long opposite detour would violate r_a's deadline; the only feasible
   // insertions keep r_a's drop-off early.
   const Order b = MakeOrder(2, 15, 18, 20, oracle);
-  const InsertionResult second = BestInsertion(v, b, Seconds(0), oracle);
+  const PlannedInsertion second =
+      BestInsertionWithPlan(v, b, Seconds(0), oracle);
   if (second.feasible) {
     const PlanEvaluation eval = EvaluatePlan(v, second.new_plan, Seconds(0), oracle);
     EXPECT_TRUE(eval.feasible);
@@ -250,11 +255,13 @@ TEST(PackPlannerTest, PairOnSharedCorridor) {
   const Order b = MakeOrder(2, 2, 8, 20, oracle);
   const std::vector<const Order*> pack = {&a, &b};
   PackPrefixCache cache;
-  const PackPlanResult plan = PlanPack(v, pack, Seconds(0), oracle, &cache);
+  std::vector<PlanStop> new_plan;
+  const PackPlanResult plan =
+      PlanPack(v, pack, Seconds(0), oracle, &cache, &new_plan);
   ASSERT_TRUE(plan.feasible);
   // Joint delivery: s_a(1) -> s_b(2) -> e_b(8) -> e_a(9) = 8000 m.
   EXPECT_DOUBLE_EQ(plan.delta_delivery_m.value(), 8000);
-  EXPECT_EQ(plan.new_plan.size(), 4u);
+  EXPECT_EQ(new_plan.size(), 4u);
 }
 
 TEST(PackPlannerTest, MatchesExactPlanOnSmallCases) {
@@ -333,7 +340,7 @@ TEST_P(InsertionPropertyTest, PlanStructureAndDeltaConsistency) {
       Order o = testutil::MakeOrder(100 + k, s, e, 10, oracle, /*gamma=*/6.0);
       const InsertionResult ins = BestInsertion(v, o, Seconds(0), oracle);
       if (ins.feasible) {
-        v.plan.stops = ins.new_plan;
+        InsertStops(ins, o, Seconds(0), &v.plan.stops);
         carried.push_back(o);
       }
     }
@@ -345,7 +352,8 @@ TEST_P(InsertionPropertyTest, PlanStructureAndDeltaConsistency) {
 
     const Meters base_delivery =
         EvaluatePlan(v, v.plan.stops, Seconds(0), oracle).delivery_distance_m;
-    const InsertionResult ins = BestInsertion(v, order, Seconds(0), oracle);
+    const PlannedInsertion ins =
+        BestInsertionWithPlan(v, order, Seconds(0), oracle);
     if (!ins.feasible) continue;
 
     // Relative order of pre-existing stops preserved.
@@ -404,20 +412,21 @@ void ExpectMatchesReference(const Vehicle& v,
                             std::span<const Order* const> pack, Seconds now,
                             const DistanceOracle& oracle,
                             PackPrefixCache* cache) {
-  PackPlanResult want;
+  PlannedPack want;
   const int64_t want_queries = CountQueries(
       [&] { want = PlanPackReference(v, pack, now, oracle); });
-  const PackPlanResult got = PlanPack(v, pack, now, oracle, cache);
+  std::vector<PlanStop> got_plan;
+  const PackPlanResult got = PlanPack(v, pack, now, oracle, cache, &got_plan);
   ASSERT_EQ(got.feasible, want.feasible);
   EXPECT_EQ(got.queries, want_queries);
   EXPECT_EQ(std::bit_cast<uint64_t>(got.delta_delivery_m.value()),
             std::bit_cast<uint64_t>(want.delta_delivery_m.value()));
-  ASSERT_EQ(got.new_plan.size(), want.new_plan.size());
-  for (std::size_t i = 0; i < got.new_plan.size(); ++i) {
-    EXPECT_EQ(got.new_plan[i].node, want.new_plan[i].node);
-    EXPECT_EQ(got.new_plan[i].order, want.new_plan[i].order);
-    EXPECT_EQ(got.new_plan[i].type, want.new_plan[i].type);
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.new_plan[i].deadline_s.value()),
+  ASSERT_EQ(got_plan.size(), want.new_plan.size());
+  for (std::size_t i = 0; i < got_plan.size(); ++i) {
+    EXPECT_EQ(got_plan[i].node, want.new_plan[i].node);
+    EXPECT_EQ(got_plan[i].order, want.new_plan[i].order);
+    EXPECT_EQ(got_plan[i].type, want.new_plan[i].type);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got_plan[i].deadline_s.value()),
               std::bit_cast<uint64_t>(want.new_plan[i].deadline_s.value()));
   }
 }
@@ -532,6 +541,151 @@ TEST(PackPlannerTest, PrefixCacheMatchesReference) {
   EXPECT_GT(coverage.short_of_capacity, 0);
   EXPECT_GT(coverage.infeasible_first, 0);
   EXPECT_GT(coverage.infeasible_first_hits, 0);
+}
+
+// Two caches that reached the same steps by different routes: a reused one
+// Clear()ed before every pack and a fresh one per pack. Their results, plans
+// and step counts must agree bit for bit with each other and with the
+// uncached walk. Each round plans its long-plan vehicles first, so the
+// reused cache's step storage last held longer plans than the idle
+// vehicles' steps that overwrite it.
+TEST(PackPlannerTest, ClearedCacheMatchesFreshCacheAndReference) {
+  int long_feasible = 0;
+  int short_feasible = 0;
+  PackPrefixCache reused;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed * 31 + 5);
+    GridNetworkOptions options;
+    options.columns = 7;
+    options.rows = 7;
+    options.spacing_m = 400;
+    options.seed = seed + 70;
+    RoadNetwork net = BuildGridNetwork(options);
+    DistanceOracle oracle(&net);
+    const auto random_node = [&] {
+      return static_cast<NodeId>(
+          rng.UniformInt(static_cast<uint64_t>(net.num_nodes())));
+    };
+    const Seconds now(60);
+    std::vector<Order> orders;
+    for (int j = 0; j < 5; ++j) {
+      const NodeId s = random_node();
+      NodeId e = random_node();
+      while (e == s) e = random_node();
+      orders.push_back(MakeOrder(j, s, e, 10, oracle, rng.Uniform(2.0, 4.0)));
+    }
+    // Long plans first: two committed riders (four stops) on capacity 5.
+    std::vector<Vehicle> vehicles;
+    for (int i = 0; i < 2; ++i) {
+      Vehicle v = MakeVehicle(i, random_node(), /*capacity=*/5);
+      for (int r = 0; r < 2; ++r) {
+        v.plan.stops.push_back(
+            {random_node(), 100 + 2 * i + r, StopType::kPickup, Seconds{}});
+      }
+      for (int r = 0; r < 2; ++r) {
+        v.plan.stops.push_back({random_node(), 100 + 2 * i + r,
+                                StopType::kDropoff, now + Seconds(1e5)});
+      }
+      vehicles.push_back(std::move(v));
+    }
+    for (int i = 2; i < 4; ++i) {
+      vehicles.push_back(MakeVehicle(i, random_node(), /*capacity=*/3));
+    }
+
+    std::vector<std::vector<const Order*>> packs;
+    for (std::size_t a = 0; a < orders.size(); ++a) {
+      packs.push_back({&orders[a]});
+      for (std::size_t b = a + 1; b < orders.size(); ++b) {
+        packs.push_back({&orders[b], &orders[a]});
+        for (std::size_t c = b + 1; c < orders.size(); ++c) {
+          packs.push_back({&orders[a], &orders[c], &orders[b]});
+        }
+      }
+    }
+    for (const Vehicle& v : vehicles) {
+      for (const std::vector<const Order*>& pack : packs) {
+        reused.Clear();
+        EXPECT_EQ(reused.size(), 0u);
+        std::vector<PlanStop> reused_plan = {{0, -1, StopType::kPickup,
+                                              Seconds{}}};  // stale content
+        const PackPlanResult got =
+            PlanPack(v, pack, now, oracle, &reused, &reused_plan);
+        PackPrefixCache fresh;
+        std::vector<PlanStop> fresh_plan;
+        const PackPlanResult want =
+            PlanPack(v, pack, now, oracle, &fresh, &fresh_plan);
+        ASSERT_EQ(got.feasible, want.feasible);
+        EXPECT_EQ(got.queries, want.queries);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.delta_delivery_m.value()),
+                  std::bit_cast<uint64_t>(want.delta_delivery_m.value()));
+        EXPECT_EQ(reused.size(), fresh.size());
+        EXPECT_EQ(reused.hits(), fresh.hits());
+        EXPECT_EQ(reused.misses(), fresh.misses());
+        if (got.feasible) {
+          ASSERT_EQ(reused_plan.size(), fresh_plan.size());
+          for (std::size_t k = 0; k < reused_plan.size(); ++k) {
+            EXPECT_EQ(reused_plan[k].node, fresh_plan[k].node);
+            EXPECT_EQ(reused_plan[k].order, fresh_plan[k].order);
+            EXPECT_EQ(reused_plan[k].type, fresh_plan[k].type);
+            EXPECT_EQ(
+                std::bit_cast<uint64_t>(reused_plan[k].deadline_s.value()),
+                std::bit_cast<uint64_t>(fresh_plan[k].deadline_s.value()));
+          }
+          ++(v.plan.stops.empty() ? short_feasible : long_feasible);
+        }
+        reused.Clear();
+        ExpectMatchesReference(v, pack, now, oracle, &reused);
+      }
+    }
+  }
+  EXPECT_GT(long_feasible, 0);
+  EXPECT_GT(short_feasible, 0);
+}
+
+// BestInsertion's positions, applied with InsertStops, rebuild the plan the
+// brute-force reference builds, stop for stop, on plans grown by chaining
+// applied insertions.
+TEST(InsertionTest, AppliedPositionsRebuildReferencePlan) {
+  int applied = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    const testutil::FuzzScenario sc = testutil::BuildFuzzScenario(seed);
+    for (Vehicle v : sc.vehicles) {
+      for (const Order& o : sc.orders) {
+        const InsertionResult ins = BestInsertion(v, o, sc.now_s, *sc.oracle);
+        const PlannedInsertion ref =
+            BestInsertionReference(v, o, sc.now_s, *sc.oracle);
+        ASSERT_EQ(ins.feasible, ref.feasible);
+        if (!ins.feasible) continue;
+        EXPECT_EQ(std::bit_cast<uint64_t>(ins.delta_delivery_m.value()),
+                  std::bit_cast<uint64_t>(ref.delta_delivery_m.value()));
+        std::vector<PlanStop> plan = v.plan.stops;
+        InsertStops(ins, o, sc.now_s, &plan);
+        ASSERT_EQ(plan.size(), ref.new_plan.size());
+        for (std::size_t k = 0; k < plan.size(); ++k) {
+          EXPECT_EQ(plan[k].node, ref.new_plan[k].node);
+          EXPECT_EQ(plan[k].order, ref.new_plan[k].order);
+          EXPECT_EQ(plan[k].type, ref.new_plan[k].type);
+          EXPECT_EQ(
+              std::bit_cast<uint64_t>(plan[k].deadline_s.value()),
+              std::bit_cast<uint64_t>(ref.new_plan[k].deadline_s.value()));
+        }
+        const auto pickup = static_cast<std::size_t>(ins.pickup_pos);
+        const auto dropoff = static_cast<std::size_t>(ins.dropoff_pos);
+        ASSERT_LT(pickup, dropoff);
+        ASSERT_LT(dropoff, plan.size());
+        EXPECT_EQ(plan[pickup].order, o.id);
+        EXPECT_EQ(plan[pickup].type, StopType::kPickup);
+        EXPECT_EQ(plan[dropoff].order, o.id);
+        EXPECT_EQ(plan[dropoff].type, StopType::kDropoff);
+        // Keep the insertion, so later orders go into a longer plan.
+        v.plan.stops = std::move(plan);
+        ++applied;
+      }
+    }
+  }
+  EXPECT_GT(applied, 20);
 }
 
 // A LegSource that corrupts one specific leg and forwards everything else to

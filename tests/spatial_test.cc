@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -120,6 +123,162 @@ TEST_P(GridIndexPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GridIndexPropertyTest,
                          ::testing::Values(1, 5, 40, 200, 1000));
+
+
+// Brute-force model of GridIndex that reproduces its observable order: the
+// same cell assignment and cell visit order (items of a cell in the order
+// they were added), and KNearest's best-k rule (the worst kept is the
+// largest (distance², index) pair; a newcomer replaces it only on a
+// strictly smaller distance). It scans every ring without early exit, so
+// matching it also shows that the ring cut-off drops nothing.
+class GridModel {
+ public:
+  GridModel(std::vector<GridIndex::Item> items, double cell)
+      : items_(std::move(items)), cell_(cell) {
+    if (items_.empty()) return;
+    min_ = max_ = items_[0].position;
+    for (const GridIndex::Item& item : items_) {
+      min_.x = std::min(min_.x, item.position.x);
+      min_.y = std::min(min_.y, item.position.y);
+      max_.x = std::max(max_.x, item.position.x);
+      max_.y = std::max(max_.y, item.position.y);
+    }
+    cols_ = std::max(1, static_cast<int>((max_.x - min_.x) / cell_) + 1);
+    rows_ = std::max(1, static_cast<int>((max_.y - min_.y) / cell_) + 1);
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      const Point& p = items_[i].position;
+      cells_[{CellX(p.x), CellY(p.y)}].push_back(i);
+    }
+  }
+
+  std::vector<int32_t> WithinRadius(const Point& c, double r) const {
+    std::vector<int32_t> out;
+    if (items_.empty() || r < 0) return out;
+    for (int cy = CellY(c.y - r); cy <= CellY(c.y + r); ++cy) {
+      for (int cx = CellX(c.x - r); cx <= CellX(c.x + r); ++cx) {
+        for (std::size_t i : Cell(cx, cy)) {
+          const GridIndex::Item& item = items_[i];
+          if (SquaredDistance(c, item.position) <= r * r) {
+            out.push_back(item.id);
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+  std::vector<int32_t> KNearest(const Point& c, int k,
+                                int32_t exclude_id) const {
+    std::vector<std::pair<double, int32_t>> kept;
+    if (items_.empty() || k <= 0) return {};
+    const int cx = CellX(c.x);
+    const int cy = CellY(c.y);
+    for (int ring = 0; ring <= std::max(cols_, rows_); ++ring) {
+      for (int dy = -ring; dy <= ring; ++dy) {
+        for (int dx = -ring; dx <= ring; ++dx) {
+          if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
+          for (std::size_t i : Cell(cx + dx, cy + dy)) {
+            const GridIndex::Item& item = items_[i];
+            if (item.id == exclude_id) continue;
+            const std::pair<double, int32_t> entry{
+                SquaredDistance(c, item.position), static_cast<int32_t>(i)};
+            if (static_cast<int>(kept.size()) < k) {
+              kept.push_back(entry);
+              continue;
+            }
+            const auto worst = std::max_element(kept.begin(), kept.end());
+            if (entry.first < worst->first) *worst = entry;
+          }
+        }
+      }
+    }
+    std::sort(kept.begin(), kept.end());
+    std::vector<int32_t> out;
+    for (const auto& [sq, i] : kept) {
+      out.push_back(items_[static_cast<std::size_t>(i)].id);
+    }
+    return out;
+  }
+
+ private:
+  int CellX(double x) const {
+    return std::clamp(static_cast<int>((x - min_.x) / cell_), 0, cols_ - 1);
+  }
+  int CellY(double y) const {
+    return std::clamp(static_cast<int>((y - min_.y) / cell_), 0, rows_ - 1);
+  }
+  // Indices of the items in cell (cx, cy) in the order they were added;
+  // empty off the grid.
+  const std::vector<std::size_t>& Cell(int cx, int cy) const {
+    static const std::vector<std::size_t> kEmpty;
+    const auto it = cells_.find({cx, cy});
+    return it == cells_.end() ? kEmpty : it->second;
+  }
+
+  std::vector<GridIndex::Item> items_;
+  double cell_;
+  Point min_{0, 0};
+  Point max_{0, 0};
+  int cols_ = 1;
+  int rows_ = 1;
+  std::map<std::pair<int, int>, std::vector<std::size_t>> cells_;
+};
+
+// Lattice items in two far-apart clusters (so most cells are empty), with
+// repeated positions and a few repeated ids; lattice queries make many
+// exact ties at the k-th distance.
+class GridIndexModelTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GridIndexModelTest, MatchesModelInContentAndOrder) {
+  const int n = GetParam();
+  Rng rng(700 + n);
+  // `step` times a uniform integer in [lo, hi].
+  const auto lattice = [&rng](double step, int64_t lo, int64_t hi) {
+    return step * static_cast<double>(rng.UniformInt(lo, hi));
+  };
+  std::vector<GridIndex::Item> items;
+  for (int i = 0; i < n; ++i) {
+    const double base = rng.UniformInt(uint64_t{2}) == 0 ? 0.0 : 6000.0;
+    const Point p{base + lattice(100, 0, 8), base + lattice(100, 0, 8)};
+    const auto id = static_cast<int32_t>(rng.UniformInt(uint64_t{8}) == 0
+                                             ? rng.UniformInt(uint64_t{4})
+                                             : 10 + i);
+    items.push_back({id, p});
+  }
+  for (double cell : {90.0, 250.0, 1000.0}) {
+    SCOPED_TRACE(cell);
+    const GridIndex index(items, cell);
+    const GridModel model(items, cell);
+    std::vector<int32_t> reused = {-7, -8};
+    for (int trial = 0; trial < 60; ++trial) {
+      const bool on_lattice = trial % 2 == 0;
+      const Point q =
+          on_lattice
+              ? Point{lattice(50, -4, 140), lattice(50, -4, 140)}
+              : Point{rng.Uniform(-500, 7500), rng.Uniform(-500, 7500)};
+      const double radius =
+          on_lattice ? lattice(100, 0, 12) : rng.Uniform(0, 3000);
+      const std::vector<int32_t> within = model.WithinRadius(q, radius);
+      EXPECT_EQ(index.WithinRadius(q, Meters(radius)), within);
+      index.WithinRadius(q, Meters(radius), &reused);
+      EXPECT_EQ(reused, within);
+
+      const int k = static_cast<int>(rng.UniformInt(int64_t{1}, int64_t{40}));
+      const int32_t exclude =
+          trial % 3 == 0 ? -1
+                         : static_cast<int32_t>(rng.UniformInt(int64_t{0},
+                                                               int64_t{n + 9}));
+      const std::vector<int32_t> knn = model.KNearest(q, k, exclude);
+      EXPECT_EQ(index.KNearest(q, k, exclude), knn)
+          << "k " << k << " exclude " << exclude;
+      index.KNearest(q, k, exclude, &reused);
+      EXPECT_EQ(reused, knn);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, GridIndexModelTest,
+                         ::testing::Values(1, 7, 60, 300));
 
 }  // namespace
 }  // namespace auctionride
